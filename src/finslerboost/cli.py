@@ -192,6 +192,10 @@ def cmd_spinor(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 0:
+        raise argparse.ArgumentTypeError(
+            f"--samples must be non-negative, got {args.samples}"
+        )
     tol = _tolerance(args)
     names = args.suite if args.suite else list(checks.SUITES)
     reports = checks.run_all(names, seed=args.seed, samples=args.samples, tol=tol)

@@ -1,9 +1,12 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from finslerboost import checks
 from finslerboost.cli import main
 
 
@@ -129,6 +132,44 @@ def test_check_pass_and_vacuous(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(s["vacuous"] for s in doc["suites"])
+
+
+def test_check_negative_samples_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--suite", "closure", "--samples", "-3")
+    assert code == 1
+    assert out == ""
+    assert "non-negative" in err
+
+
+def _imported_packages(*argv):
+    """Exit code and top-level packages a fresh interpreter imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+    )
+    names = {
+        line.rsplit("|", 1)[-1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, names
+
+
+def test_scipy_loaded_only_by_check():
+    assert callable(checks.expm)
+    code, names = _imported_packages("-c", "import finslerboost.cli")
+    assert code == 0 and "finslerboost" in names
+    assert "scipy" not in names
+    code, names = _imported_packages(
+        "-m", "finslerboost.cli", "boost", "--nu=0,0,1", "--r=0.3", "--v=0.1,0.2,0.3"
+    )
+    assert code == 0 and "numpy" in names
+    assert "scipy" not in names
+    code, names = _imported_packages(
+        "-m", "finslerboost.cli", "check", "--suite", "oracle", "--suite", "spinor",
+        "--samples", "5",
+    )
+    assert code == 0
+    assert "scipy" in names
 
 
 def test_check_determinism(capsys):
