@@ -19,6 +19,9 @@ from .core import (
     Tolerance,
     UnitVector3,
     Velocity3,
+    _dot,
+    _horosphere,
+    _t3,
     cross3,
     dot3,
 )
@@ -149,21 +152,22 @@ def boost_matrix(
     nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Closed-form finite boost; unimodular and interval-preserving."""
-    nv = params.n.as_array()
-    nuv = nu.as_array()
+    n = _t3(params.n)
+    nuv = _t3(nu)
     alpha = params.alpha
-    a = dot3(nu, params.n) * alpha
+    a = _dot(nuv, n) * alpha
     c0 = alpha * alpha * _h_cosh(a, tol.limit_switch)
     km = alpha * _k_minus(a, tol.limit_switch)
     kp = alpha * _k_plus(a, tol.limit_switch)
 
-    lam = np.empty((4, 4))
-    lam[0, 0] = 1.0 + c0
-    row0 = -(km * nv + c0 * nuv)
-    lam[0, 1:] = row0
-    lam[1:, 0] = kp * nv + c0 * nuv
-    lam[1:, 1:] = np.eye(3) - kp * np.outer(nv, nuv) + np.outer(nuv, row0)
-    return lam
+    row0 = [-(km * p + c0 * q) for p, q in zip(n, nuv)]
+    rows = [[1.0 + c0, *row0]]
+    for i in range(3):
+        rows.append(
+            [kp * n[i] + c0 * nuv[i]]
+            + [float(i == j) - kp * (n[i] * nuv[j]) + nuv[i] * row0[j] for j in range(3)]
+        )
+    return np.array(rows)
 
 
 def boost_matrix_inverse(
@@ -184,35 +188,33 @@ def compose(
     g1 acts first.  A result below abs_tol in norm is the identity and is
     returned as (n = nu, alpha = 0).
     """
-    nuv = nu.as_array()
-    n1, a1 = g1.n.as_array(), g1.alpha
-    n2, a2 = g2.n.as_array(), g2.alpha
-    s1a = dot3(nu, g1.n) * a1
-    s2a = dot3(nu, g2.n) * a2
-    x = float(np.dot(nuv, n1 * a1 + n2 * a2))
-    bracket = (
-        a1 * _k_plus(s1a, tol.limit_switch) * n1
-        + math.exp(s1a) * a2 * _k_plus(s2a, tol.limit_switch) * n2
-    )
-    vec = _compose_prefactor(x, tol.limit_switch) * bracket
-    alpha = float(np.linalg.norm(vec))
+    nuv = _t3(nu)
+    n1, a1 = _t3(g1.n), g1.alpha
+    n2, a2 = _t3(g2.n), g2.alpha
+    s1a = _dot(nuv, n1) * a1
+    s2a = _dot(nuv, n2) * a2
+    x = _dot(nuv, [p * a1 + q * a2 for p, q in zip(n1, n2)])
+    c1 = a1 * _k_plus(s1a, tol.limit_switch)
+    c2 = math.exp(s1a) * a2 * _k_plus(s2a, tol.limit_switch)
+    pref = _compose_prefactor(x, tol.limit_switch)
+    vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
+    alpha = math.sqrt(_dot(vec, vec))
     if alpha < tol.abs_tol:
         return BoostParams.identity(nu)
-    return BoostParams(UnitVector3.normalized(vec / alpha), alpha)
+    return BoostParams(UnitVector3.normalized(vec), alpha)
 
 
 def velocity_from_params(
     nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
 ) -> Velocity3:
     """Velocity of the primed frame for group parameters (n, alpha)."""
-    nv = params.n.as_array()
-    nuv = nu.as_array()
+    n = _t3(params.n)
+    nuv = _t3(nu)
     alpha = params.alpha
-    a = dot3(nu, params.n) * alpha
+    a = _dot(nuv, n) * alpha
     km = alpha * _k_minus(a, tol.limit_switch)
     c0 = alpha * alpha * _h_cosh(a, tol.limit_switch)
-    v = (km * nv + c0 * nuv) / (1.0 + c0)
-    return Velocity3.from_array(v)
+    return Velocity3(*[(km * p + c0 * q) / (1.0 + c0) for p, q in zip(n, nuv)])
 
 
 def params_from_velocity(
@@ -225,35 +227,35 @@ def params_from_velocity(
     branch covers the degenerate (horosphere) band where the textbook
     quotient is 0/0.
     """
-    vv = v.as_array()
-    vsq = float(np.dot(vv, vv))
+    vv = _t3(v)
+    vsq = _dot(vv, vv)
     if math.sqrt(vsq) < tol.abs_tol:
         return BoostParams.identity(nu)
-    nuv = nu.as_array()
-    w = 1.0 - dot3(v, nu)
+    nuv = _t3(nu)
+    w = 1.0 - _dot(vv, nuv)
     gamma_inv = math.sqrt(1.0 - vsq)
     u = vsq / (1.0 + gamma_inv)  # 1 - sqrt(1 - v^2), cancellation-free
     t = (gamma_inv - w) / w
     alpha = math.sqrt(2.0 * u / w) * _log1p_over(t, tol.limit_switch)
-    n_vec = vv / math.sqrt(2.0 * w * u) - math.sqrt(u / (2.0 * w)) * nuv
+    p, q = math.sqrt(2.0 * w * u), math.sqrt(u / (2.0 * w))
+    n_vec = [c / p - q * m for c, m in zip(vv, nuv)]
     return BoostParams(UnitVector3.normalized(n_vec), alpha)
 
 
 def add_velocities_raw(nu: UnitVector3, a1, a2) -> np.ndarray:
     """Velocity composition on plain arrays; admits the boundary point
     a2 = nu, where the result is nu regardless of a1."""
-    nuv = nu.as_array()
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    g1s = math.sqrt(1.0 - float(np.dot(a1, a1)))
-    d1 = 1.0 - float(np.dot(a1, nuv))
-    nu_v2 = float(np.dot(nuv, a2))
-    v1_v2 = float(np.dot(a1, a2))
-    num = (a1 * (1.0 - nu_v2) + a2 * g1s) * d1 + nuv * (
-        v1_v2 + nu_v2 * (g1s - 1.0)
-    ) * g1s
+    nuv, a1, a2 = _t3(nu), _t3(a1), _t3(a2)
+    g1s = math.sqrt(1.0 - _dot(a1, a1))
+    d1 = 1.0 - _dot(a1, nuv)
+    nu_v2 = _dot(nuv, a2)
+    v1_v2 = _dot(a1, a2)
+    along = v1_v2 + nu_v2 * (g1s - 1.0)
     den = d1 + v1_v2 * g1s + nu_v2 * (d1 + g1s) * (g1s - 1.0)
-    return num / den
+    return np.array(
+        [((p * (1.0 - nu_v2) + q * g1s) * d1 + m * along * g1s) / den
+         for p, q, m in zip(a1, a2, nuv)]
+    )
 
 
 def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
@@ -263,14 +265,12 @@ def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
     its orientation); as v2 approaches nu the result approaches nu
     regardless of v1.
     """
-    return Velocity3.from_array(add_velocities_raw(nu, v1.as_array(), v2.as_array()))
+    return Velocity3.from_array(add_velocities_raw(nu, v1, v2))
 
 
 def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
     """Scale factor D = ((1 - v.nu)/sqrt(1 - v^2))^r; strictly positive."""
-    vv = v.as_array()
-    base = (1.0 - dot3(v, spec.nu)) / math.sqrt(1.0 - float(np.dot(vv, vv)))
-    return base**spec.r
+    return _horosphere(_t3(v), _t3(spec.nu)) ** spec.r
 
 
 def generalized_boost_matrix(
@@ -301,4 +301,8 @@ def translate(x: FourVector, a: FourVector) -> FourVector:
 
 
 def apply_matrix(m: np.ndarray, x: FourVector) -> FourVector:
-    return FourVector.from_array(np.asarray(m, dtype=float) @ x.as_array())
+    t, a, b, c = x.t, x.x, x.y, x.z
+    return FourVector(
+        *[r0 * t + r1 * a + r2 * b + r3 * c
+          for r0, r1, r2, r3 in np.asarray(m, dtype=float).tolist()]
+    )

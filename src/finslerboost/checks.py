@@ -283,7 +283,7 @@ def suite_bispinor(rng, samples, tol):
         nu = _unit(rng)
         spec = AnisotropySpec(nu, _aniso(rng))
         v = _speed_vec(rng)
-        direct = spinor.bispinor_matrix(spec, v, tol)
+        direct = spinor.bispinor_matrix(spec, v)
         via = spinor.bispinor_matrix_via_params(spec, v, tol)
         scale = float(np.max(np.abs(direct)))
         p_two.record(_maxdiff(direct, via) / max(scale, 1e-300))
@@ -315,7 +315,7 @@ def suite_bispinor_invariant(rng, samples, tol):
                 break
         before = spinor.finsler_bispinor_invariant(spec, psi, tol)
         after = spinor.finsler_bispinor_invariant(
-            spec, spinor.bispinor_transform(spec, v, psi, tol), tol
+            spec, spinor.bispinor_transform(spec, v, psi), tol
         )
         p_inv.record(_reldiff(after, before))
     return [p_inv]

@@ -177,11 +177,10 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_spinor(args) -> int:
-    tol = _tolerance(args)
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     v = Velocity3.from_array(args.v)
-    psi_p = spinor.bispinor_transform(spec, v, args.psi, tol)
+    psi_p = spinor.bispinor_transform(spec, v, args.psi)
     _emit(
         {
             "psi_prime": bispinor_to_json(psi_p),

@@ -124,8 +124,8 @@ class FourVector:
 
     @classmethod
     def from_array(cls, a) -> "FourVector":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        t, x, y, z = a.tolist() if isinstance(a, np.ndarray) else a
+        return cls(float(t), float(x), float(y), float(z))
 
     def to_json(self) -> list:
         return [self.t, self.x, self.y, self.z]
@@ -157,12 +157,11 @@ class UnitVector3:
 
     @classmethod
     def normalized(cls, v) -> "UnitVector3":
-        v = np.asarray(v, dtype=float)
-        n = float(np.linalg.norm(v))
+        x, y, z = _t3(v)
+        n = math.sqrt(x * x + y * y + z * z)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        v = v / n
-        return cls(float(v[0]), float(v[1]), float(v[2]))
+        return cls(x / n, y / n, z / n)
 
     def to_json(self) -> list:
         return [self.x, self.y, self.z]
@@ -189,12 +188,11 @@ class Velocity3:
         return np.array([self.vx, self.vy, self.vz], dtype=float)
 
     def speed(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
+        return math.sqrt(self.vx * self.vx + self.vy * self.vy + self.vz * self.vz)
 
     @classmethod
     def from_array(cls, a) -> "Velocity3":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
+        return cls(*_t3(a))
 
     def to_json(self) -> list:
         return [self.vx, self.vy, self.vz]
@@ -226,22 +224,46 @@ class AnisotropySpec:
         return cls(UnitVector3.from_json(obj["nu"]), float(obj["r"]))
 
 
-def _vec3(a) -> np.ndarray:
-    if isinstance(a, (UnitVector3, Velocity3)):
-        return a.as_array()
-    return np.asarray(a, dtype=float)
+# Kernels on 3-tuples of floats.  numpy would send these dots through BLAS,
+# whose kernel is chosen per CPU and rounds differently from one to another.
+def _t3(a) -> tuple:
+    """(x, y, z) floats of a UnitVector3, a Velocity3 or a 3-sequence."""
+    if isinstance(a, UnitVector3):
+        return a.x, a.y, a.z
+    if isinstance(a, Velocity3):
+        return a.vx, a.vy, a.vz
+    x, y, z = a.tolist() if isinstance(a, np.ndarray) else a
+    return float(x), float(y), float(z)
+
+
+def _dot(a: tuple, b: tuple) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: tuple, b: tuple) -> tuple:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _horosphere(v: tuple, nu: tuple) -> float:
+    """Horosphere level (1 - v.nu)/sqrt(1 - v^2) of a velocity 3-tuple."""
+    return (1.0 - _dot(v, nu)) / math.sqrt(1.0 - _dot(v, v))
 
 
 def dot3(a, b) -> float:
-    return float(np.dot(_vec3(a), _vec3(b)))
+    return _dot(_t3(a), _t3(b))
 
 
 def cross3(a, b) -> np.ndarray:
-    return np.cross(_vec3(a), _vec3(b))
+    return np.array(_cross(_t3(a), _t3(b)))
 
 
 def norm3(a) -> float:
-    return float(np.linalg.norm(_vec3(a)))
+    a = _t3(a)
+    return math.sqrt(_dot(a, a))
 
 
 def minkowski_interval(dx: FourVector) -> float:
@@ -259,9 +281,9 @@ def finsler_interval_sq(
     for r >= 0 and DegenerateRatio for r < 0 (the ratio diverges).
     """
     base = minkowski_interval(dx)
-    sx = dx.spatial()
-    num = dx.t - dot3(spec.nu, sx)
-    scale = dx.t * dx.t + float(np.dot(sx, sx))
+    sx = (dx.x, dx.y, dx.z)
+    num = dx.t - _dot(_t3(spec.nu), sx)
+    scale = dx.t * dx.t + _dot(sx, sx)
     thr = tol.abs_tol * max(1.0, scale)
     if base < -thr:
         if spec.r != round(spec.r):

@@ -21,6 +21,10 @@ from .core import (
     Tolerance,
     UnitVector3,
     Velocity3,
+    _cross,
+    _dot,
+    _horosphere,
+    _t3,
     cross3,
     dot3,
 )
@@ -114,31 +118,28 @@ def spinor_boost(
     ) * k
 
 
-def bispinor_matrix(
-    spec: AnisotropySpec, v: Velocity3, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
     """Closed-form bispinor transformation matrix D^{-3/2} S in terms of v."""
-    nuv = spec.nu.as_array()
-    vv = v.as_array()
-    vsq = float(np.dot(vv, vv))
-    vnu = float(np.dot(vv, nuv))
-    root = math.sqrt(1.0 - vsq)
-    level = (1.0 - vnu) / root
+    nuv = _t3(spec.nu)
+    vv = _t3(v)
+    vnu = _dot(vv, nuv)
+    root = math.sqrt(1.0 - _dot(vv, vv))
+    level = _horosphere(vv, nuv)
     pref = level ** (-1.5 * spec.r) / (2.0 * math.sqrt((1.0 - vnu) * root))
     g0 = gamma_basis().gamma[0]
     bracket = (
         (1.0 - vnu + root) * np.eye(4, dtype=complex)
-        - 1j * _sigma_dot(cross3(nuv, vv))
-        - g0 @ _gamma_dot(vv - (1.0 - root) * nuv)
+        - 1j * _sigma_dot(_cross(nuv, vv))
+        - g0 @ _gamma_dot([p - (1.0 - root) * u for p, u in zip(vv, nuv)])
     )
     return pref * bracket
 
 
 def bispinor_transform(
-    spec: AnisotropySpec, v: Velocity3, psi: np.ndarray, tol: Tolerance = DEFAULT_TOL
+    spec: AnisotropySpec, v: Velocity3, psi: np.ndarray
 ) -> np.ndarray:
     """Apply the generalized bispinor boost to psi."""
-    return bispinor_matrix(spec, v, tol) @ np.asarray(psi, dtype=complex)
+    return bispinor_matrix(spec, v) @ np.asarray(psi, dtype=complex)
 
 
 def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ def finsler_bispinor_invariant(
     if abs(rho) < tol.abs_tol * max(1.0, scale):
         raise NullDensity("psibar psi vanishes; the invariant form is singular")
     j = bilinear_current(psi)
-    q = (j[0] - float(np.dot(spec.nu.as_array(), j[1:]))) / rho
+    q = (j[0] - dot3(spec.nu, j[1:])) / rho
     if q == 0.0:
         if spec.r > 0:
             raise DegenerateRatio("current null along the preferred direction")

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOL,
     AnisotropySpec,
@@ -22,7 +20,10 @@ from .core import (
     UnitVector3,
     Velocity3,
     ZeroVelocity,
-    cross3,
+    _cross,
+    _dot,
+    _horosphere,
+    _t3,
     dot3,
     norm3,
 )
@@ -50,10 +51,10 @@ HOROSPHERE_TOL = 1e-8
 
 def perpendicular_to(nu: UnitVector3) -> UnitVector3:
     """Deterministic unit vector orthogonal to nu."""
-    nuv = nu.as_array()
-    pivot = np.zeros(3)
-    pivot[int(np.argmin(np.abs(nuv)))] = 1.0
-    return UnitVector3.normalized(np.cross(nuv, pivot))
+    nuv = _t3(nu)
+    pivot = [0.0, 0.0, 0.0]
+    pivot[min(range(3), key=lambda i: abs(nuv[i]))] = 1.0
+    return UnitVector3.normalized(_cross(nuv, pivot))
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,13 @@ class AbelianParams:
     def from_tangent(cls, nu: UnitVector3, w) -> "AbelianParams":
         """Build from the plane vector w = n * alpha (w is projected onto
         the plane orthogonal to nu)."""
-        w = np.asarray(w, dtype=float)
-        w = w - dot3(nu, w) * nu.as_array()
-        alpha = float(np.linalg.norm(w))
+        nuv, w = _t3(nu), _t3(w)
+        d = _dot(nuv, w)
+        w = [c - d * m for c, m in zip(w, nuv)]
+        alpha = math.sqrt(_dot(w, w))
         if alpha == 0.0:
             return cls(perpendicular_to(nu), 0.0)
-        return cls(UnitVector3.normalized(w / alpha), alpha)
+        return cls(UnitVector3.normalized(w), alpha)
 
     def to_json(self) -> dict:
         return {"n": self.n.to_json(), "alpha": self.alpha}
@@ -106,24 +108,25 @@ def _check_orthogonal(nu: UnitVector3, n: UnitVector3) -> None:
 def abelian_transform(nu: UnitVector3, p: AbelianParams, x: FourVector) -> FourVector:
     """Finite Abelian boost applied to event coordinates."""
     _check_orthogonal(nu, p.n)
-    nuv = nu.as_array()
-    nv = p.n.as_array()
+    nuv = _t3(nu)
+    nv = _t3(p.n)
     a = p.alpha
-    sx = x.spatial()
-    nx = float(np.dot(nv, sx))
-    nux = float(np.dot(nuv, sx))
+    sx = (x.x, x.y, x.z)
+    nx = _dot(nv, sx)
+    nux = _dot(nuv, sx)
     half = a * a / 2.0
     t = (half + 1.0) * x.t - a * nx - half * nux
-    s = sx + nv * (-x.t + nux) * a + nuv * ((x.t - nux) * half - nx * a)
-    return FourVector(t, float(s[0]), float(s[1]), float(s[2]))
+    cn, cnu = -x.t + nux, (x.t - nux) * half - nx * a
+    return FourVector(t, *[q + m * cn * a + u * cnu for q, m, u in zip(sx, nv, nuv)])
 
 
 def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
     """Primed-frame velocity; always on the unit-level horosphere."""
     _check_orthogonal(nu, p.n)
     half = p.alpha * p.alpha / 2.0
-    v = (p.n.as_array() * p.alpha + nu.as_array() * half) / (1.0 + half)
-    return Velocity3.from_array(v)
+    return Velocity3(
+        *[(m * p.alpha + u * half) / (1.0 + half) for m, u in zip(_t3(p.n), _t3(nu))]
+    )
 
 
 def abelian_params_from_velocity(
@@ -133,20 +136,19 @@ def abelian_params_from_velocity(
 
     Unique for alpha > 0 with v.nu > 0; v.nu = 0 forces alpha = 0.
     """
-    vv = v.as_array()
-    if float(np.linalg.norm(vv)) < tol.abs_tol:
+    vv, nuv = _t3(v), _t3(nu)
+    if math.sqrt(_dot(vv, vv)) < tol.abs_tol:
         raise ZeroVelocity("direction is undefined at v = 0")
-    vsq = float(np.dot(vv, vv))
-    level = (1.0 - dot3(v, nu)) / math.sqrt(1.0 - vsq)
+    level = _horosphere(vv, nuv)
     if abs(level - 1.0) > HOROSPHERE_TOL:
         raise OffHorosphere(f"velocity is off the horosphere: level = {level}")
-    vnu = dot3(v, nu)
+    vnu = _dot(vv, nuv)
     alpha = math.sqrt(2.0 * vnu / (1.0 - vnu)) if vnu > 0 else 0.0
     if alpha == 0.0:
-        n = UnitVector3.normalized(vv - vnu * nu.as_array())
+        n = UnitVector3.normalized([c - vnu * u for c, u in zip(vv, nuv)])
         return AbelianParams(n, 0.0)
     half = alpha * alpha / 2.0
-    n_vec = (vv * (1.0 + half) - nu.as_array() * half) / alpha
+    n_vec = [(c * (1.0 + half) - u * half) / alpha for c, u in zip(vv, nuv)]
     return AbelianParams(UnitVector3.normalized(n_vec), alpha)
 
 
@@ -158,21 +160,19 @@ def abelian_transform_v(
     Preserves both (x0^2 - x^2) and (x0 - nu.x), hence the anisotropic
     interval for every r.
     """
-    vv = v.as_array()
-    vsq = float(np.dot(vv, vv))
-    if vsq > 0:
-        level = (1.0 - dot3(v, nu)) / math.sqrt(1.0 - vsq)
+    vv, nuv = _t3(v), _t3(nu)
+    if _dot(vv, vv) > 0:
+        level = _horosphere(vv, nuv)
         if abs(level - 1.0) > HOROSPHERE_TOL:
             raise OffHorosphere(f"velocity is off the horosphere: level = {level}")
-    nuv = nu.as_array()
-    sx = x.spatial()
-    vx = float(np.dot(vv, sx))
-    nux = float(np.dot(nuv, sx))
-    vnu = float(np.dot(vv, nuv))
+    sx = (x.x, x.y, x.z)
+    vx = _dot(vv, sx)
+    nux = _dot(nuv, sx)
+    vnu = _dot(vv, nuv)
     w = 1.0 - vnu
     t = (x.t - vx) / w
-    s = sx - ((x.t - nux) * vv - ((2.0 * x.t - nux) * vnu - vx) * nuv) / w
-    return FourVector(t, float(s[0]), float(s[1]), float(s[2]))
+    cv, cnu = x.t - nux, (2.0 * x.t - nux) * vnu - vx
+    return FourVector(t, *[q - (cv * p - cnu * u) / w for q, p, u in zip(sx, vv, nuv)])
 
 
 def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> FourVector:
@@ -180,14 +180,14 @@ def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> Four
 
     The flow is additive in alpha; the inverse is the transform at -alpha.
     """
-    nuv = spec.nu.as_array()
-    sx = x.spatial()
-    nux = float(np.dot(nuv, sx))
+    nuv = _t3(spec.nu)
+    sx = (x.x, x.y, x.z)
+    nux = _dot(nuv, sx)
     d = math.exp(-spec.r * p.alpha)
     ch, sh = math.cosh(p.alpha), math.sinh(p.alpha)
     t = d * (x.t * ch - nux * sh)
-    s = d * (sx - nuv * nux + nuv * (-x.t * sh + nux * ch))
-    return FourVector(t, float(s[0]), float(s[1]), float(s[2]))
+    along = -x.t * sh + nux * ch
+    return FourVector(t, *[d * (q - u * nux + u * along) for q, u in zip(sx, nuv)])
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,10 @@ def axial_invariants(spec: AnisotropySpec, x: FourVector) -> AxialInvariants:
 
     Raises NonTimelike when x0^2 <= |x|^2, where the ratio is undefined.
     """
-    sx = x.spatial()
-    proj = x.t - dot3(spec.nu, sx)
-    interval = x.t * x.t - float(np.dot(sx, sx))
+    sx, nuv = (x.x, x.y, x.z), _t3(spec.nu)
+    proj = x.t - _dot(nuv, sx)
+    interval = x.t * x.t - _dot(sx, sx)
     if interval <= 0.0:
         raise NonTimelike("cylinder ratio requires a timelike event")
-    ratio = norm3(cross3(sx, spec.nu)) / math.sqrt(interval)
+    ratio = norm3(_cross(sx, nuv)) / math.sqrt(interval)
     return AxialInvariants(proj, interval, ratio)

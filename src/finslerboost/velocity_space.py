@@ -25,7 +25,11 @@ from .core import (
     Tolerance,
     UnitVector3,
     Velocity3,
-    dot3,
+    _cross,
+    _dot,
+    _horosphere,
+    _t3,
+    norm3,
 )
 from .subgroups import AbelianParams, abelian_transform, perpendicular_to
 
@@ -43,28 +47,26 @@ SURFACE_CHECK_TOL = 1e-8
 
 def lobachevsky_distance(v1: Velocity3, v2: Velocity3) -> float:
     """Hyperbolic distance: artanh of the Einstein relative speed."""
-    a1 = v1.as_array()
-    a2 = v2.as_array()
-    diff = a1 - a2
-    crs = np.cross(a1, a2)
-    den = 1.0 - float(np.dot(a1, a2))
-    wsq = (float(np.dot(diff, diff)) - float(np.dot(crs, crs))) / (den * den)
+    a1, a2 = _t3(v1), _t3(v2)
+    diff = [p - q for p, q in zip(a1, a2)]
+    crs = _cross(a1, a2)
+    den = 1.0 - _dot(a1, a2)
+    wsq = (_dot(diff, diff) - _dot(crs, crs)) / (den * den)
     w = math.sqrt(max(wsq, 0.0))
     return math.atanh(min(w, 1.0 - 1e-16))
 
 
 def horosphere_level(nu: UnitVector3, v: Velocity3) -> float:
     """(1 - v.nu)/sqrt(1 - v^2); strictly positive."""
-    vv = v.as_array()
-    return (1.0 - dot3(v, nu)) / math.sqrt(1.0 - float(np.dot(vv, vv)))
+    return _horosphere(_t3(v), _t3(nu))
 
 
 def cylinder_level(nu: UnitVector3, v: Velocity3) -> float:
-    """(v^2 - (v.nu)^2)/(1 - v^2); zero iff v is parallel to nu."""
-    vv = v.as_array()
-    vsq = float(np.dot(vv, vv))
-    vnu = dot3(v, nu)
-    return max(vsq - vnu * vnu, 0.0) / (1.0 - vsq)
+    """|v x nu|^2/(1 - v^2); zero iff v is parallel to nu.  Unlike
+    v^2 - (v.nu)^2, the cross product does not cancel near the axis."""
+    vv = _t3(v)
+    c = _cross(vv, _t3(nu))
+    return _dot(c, c) / (1.0 - _dot(vv, vv))
 
 
 def induced_motion(
@@ -156,7 +158,7 @@ def sample_surface(
         for b1 in np.linspace(-extent, extent, n1):
             for b2 in np.linspace(-extent, extent, n2):
                 w = b1 * e1 + b2 * e2
-                mag = float(np.linalg.norm(w))
+                mag = norm3(w)
                 if mag == 0.0:
                     u = base
                 else:

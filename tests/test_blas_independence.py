@@ -1,0 +1,87 @@
+"""Scalar results must not depend on the BLAS kernel numpy picks for the CPU.
+
+OpenBLAS chooses its dot-product kernel at run time from the CPU type, and
+kernels differ in the last bit on length-3 dot products.  The same seeded
+script runs in two fresh interpreters, one forced onto an old kernel by
+OPENBLAS_CORETYPE, and must print the same bytes.
+"""
+import os
+import platform
+import subprocess
+import sys
+
+import pytest
+
+import finslerboost
+
+SCRIPT = r"""
+import numpy as np
+from finslerboost import boost, core, subgroups, velocity_space as vs
+
+rng = np.random.default_rng(20260401)
+nu = core.UnitVector3.normalized(rng.normal(size=3))
+spec = core.AnisotropySpec(nu, 0.37)
+e1 = subgroups.perpendicular_to(nu)
+
+
+def unit():
+    return core.UnitVector3.normalized(rng.normal(size=3))
+
+
+def vel():
+    return core.Velocity3.from_array(np.tanh(rng.uniform(0, 3)) * unit().as_array())
+
+
+out = []
+for _ in range(200):
+    g1 = boost.BoostParams(unit(), rng.uniform(-3, 3))
+    g2 = boost.BoostParams(unit(), rng.uniform(-3, 3))
+    xs = rng.uniform(-1, 1, size=3)
+    x = core.FourVector(core.norm3(xs) + rng.uniform(0.1, 2), *xs.tolist())
+    va, vb = vel(), vel()
+    v1 = boost.velocity_from_params(nu, g1)
+    m = boost.generalized_boost_matrix(spec, g1)
+    out += [
+        v1,
+        boost.params_from_velocity(nu, va),
+        boost.compose(nu, g1, g2),
+        boost.add_velocities(nu, v1, va),
+        m.tolist(),
+        boost.apply_matrix(m, x),
+        core.finsler_interval_sq(x, spec),
+        boost.dilation_factor(spec, va),
+        vs.lobachevsky_distance(va, vb),
+        vs.induced_motion(nu, v1, va),
+        vs.horosphere_level(nu, va),
+        vs.cylinder_level(nu, va),
+        subgroups.abelian_transform(nu, subgroups.AbelianParams(e1, g2.alpha), x),
+        subgroups.axial_transform(spec, subgroups.AxialParams(g1.alpha), x),
+    ]
+for item in out:
+    print(repr(item))
+"""
+
+
+def _run(coretype):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finslerboost.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_scalar_results_independent_of_blas_kernel():
+    default = _run(None)
+    prescott = _run("Prescott")
+    assert default.count("\n") == 200 * 14
+    assert prescott == default

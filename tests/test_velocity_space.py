@@ -62,6 +62,14 @@ def test_level_examples():
     assert cylinder_level(NU_Z, Velocity3(0.6, 0, 0)) == pytest.approx(0.5625, rel=1e-14)
 
 
+def test_cylinder_level_near_axis_keeps_digits():
+    # v^2 - (v.nu)^2 cancels here; |v x nu|^2 does not.
+    eps = 1e-5
+    v = Velocity3(0.9 * math.sin(eps), 0.0, 0.9 * math.cos(eps))
+    exact = 0.81 * math.sin(eps) ** 2 / 0.19
+    assert abs(cylinder_level(NU_Z, v) - exact) <= 1e-12 * exact
+
+
 def test_induced_motion_identity():
     v = Velocity3(0.2, -0.1, 0.4)
     assert induced_motion(NU_Z, Velocity3(0, 0, 0), v) == v
