@@ -75,37 +75,15 @@ class BoostParams:
         return cls(UnitVector3.from_json(obj["n"]), float(obj["alpha"]))
 
 
-# Coefficient functions of a = (nu.n) * alpha.  Each has a removable
-# singularity at a = 0; below the switch threshold an explicit Taylor
-# series replaces the closed form.
+# The closed forms have removable singularities only in expm1(x)/x and
+# log1p(t)/t; below the switch threshold an explicit Taylor series
+# replaces each of the two.
 
-def _k_minus(a: float, switch: float) -> float:
-    """(1 - e^{-a}) / a."""
-    if abs(a) < switch:
-        return 1.0 - a / 2 + a * a / 6 - a**3 / 24 + a**4 / 120
-    return -math.expm1(-a) / a
-
-
-def _k_plus(a: float, switch: float) -> float:
-    """(1 - e^{a}) / a."""
-    if abs(a) < switch:
-        return -(1.0 + a / 2 + a * a / 6 + a**3 / 24 + a**4 / 120)
-    return -math.expm1(a) / a
-
-
-def _h_cosh(a: float, switch: float) -> float:
-    """(cosh a - 1) / a^2, via 2 sinh^2(a/2) to avoid cancellation."""
-    if abs(a) < switch:
-        return 0.5 + a * a / 24 + a**4 / 720
-    sh = math.sinh(0.5 * a)
-    return 2.0 * sh * sh / (a * a)
-
-
-def _compose_prefactor(x: float, switch: float) -> float:
-    """x / (1 - e^x); tends to -1 as x -> 0."""
+def _exprel(x: float, switch: float) -> float:
+    """expm1(x) / x; tends to 1 as x -> 0."""
     if abs(x) < switch:
-        return -(1.0 - x / 2 + x * x / 12 - x**4 / 720)
-    return -x / math.expm1(x)
+        return 1.0 + x / 2 + x * x / 6 + x**3 / 24 + x**4 / 120
+    return math.expm1(x) / x
 
 
 def _log1p_over(t: float, switch: float) -> float:
@@ -113,6 +91,17 @@ def _log1p_over(t: float, switch: float) -> float:
     if abs(t) < switch:
         return 1.0 - t / 2 + t * t / 3 - t**3 / 4
     return math.log1p(t) / t
+
+
+def _coefficients(nu: UnitVector3, params: BoostParams, switch: float):
+    """Fields of n and nu, and the boost coefficients with a = (nu.n) alpha:
+    km = (1 - e^{-a}) alpha / a, kp = (1 - e^{a}) alpha / a and
+    c0 = (cosh a - 1) alpha^2 / a^2 = -km kp / 2."""
+    n, nuv, alpha = _t3(params.n), _t3(nu), params.alpha
+    a = _dot(nuv, n) * alpha
+    km = alpha * _exprel(-a, switch)
+    kp = -alpha * _exprel(a, switch)
+    return n, nuv, km, kp, -0.5 * km * kp
 
 
 def _cross_matrix(m: np.ndarray) -> np.ndarray:
@@ -152,14 +141,7 @@ def boost_matrix(
     nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Closed-form finite boost; unimodular and interval-preserving."""
-    n = _t3(params.n)
-    nuv = _t3(nu)
-    alpha = params.alpha
-    a = _dot(nuv, n) * alpha
-    c0 = alpha * alpha * _h_cosh(a, tol.limit_switch)
-    km = alpha * _k_minus(a, tol.limit_switch)
-    kp = alpha * _k_plus(a, tol.limit_switch)
-
+    n, nuv, km, kp, c0 = _coefficients(nu, params, tol.limit_switch)
     row0 = [-(km * p + c0 * q) for p, q in zip(n, nuv)]
     rows = [[1.0 + c0, *row0]]
     for i in range(3):
@@ -194,9 +176,9 @@ def compose(
     s1a = _dot(nuv, n1) * a1
     s2a = _dot(nuv, n2) * a2
     x = _dot(nuv, [p * a1 + q * a2 for p, q in zip(n1, n2)])
-    c1 = a1 * _k_plus(s1a, tol.limit_switch)
-    c2 = math.exp(s1a) * a2 * _k_plus(s2a, tol.limit_switch)
-    pref = _compose_prefactor(x, tol.limit_switch)
+    c1 = -a1 * _exprel(s1a, tol.limit_switch)
+    c2 = -math.exp(s1a) * a2 * _exprel(s2a, tol.limit_switch)
+    pref = -1.0 / _exprel(x, tol.limit_switch)  # x / (1 - e^x)
     vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
     alpha = math.sqrt(_dot(vec, vec))
     if alpha < tol.abs_tol:
@@ -208,12 +190,7 @@ def velocity_from_params(
     nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
 ) -> Velocity3:
     """Velocity of the primed frame for group parameters (n, alpha)."""
-    n = _t3(params.n)
-    nuv = _t3(nu)
-    alpha = params.alpha
-    a = _dot(nuv, n) * alpha
-    km = alpha * _k_minus(a, tol.limit_switch)
-    c0 = alpha * alpha * _h_cosh(a, tol.limit_switch)
+    n, nuv, km, _, c0 = _coefficients(nu, params, tol.limit_switch)
     return Velocity3(*[(km * p + c0 * q) / (1.0 + c0) for p, q in zip(n, nuv)])
 
 

@@ -1,7 +1,10 @@
 """Seeded randomized conformance suites.
 
 Each suite draws from an isolated PCG64 generator derived from the master
-seed, so reports are reproducible across platforms.  Sampling: directions
+seed.  Draws are normalized with plain float arithmetic (`norm3`), not a
+BLAS dot, so the same seed gives the same inputs whichever OpenBLAS kernel
+the CPU selects; deviations measured through the 4x4 and spinor matrix
+algebra may still differ in their last digits.  Sampling: directions
 uniform on the sphere, rapidity uniform in [-3, 3], anisotropy parameter
 uniform in [-0.9, 0.9], speeds with uniform rapidity in [0, 3].
 
@@ -12,7 +15,7 @@ through it, so scipy is imported only when a suite first calls `expm`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .core import (
     Velocity3,
     finsler_interval_sq,
     minkowski_interval,
+    norm3,
 )
 
 __all__ = ["PropertyResult", "CheckReport", "SUITES", "run_suite", "run_all"]
@@ -95,9 +99,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _unit(rng) -> UnitVector3:
     while True:
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            return UnitVector3.normalized(v / n)
+        if norm3(v) > 1e-8:
+            return UnitVector3.normalized(v)
 
 
 def _alpha(rng) -> float:
@@ -119,7 +122,7 @@ def _params(rng) -> boost.BoostParams:
 
 def _timelike(rng) -> FourVector:
     x = rng.uniform(-1.0, 1.0, size=3)
-    t = float(np.linalg.norm(x)) + rng.uniform(0.1, 2.0)
+    t = norm3(x) + rng.uniform(0.1, 2.0)
     return FourVector(t, *x)
 
 
@@ -347,7 +350,7 @@ def suite_subgroups(rng, samples, tol):
         pa2 = subgroups.AbelianParams(n2, float(a2))
 
         v1 = subgroups.abelian_velocity(nu, pa1)
-        xp = subgroups.abelian_transform_v(nu, v1, x, tol)
+        xp = subgroups.abelian_transform_v(nu, v1, x)
         p_ab_inv.record(_reldiff(minkowski_interval(xp), minkowski_interval(x)))
         p_ab_inv.record(
             _reldiff(
@@ -438,8 +441,8 @@ def suite_branch(rng, samples, tol):
     p_vel = PropertyResult("velocity-branch-continuity", 1e-9)
     p_spin = PropertyResult("spinor-branch-continuity", 1e-9)
     # force the generic and series branches on either side of the threshold
-    generic = Tolerance(tol.abs_tol, tol.rel_tol, 1e-300)
-    series = Tolerance(tol.abs_tol, tol.rel_tol, 1.0)
+    generic = replace(tol, limit_switch=1e-300)
+    series = replace(tol, limit_switch=1.0)
     for _ in range(samples):
         nu = _unit(rng)
         alpha = float(rng.uniform(0.5, 3.0))

@@ -74,7 +74,7 @@ def _tolerance(args) -> Tolerance:
             override = float(env)
     if override is None:
         return DEFAULT_TOL
-    return Tolerance(abs_tol=override, rel_tol=override)
+    return Tolerance(abs_tol=override)
 
 
 def _emit(obj) -> None:
@@ -249,10 +249,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="finslerboost", description=__doc__)
     tol_parent = _Parser(add_help=False)
     tol_parent.add_argument("--tol", type=float, default=None,
-                            help="override abs/rel tolerance (also env FINSLER_TOL)")
-    common = _Parser(add_help=False, parents=[tol_parent])
-    common.add_argument("--nu", type=_triple, required=True,
-                        help="preferred direction, comma triple (normalized)")
+                            help="override the absolute tolerance (also env FINSLER_TOL)")
+    nu_parent = _Parser(add_help=False)
+    nu_parent.add_argument("--nu", type=_triple, required=True,
+                           help="preferred direction, comma triple (normalized)")
+    common = _Parser(add_help=False, parents=[tol_parent, nu_parent])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("boost", parents=[common], help="build one generalized boost")
@@ -277,7 +278,7 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", type=_psi)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("spinor", parents=[common], help="transform a bispinor")
+    p = sub.add_parser("spinor", parents=[nu_parent], help="transform a bispinor")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--v", type=_triple, required=True)
     p.add_argument("--psi", type=_psi, required=True)
@@ -289,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", action="append", choices=list(checks.SUITES))
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("surface", parents=[common], help="export an invariant surface")
+    p = sub.add_parser("surface", parents=[nu_parent], help="export an invariant surface")
     p.add_argument("--family", choices=["horosphere", "cylinder"], required=True)
     p.add_argument("--level", type=float, required=True)
     p.add_argument("--resolution", default="8x8", help="grid, e.g. 8x8")
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return EXIT_USAGE
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"{parser.prog}: {type(exc).__name__}: {exc}\n")
         return EXIT_DOMAIN
 

@@ -87,11 +87,10 @@ class Tolerance:
     """
 
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
     limit_switch: float = 1e-4
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.limit_switch > 0):
+        if not (self.abs_tol > 0 and self.limit_switch > 0):
             raise ValueError("tolerances must be strictly positive")
 
 

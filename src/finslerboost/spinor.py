@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boost import BoostParams, dilation_factor, params_from_velocity
+from .boost import BoostParams, _exprel, dilation_factor, params_from_velocity
 from .core import (
     DEFAULT_TOL,
     AnisotropySpec,
@@ -94,13 +94,6 @@ def spinor_generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     return -g0 @ _gamma_dot(n.as_array()) - 1j * _sigma_dot(m)
 
 
-def _sinhc(x: float, switch: float) -> float:
-    """sinh(x) / x."""
-    if abs(x) < switch:
-        return 1.0 + x * x / 6 + x**4 / 120
-    return math.sinh(x) / x
-
-
 def spinor_boost(
     nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -113,9 +106,9 @@ def spinor_boost(
     k = spinor_generator(nu, params.n)
     a = dot3(nu, params.n) * params.alpha
     half = 0.5 * a
-    return math.cosh(half) * np.eye(4, dtype=complex) + (
-        0.5 * params.alpha * _sinhc(half, tol.limit_switch)
-    ) * k
+    # sinh(h)/h = (exprel(h) + exprel(-h)) / 2, with no cancellation
+    sinhc = 0.5 * (_exprel(half, tol.limit_switch) + _exprel(-half, tol.limit_switch))
+    return math.cosh(half) * np.eye(4, dtype=complex) + (0.5 * params.alpha * sinhc) * k
 
 
 def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:

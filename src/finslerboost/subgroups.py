@@ -152,9 +152,7 @@ def abelian_params_from_velocity(
     return AbelianParams(UnitVector3.normalized(n_vec), alpha)
 
 
-def abelian_transform_v(
-    nu: UnitVector3, v: Velocity3, x: FourVector, tol: Tolerance = DEFAULT_TOL
-) -> FourVector:
+def abelian_transform_v(nu: UnitVector3, v: Velocity3, x: FourVector) -> FourVector:
     """Abelian boost reparametrized by the frame velocity v.
 
     Preserves both (x0^2 - x^2) and (x0 - nu.x), hence the anisotropic

@@ -1,4 +1,5 @@
-"""Scalar results must not depend on the BLAS kernel numpy picks for the CPU.
+"""Scalar results and the conformance suites' seeded draws must not depend
+on the BLAS kernel numpy picks for the CPU.
 
 OpenBLAS chooses its dot-product kernel at run time from the CPU type, and
 kernels differ in the last bit on length-3 dot products.  The same seeded
@@ -16,7 +17,7 @@ import finslerboost
 
 SCRIPT = r"""
 import numpy as np
-from finslerboost import boost, core, subgroups, velocity_space as vs
+from finslerboost import boost, checks, core, subgroups, velocity_space as vs
 
 rng = np.random.default_rng(20260401)
 nu = core.UnitVector3.normalized(rng.normal(size=3))
@@ -57,6 +58,10 @@ for _ in range(200):
         subgroups.abelian_transform(nu, subgroups.AbelianParams(e1, g2.alpha), x),
         subgroups.axial_transform(spec, subgroups.AxialParams(g1.alpha), x),
     ]
+# the conformance suites' seeded draws
+draws = np.random.default_rng(5)
+out += [checks._unit(draws) for _ in range(20000)]
+out += [checks._timelike(draws) for _ in range(20000)]
 for item in out:
     print(repr(item))
 """
@@ -83,5 +88,5 @@ def _run(coretype):
 def test_scalar_results_independent_of_blas_kernel():
     default = _run(None)
     prescott = _run("Prescott")
-    assert default.count("\n") == 200 * 14
+    assert default.count("\n") == 200 * 14 + 2 * 20000
     assert prescott == default

@@ -224,6 +224,28 @@ def test_usage_errors(capsys):
     assert exc.value.code == 1
 
 
+def test_tol_only_on_commands_that_read_it(tmp_path):
+    for argv in (
+        ["spinor", "--nu", "0,0,1", "--r", "0", "--v", "0,0,0", "--psi", "1,0,0,0,0,0,0,0"],
+        ["surface", "--nu", "0,0,1", "--family", "horosphere", "--level", "1",
+         "--output", str(tmp_path / "x.csv")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-6"])
+        assert exc.value.code == 1
+
+
+def test_overflowing_rapidity_is_domain_error(capsys):
+    # (nu.n) alpha beyond the range of expm1 on either side of the axis
+    for n in ("0,0,1", "0,0,-1"):
+        code, out, err = run(
+            capsys, "boost", "--nu", "0,0,1", "--r", "0", "--n", n, "--alpha", "800"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("finslerboost: ")
+
+
 def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FINSLER_TOL", "1e-6")
     code, out, _ = run(capsys, "boost", "--nu", "0,0,1", "--r", "0", "--v", "0,0,0.5")
