@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     DEFAULT_TOL,
@@ -19,12 +18,15 @@ from .core import (
     Tolerance,
     UnitVector3,
     Velocity3,
+    _cross,
     _dot,
     _horosphere,
     _t3,
-    cross3,
     dot3,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoostParams",
@@ -104,15 +106,9 @@ def _coefficients(nu: UnitVector3, params: BoostParams, switch: float):
     return n, nuv, km, kp, -0.5 * km * kp
 
 
-def _cross_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix of the map x -> m x x."""
-    return np.array(
-        [
-            [0.0, -m[2], m[1]],
-            [m[2], 0.0, -m[0]],
-            [-m[1], m[0], 0.0],
-        ]
-    )
+def _cross_rows(m: tuple) -> list:
+    """Rows of the matrix of the map x -> m x x."""
+    return [[0.0, -m[2], m[1]], [m[2], 0.0, -m[0]], [-m[1], m[0], 0.0]]
 
 
 def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
@@ -122,26 +118,28 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     block is the rotation generator about nu x n that keeps the preferred
     axis fixed in the moving frame.
     """
-    nv = n.as_array()
-    m = cross3(nu, n)
-    g = np.zeros((4, 4))
-    g[0, 1:] = -nv
-    g[1:, 0] = -nv
-    g[1:, 1:] = _cross_matrix(m)
-    return g
+    import numpy as np
+
+    nv = _t3(n)
+    rows = [[0.0, *[-c for c in nv]]]
+    for c, row in zip(nv, _cross_rows(_cross(_t3(nu), nv))):
+        rows.append([-c, *row])
+    return np.array(rows)
 
 
 def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
     """Boost generator plus the compensating scale generator -r (nu.n) I."""
+    import numpy as np
+
     s = dot3(spec.nu, n)
     return generator(spec.nu, n) - spec.r * s * np.eye(4)
 
 
-def boost_matrix(
-    nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Closed-form finite boost; unimodular and interval-preserving."""
-    n, nuv, km, kp, c0 = _coefficients(nu, params, tol.limit_switch)
+def _boost_rows(
+    nu: UnitVector3, params: BoostParams, switch: float, scale: float = 1.0
+) -> list:
+    """Rows of scale * Lambda as four lists of four floats."""
+    n, nuv, km, kp, c0 = _coefficients(nu, params, switch)
     row0 = [-(km * p + c0 * q) for p, q in zip(n, nuv)]
     rows = [[1.0 + c0, *row0]]
     for i in range(3):
@@ -149,7 +147,26 @@ def boost_matrix(
             [kp * n[i] + c0 * nuv[i]]
             + [float(i == j) - kp * (n[i] * nuv[j]) + nuv[i] * row0[j] for j in range(3)]
         )
-    return np.array(rows)
+    if scale == 1.0:
+        return rows
+    return [[scale * c for c in row] for row in rows]
+
+
+def _generalized_rows(
+    spec: AnisotropySpec, params: BoostParams, tol: Tolerance
+) -> list:
+    """Rows of the generalized boost D * Lambda with D = e^{-r (nu.n) alpha}."""
+    d = math.exp(-spec.r * dot3(spec.nu, params.n) * params.alpha)
+    return _boost_rows(spec.nu, params, tol.limit_switch, d)
+
+
+def boost_matrix(
+    nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """Closed-form finite boost; unimodular and interval-preserving."""
+    import numpy as np
+
+    return np.array(_boost_rows(nu, params, tol.limit_switch))
 
 
 def boost_matrix_inverse(
@@ -219,20 +236,26 @@ def params_from_velocity(
     return BoostParams(UnitVector3.normalized(n_vec), alpha)
 
 
-def add_velocities_raw(nu: UnitVector3, a1, a2) -> np.ndarray:
-    """Velocity composition on plain arrays; admits the boundary point
-    a2 = nu, where the result is nu regardless of a1."""
-    nuv, a1, a2 = _t3(nu), _t3(a1), _t3(a2)
+def _add_velocities(nuv: tuple, a1: tuple, a2: tuple) -> tuple:
+    """Velocity composition on float 3-tuples."""
     g1s = math.sqrt(1.0 - _dot(a1, a1))
     d1 = 1.0 - _dot(a1, nuv)
     nu_v2 = _dot(nuv, a2)
     v1_v2 = _dot(a1, a2)
     along = v1_v2 + nu_v2 * (g1s - 1.0)
     den = d1 + v1_v2 * g1s + nu_v2 * (d1 + g1s) * (g1s - 1.0)
-    return np.array(
-        [((p * (1.0 - nu_v2) + q * g1s) * d1 + m * along * g1s) / den
-         for p, q, m in zip(a1, a2, nuv)]
+    return tuple(
+        ((p * (1.0 - nu_v2) + q * g1s) * d1 + m * along * g1s) / den
+        for p, q, m in zip(a1, a2, nuv)
     )
+
+
+def add_velocities_raw(nu: UnitVector3, a1, a2) -> np.ndarray:
+    """Velocity composition on plain arrays; admits the boundary point
+    a2 = nu, where the result is nu regardless of a1."""
+    import numpy as np
+
+    return np.array(_add_velocities(_t3(nu), _t3(a1), _t3(a2)))
 
 
 def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
@@ -242,7 +265,7 @@ def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
     its orientation); as v2 approaches nu the result approaches nu
     regardless of v1.
     """
-    return Velocity3.from_array(add_velocities_raw(nu, v1, v2))
+    return Velocity3(*_add_velocities(_t3(nu), _t3(v1), _t3(v2)))
 
 
 def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
@@ -254,22 +277,24 @@ def generalized_boost_matrix(
     spec: AnisotropySpec, params: BoostParams, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Generalized boost D * Lambda with D = e^{-r (nu.n) alpha}."""
-    s = dot3(spec.nu, params.n)
-    d = math.exp(-spec.r * s * params.alpha)
-    return d * boost_matrix(spec.nu, params, tol)
+    import numpy as np
+
+    return np.array(_generalized_rows(spec, params, tol))
 
 
 def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:
     """Passive rotation of the spatial axes by phi about nu."""
-    nuv = nu.as_array()
-    r3 = (
-        math.cos(phi) * np.eye(3)
-        - math.sin(phi) * _cross_matrix(nuv)
-        + (1.0 - math.cos(phi)) * np.outer(nuv, nuv)
-    )
-    m = np.eye(4)
-    m[1:, 1:] = r3
-    return m
+    import numpy as np
+
+    nuv = _t3(nu)
+    c, s = math.cos(phi), math.sin(phi)
+    rows = [[1.0, 0.0, 0.0, 0.0]]
+    for i, cr in enumerate(_cross_rows(nuv)):
+        rows.append(
+            [0.0]
+            + [c * float(i == j) - s * cr[j] + (1.0 - c) * (nuv[i] * nuv[j]) for j in range(3)]
+        )
+    return np.array(rows)
 
 
 def translate(x: FourVector, a: FourVector) -> FourVector:
@@ -277,9 +302,8 @@ def translate(x: FourVector, a: FourVector) -> FourVector:
     return FourVector(x.t + a.t, x.x + a.x, x.y + a.y, x.z + a.z)
 
 
-def apply_matrix(m: np.ndarray, x: FourVector) -> FourVector:
+def apply_matrix(m, x: FourVector) -> FourVector:
+    """m x for a 4x4 ndarray or four rows of four floats."""
     t, a, b, c = x.t, x.x, x.y, x.z
-    return FourVector(
-        *[r0 * t + r1 * a + r2 * b + r3 * c
-          for r0, r1, r2, r3 in np.asarray(m, dtype=float).tolist()]
-    )
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    return FourVector(*[r0 * t + r1 * a + r2 * b + r3 * c for r0, r1, r2, r3 in rows])

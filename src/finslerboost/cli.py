@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import boost, checks, spinor, subgroups, velocity_space
+from . import boost, spinor, subgroups, velocity_space
 from .core import (
     DEFAULT_TOL,
     AnisotropySpec,
@@ -22,7 +21,6 @@ from .core import (
     Tolerance,
     UnitVector3,
     Velocity3,
-    bispinor_from_json,
     bispinor_to_json,
     finsler_interval_sq,
     matrix_to_json,
@@ -41,29 +39,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _floats(text: str, count: int, what: str) -> np.ndarray:
+def _floats(text: str, count: int, what: str) -> tuple:
     parts = text.split(",")
     if len(parts) != count:
         raise argparse.ArgumentTypeError(
             f"{what} needs {count} comma-separated numbers, got {text!r}"
         )
     try:
-        return np.array([float(p) for p in parts])
+        return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad {what}: {exc}") from None
 
 
-def _triple(text: str) -> np.ndarray:
+def _triple(text: str) -> tuple:
     return _floats(text, 3, "vector")
 
 
-def _four(text: str) -> np.ndarray:
+def _four(text: str) -> tuple:
     return _floats(text, 4, "event")
 
 
-def _psi(text: str) -> np.ndarray:
+def _psi(text: str) -> tuple:
     vals = _floats(text, 8, "bispinor (re,im interleaved)")
-    return vals[0::2] + 1j * vals[1::2]
+    return tuple(complex(re, im) for re, im in zip(vals[0::2], vals[1::2]))
 
 
 def _tolerance(args) -> Tolerance:
@@ -103,7 +101,7 @@ def cmd_boost(args) -> int:
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     params, vel = _params_or_velocity(args, nu, tol)
-    mat = boost.generalized_boost_matrix(spec, params, tol)
+    mat = boost._generalized_rows(spec, params, tol)
     out = {
         "matrix": matrix_to_json(mat),
         "params": params.to_json(),
@@ -122,8 +120,17 @@ def cmd_compose(args) -> int:
     g1, _ = _params_or_velocity(args, nu, tol, "1")
     g2, _ = _params_or_velocity(args, nu, tol, "2")
     g = boost.compose(nu, g1, g2, tol)
-    product = boost.boost_matrix(nu, g2, tol) @ boost.boost_matrix(nu, g1, tol)
-    residual = float(np.max(np.abs(boost.boost_matrix(nu, g, tol) - product)))
+    switch = tol.limit_switch
+    l1 = boost._boost_rows(nu, g1, switch)
+    l2 = boost._boost_rows(nu, g2, switch)
+    product = [[sum(r[k] * l1[k][j] for k in range(4)) for j in range(4)] for r in l2]
+    diffs = [
+        abs(p - q)
+        for row, prow in zip(boost._boost_rows(nu, g, switch), product)
+        for p, q in zip(row, prow)
+    ]
+    # a NaN entry makes the residual NaN, whatever its position
+    residual = math.nan if any(map(math.isnan, diffs)) else max(diffs)
     _emit(
         {
             "params": g.to_json(),
@@ -165,8 +172,7 @@ def cmd_invariants(args) -> int:
         out["dilation"] = boost.dilation_factor(spec, v)
     if args.psi is not None:
         psi = args.psi
-        rho = complex(spinor.dirac_adjoint(psi) @ psi)
-        out["density"] = rho.real
+        out["density"] = spinor._density(psi)
         failed |= _guarded(
             out,
             "finsler_bispinor_invariant",
@@ -180,7 +186,7 @@ def cmd_spinor(args) -> int:
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     v = Velocity3.from_array(args.v)
-    psi_p = spinor.bispinor_transform(spec, v, args.psi)
+    psi_p = spinor._apply(spinor._bispinor_blocks(spec, v), args.psi)
     _emit(
         {
             "psi_prime": bispinor_to_json(psi_p),
@@ -194,6 +200,13 @@ def cmd_check(args) -> int:
     if args.samples < 0:
         raise argparse.ArgumentTypeError(
             f"--samples must be non-negative, got {args.samples}"
+        )
+    from . import checks
+
+    unknown = [name for name in args.suite or () if name not in checks.SUITES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite {unknown[0]!r}; valid suites: {', '.join(checks.SUITES)}"
         )
     tol = _tolerance(args)
     names = args.suite if args.suite else list(checks.SUITES)
@@ -287,7 +300,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", parents=[tol_parent], help="run conformance suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--suite", action="append", choices=list(checks.SUITES))
+    p.add_argument("--suite", action="append",
+                   help="run only this suite (repeatable; default: all suites)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("surface", parents=[nu_parent], help="export an invariant surface")

@@ -1,15 +1,23 @@
 """Value types, the anisotropic interval, and small vector helpers.
 
 Conventions: metric signature (+, -, -, -), x0 is time, c = 1.  Spatial
-index lowering negates components.  4x4 matrices are plain numpy arrays
-with the row index contravariant and the column index covariant.
+index lowering negates components.  4x4 matrices have the row index
+contravariant and the column index covariant.
+
+The package computes on plain Python floats and complex numbers.  numpy
+is imported only at the ndarray edge of the API: by the functions that
+return an ndarray (`as_array`, `cross3`, `boost_matrix`, ...), on their
+first call.  Functions that read a vector take any sequence, an ndarray
+included.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DomainError",
@@ -116,14 +124,19 @@ class FourVector:
         _require_finite(self.t, self.x, self.y, self.z)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.t, self.x, self.y, self.z], dtype=float)
 
     def spatial(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z], dtype=float)
 
     @classmethod
     def from_array(cls, a) -> "FourVector":
-        t, x, y, z = a.tolist() if isinstance(a, np.ndarray) else a
+        """From any 4-sequence of numbers, an ndarray included."""
+        t, x, y, z = a.tolist() if hasattr(a, "tolist") else a
         return cls(float(t), float(x), float(y), float(z))
 
     def to_json(self) -> list:
@@ -149,6 +162,8 @@ class UnitVector3:
             raise ValueError(f"not a unit vector: |v|^2 = {nsq}")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z], dtype=float)
 
     def __neg__(self) -> "UnitVector3":
@@ -184,6 +199,8 @@ class Velocity3:
             raise ValueError("speed must be below 1 (c = 1 units)")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.vx, self.vy, self.vz], dtype=float)
 
     def speed(self) -> float:
@@ -226,12 +243,14 @@ class AnisotropySpec:
 # Kernels on 3-tuples of floats.  numpy would send these dots through BLAS,
 # whose kernel is chosen per CPU and rounds differently from one to another.
 def _t3(a) -> tuple:
-    """(x, y, z) floats of a UnitVector3, a Velocity3 or a 3-sequence."""
+    """(x, y, z) floats of a UnitVector3, a Velocity3 or a 3-sequence.
+    An ndarray goes through tolist(): unpacking it element by element is
+    slower."""
     if isinstance(a, UnitVector3):
         return a.x, a.y, a.z
     if isinstance(a, Velocity3):
         return a.vx, a.vy, a.vz
-    x, y, z = a.tolist() if isinstance(a, np.ndarray) else a
+    x, y, z = a.tolist() if hasattr(a, "tolist") else a
     return float(x), float(y), float(z)
 
 
@@ -257,6 +276,8 @@ def dot3(a, b) -> float:
 
 
 def cross3(a, b) -> np.ndarray:
+    import numpy as np
+
     return np.array(_cross(_t3(a), _t3(b)))
 
 
@@ -301,25 +322,35 @@ def finsler_interval_sq(
     return (num * num / base) ** spec.r * base
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major list of 16 numbers."""
-    return [float(v) for v in np.asarray(m, dtype=float).reshape(16)]
+def matrix_to_json(m) -> list:
+    """Row-major list of 16 numbers of a 4x4 ndarray or of four rows of four."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    flat = [float(v) for row in rows for v in row]
+    if len(flat) != 16:
+        raise ValueError("expected a 4x4 matrix")
+    return flat
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    import numpy as np
+
     a = np.asarray([float(v) for v in obj], dtype=float)
     if a.size != 16:
         raise ValueError("expected 16 entries")
     return a.reshape(4, 4)
 
 
-def bispinor_to_json(psi: np.ndarray) -> list:
-    """Four [re, im] pairs."""
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    return [[float(c.real), float(c.imag)] for c in psi]
+def bispinor_to_json(psi) -> list:
+    """Four [re, im] pairs of a length-4 ndarray or of four complex numbers."""
+    vals = psi.tolist() if hasattr(psi, "tolist") else psi
+    if len(vals) != 4:
+        raise ValueError("expected 4 components")
+    return [[c.real, c.imag] for c in map(complex, vals)]
 
 
 def bispinor_from_json(obj) -> np.ndarray:
+    import numpy as np
+
     if len(obj) != 4:
         raise ValueError("expected 4 [re, im] pairs")
     return np.array([complex(p[0], p[1]) for p in obj], dtype=complex)

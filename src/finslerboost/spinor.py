@@ -3,14 +3,18 @@
 The gamma matrices are fixed to the standard Dirac representation; every
 quantity exposed here (intertwining, power identities, invariants) is
 representation-independent, so the choice is free.
+
+In this basis every generator and transform here has the block form
+[[A, B], [B, A]] with A = a I - i sigma.p and B = -sigma.q, where sigma
+are the Pauli matrices.  The 2x2 blocks are computed on Python complex
+numbers; a 4x4 ndarray is assembled only when a function returns one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .boost import BoostParams, _exprel, dilation_factor, params_from_velocity
 from .core import (
@@ -25,9 +29,10 @@ from .core import (
     _dot,
     _horosphere,
     _t3,
-    cross3,
-    dot3,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GammaBasis",
@@ -42,12 +47,6 @@ __all__ = [
     "bispinor_matrix_via_params",
 ]
 
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 @dataclass(frozen=True)
 class GammaBasis:
@@ -60,10 +59,17 @@ class GammaBasis:
 @lru_cache(maxsize=1)
 def gamma_basis() -> GammaBasis:
     """Standard Dirac representation: gamma^0 diagonal, Sigma = diag(sigma, sigma)."""
+    import numpy as np
+
+    pauli = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
     g0 = np.diag([1, 1, -1, -1]).astype(complex)
     gammas = [g0]
     sigmas = []
-    for sk in _SIGMA:
+    for sk in pauli:
         gk = np.zeros((4, 4), dtype=complex)
         gk[:2, 2:] = sk
         gk[2:, :2] = -sk
@@ -74,14 +80,40 @@ def gamma_basis() -> GammaBasis:
     return GammaBasis(tuple(gammas), tuple(sigmas))
 
 
-def _gamma_dot(vec) -> np.ndarray:
-    g = gamma_basis().gamma
-    return vec[0] * g[1] + vec[1] * g[2] + vec[2] * g[3]
+def _blocks(a: float, p, q) -> tuple:
+    """Rows of the blocks A = a I - i sigma.p and B = -sigma.q."""
+    px, py, pz = p
+    qx, qy, qz = q
+    return (
+        ((complex(a, -pz), complex(-py, -px)), (complex(py, -px), complex(a, pz))),
+        ((complex(-qz, 0.0), complex(-qx, qy)), (complex(-qx, -qy), complex(qz, 0.0))),
+    )
 
 
-def _sigma_dot(vec) -> np.ndarray:
-    s = gamma_basis().sigma
-    return vec[0] * s[0] + vec[1] * s[1] + vec[2] * s[2]
+def _matrix(blocks) -> np.ndarray:
+    """The 4x4 matrix [[A, B], [B, A]]."""
+    import numpy as np
+
+    (a0, a1), (b0, b1) = blocks
+    return np.array([[*a0, *b0], [*a1, *b1], [*b0, *a0], [*b1, *a1]], dtype=complex)
+
+
+def _apply(blocks, psi: tuple) -> tuple:
+    """[[A, B], [B, A]] psi for psi = (u0, u1, l0, l1)."""
+    (a0, a1), (b0, b1) = blocks
+    u0, u1, l0, l1 = psi
+    return (
+        a0[0] * u0 + a0[1] * u1 + b0[0] * l0 + b0[1] * l1,
+        a1[0] * u0 + a1[1] * u1 + b1[0] * l0 + b1[1] * l1,
+        b0[0] * u0 + b0[1] * u1 + a0[0] * l0 + a0[1] * l1,
+        b1[0] * u0 + b1[1] * u1 + a1[0] * l0 + a1[1] * l1,
+    )
+
+
+def _c4(psi) -> tuple:
+    """Four complex numbers of a bispinor given as any 4-sequence."""
+    u0, u1, l0, l1 = psi.tolist() if hasattr(psi, "tolist") else psi
+    return complex(u0), complex(u1), complex(l0), complex(l1)
 
 
 def spinor_generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
@@ -89,9 +121,8 @@ def spinor_generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
 
     Squares to (nu.n)^2 I; nilpotent when n is orthogonal to nu.
     """
-    g0 = gamma_basis().gamma[0]
-    m = cross3(nu, n)
-    return -g0 @ _gamma_dot(n.as_array()) - 1j * _sigma_dot(m)
+    nv = _t3(n)
+    return _matrix(_blocks(0.0, _cross(_t3(nu), nv), nv))
 
 
 def spinor_boost(
@@ -103,59 +134,86 @@ def spinor_boost(
     S = I cosh(a/2) + K (alpha/2) sinh(a/2)/(a/2) with a = (nu.n) alpha.
     For n orthogonal to nu this reduces exactly to I + K alpha / 2.
     """
-    k = spinor_generator(nu, params.n)
-    a = dot3(nu, params.n) * params.alpha
-    half = 0.5 * a
+    nuv, nv = _t3(nu), _t3(params.n)
+    half = 0.5 * (_dot(nuv, nv) * params.alpha)
     # sinh(h)/h = (exprel(h) + exprel(-h)) / 2, with no cancellation
     sinhc = 0.5 * (_exprel(half, tol.limit_switch) + _exprel(-half, tol.limit_switch))
-    return math.cosh(half) * np.eye(4, dtype=complex) + (0.5 * params.alpha * sinhc) * k
+    f = 0.5 * params.alpha * sinhc
+    return _matrix(
+        _blocks(math.cosh(half), [f * c for c in _cross(nuv, nv)], [f * c for c in nv])
+    )
 
 
-def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
-    """Closed-form bispinor transformation matrix D^{-3/2} S in terms of v."""
+def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
+    """Blocks of the closed-form bispinor transformation D^{-3/2} S."""
     nuv = _t3(spec.nu)
     vv = _t3(v)
     vnu = _dot(vv, nuv)
     root = math.sqrt(1.0 - _dot(vv, vv))
     level = _horosphere(vv, nuv)
     pref = level ** (-1.5 * spec.r) / (2.0 * math.sqrt((1.0 - vnu) * root))
-    g0 = gamma_basis().gamma[0]
-    bracket = (
-        (1.0 - vnu + root) * np.eye(4, dtype=complex)
-        - 1j * _sigma_dot(_cross(nuv, vv))
-        - g0 @ _gamma_dot([p - (1.0 - root) * u for p, u in zip(vv, nuv)])
+    w = [p - (1.0 - root) * u for p, u in zip(vv, nuv)]
+    return _blocks(
+        pref * (1.0 - vnu + root),
+        [pref * c for c in _cross(nuv, vv)],
+        [pref * c for c in w],
     )
-    return pref * bracket
 
 
-def bispinor_transform(
-    spec: AnisotropySpec, v: Velocity3, psi: np.ndarray
-) -> np.ndarray:
+def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
+    """Closed-form bispinor transformation matrix D^{-3/2} S in terms of v."""
+    return _matrix(_bispinor_blocks(spec, v))
+
+
+def bispinor_transform(spec: AnisotropySpec, v: Velocity3, psi) -> np.ndarray:
     """Apply the generalized bispinor boost to psi."""
-    return bispinor_matrix(spec, v) @ np.asarray(psi, dtype=complex)
+    import numpy as np
+
+    return np.array(_apply(_bispinor_blocks(spec, v), _c4(psi)), dtype=complex)
 
 
-def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
+def dirac_adjoint(psi) -> np.ndarray:
     """Row bispinor psi-dagger gamma^0."""
-    psi = np.asarray(psi, dtype=complex)
-    return psi.conj() @ gamma_basis().gamma[0]
+    import numpy as np
+
+    u0, u1, l0, l1 = _c4(psi)
+    return np.array(
+        [u0.conjugate(), u1.conjugate(), -l0.conjugate(), -l1.conjugate()], dtype=complex
+    )
 
 
-def bilinear_current(psi: np.ndarray) -> np.ndarray:
+def _density(psi: tuple) -> float:
+    """psibar psi = |u|^2 - |l|^2 for psi = (u, l)."""
+    u0, u1, l0, l1 = psi
+    return (
+        u0.real * u0.real + u0.imag * u0.imag + u1.real * u1.real + u1.imag * u1.imag
+        - (l0.real * l0.real + l0.imag * l0.imag + l1.real * l1.real + l1.imag * l1.imag)
+    )
+
+
+def _current(psi: tuple) -> tuple:
+    """j^n = psibar gamma^n psi for psi = (u, l): j^0 = |u|^2 + |l|^2 and
+    j^k = u^dagger sigma_k l + l^dagger sigma_k u = 2 Re(u^dagger sigma_k l)."""
+    u0, u1, l0, l1 = psi
+    c0, c1 = u0.conjugate(), u1.conjugate()
+    j0 = sum(z.real * z.real + z.imag * z.imag for z in psi)
+    return (
+        j0,
+        2.0 * (c0 * l1 + c1 * l0).real,
+        2.0 * (c0 * l1 - c1 * l0).imag,
+        2.0 * (c0 * l0 - c1 * l1).real,
+    )
+
+
+def bilinear_current(psi) -> np.ndarray:
     """Vector current j^n = psibar gamma^n psi (4 real components)."""
-    psi = np.asarray(psi, dtype=complex)
-    bar = dirac_adjoint(psi)
-    return np.array([float((bar @ g @ psi).real) for g in gamma_basis().gamma])
+    import numpy as np
 
-
-def _real_part(z: complex, scale: float, tol: Tolerance) -> float:
-    if abs(z.imag) > tol.abs_tol * max(1.0, scale):
-        raise ValueError(f"expected a real bilinear, got imaginary part {z.imag}")
-    return float(z.real)
+    return np.array(_current(_c4(psi)))
 
 
 def finsler_bispinor_invariant(
-    spec: AnisotropySpec, psi: np.ndarray, tol: Tolerance = DEFAULT_TOL
+    spec: AnisotropySpec, psi, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Anisotropy-weighted scalar density, invariant under bispinor boosts.
 
@@ -163,14 +221,12 @@ def finsler_bispinor_invariant(
     nu_n = (1, -nu).  Singular at rho = 0 (NullDensity) and, for r > 0,
     when the current is null along the preferred direction.
     """
-    psi = np.asarray(psi, dtype=complex)
-    bar = dirac_adjoint(psi)
-    scale = float(np.vdot(psi, psi).real)
-    rho = _real_part(complex(bar @ psi), scale, tol)
-    if abs(rho) < tol.abs_tol * max(1.0, scale):
+    psi = _c4(psi)
+    j = _current(psi)
+    rho = _density(psi)
+    if abs(rho) < tol.abs_tol * max(1.0, j[0]):
         raise NullDensity("psibar psi vanishes; the invariant form is singular")
-    j = bilinear_current(psi)
-    q = (j[0] - dot3(spec.nu, j[1:])) / rho
+    q = (j[0] - _dot(_t3(spec.nu), j[1:])) / rho
     if q == 0.0:
         if spec.r > 0:
             raise DegenerateRatio("current null along the preferred direction")

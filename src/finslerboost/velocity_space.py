@@ -10,8 +10,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .boost import (
     BoostParams,
     add_velocities,
@@ -112,9 +110,27 @@ class SurfaceSample:
 
 
 def _plane_basis(nu: UnitVector3):
-    e1 = perpendicular_to(nu)
-    e2 = UnitVector3.normalized(np.cross(nu.as_array(), e1.as_array()))
-    return e1.as_array(), e2.as_array()
+    e1 = _t3(perpendicular_to(nu))
+    return e1, _t3(UnitVector3.normalized(_cross(_t3(nu), e1)))
+
+
+def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
+    """numpy.linspace on floats, digit for digit: i * step + start, the
+    last point set to stop, and numpy's (i / div) * delta when the step
+    underflows to 0."""
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    if div > 0:
+        step = delta / div
+        if step == 0:
+            points = [i / div * delta + start for i in range(num)]
+        else:
+            points = [i * step + start for i in range(num)]
+    else:
+        points = [i * delta + start for i in range(num)]
+    if endpoint and num > 1:
+        points[-1] = stop
+    return points
 
 
 def _verify(nu, family, level, v: Velocity3) -> Velocity3:
@@ -145,39 +161,40 @@ def sample_surface(
     n1, n2 = resolution
     if n1 < 1 or n2 < 1:
         raise ValueError("resolution must be at least 1x1")
-    nuv = nu.as_array()
+    nuv = _t3(nu)
     e1, e2 = _plane_basis(nu)
     points = []
     if family == "horosphere":
         if level <= 0:
             raise OutOfRange("horosphere level must be strictly positive")
         alpha0 = -math.log(level)
-        base = FourVector.from_array(
-            np.concatenate(([math.cosh(alpha0)], math.sinh(alpha0) * nuv))
-        )
-        for b1 in np.linspace(-extent, extent, n1):
-            for b2 in np.linspace(-extent, extent, n2):
-                w = b1 * e1 + b2 * e2
+        sh = math.sinh(alpha0)
+        base = FourVector(math.cosh(alpha0), *[sh * c for c in nuv])
+        for b1 in _linspace(-extent, extent, n1):
+            for b2 in _linspace(-extent, extent, n2):
+                w = [b1 * p + b2 * q for p, q in zip(e1, e2)]
                 mag = norm3(w)
                 if mag == 0.0:
                     u = base
                 else:
-                    p = AbelianParams(UnitVector3.normalized(w / mag), mag)
+                    p = AbelianParams(UnitVector3.normalized([c / mag for c in w]), mag)
                     u = abelian_transform(nu, p, base)
-                v = Velocity3.from_array(u.spatial() / u.t)
+                v = Velocity3(u.x / u.t, u.y / u.t, u.z / u.t)
                 points.append(_verify(nu, family, level, v))
     elif family == "cylinder":
         if level < 0:
             raise OutOfRange("cylinder level must be nonnegative")
-        for t in np.linspace(-extent, extent, n1):
+        for t in _linspace(-extent, extent, n1):
             a = math.tanh(t)
             if level == 0.0:
-                points.append(_verify(nu, family, level, Velocity3.from_array(a * nuv)))
+                v = Velocity3(*[a * c for c in nuv])
+                points.append(_verify(nu, family, level, v))
                 continue
             rho = math.sqrt(level * (1.0 - a * a) / (1.0 + level))
-            for theta in np.linspace(0.0, 2.0 * math.pi, n2, endpoint=False):
-                v = Velocity3.from_array(
-                    a * nuv + rho * (math.cos(theta) * e1 + math.sin(theta) * e2)
+            for theta in _linspace(0.0, 2.0 * math.pi, n2, endpoint=False):
+                ct, st = math.cos(theta), math.sin(theta)
+                v = Velocity3(
+                    *[a * c + rho * (ct * p + st * q) for c, p, q in zip(nuv, e1, e2)]
                 )
                 points.append(_verify(nu, family, level, v))
     else:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from finslerboost import checks
+from finslerboost import UnitVector3, checks
 from finslerboost.cli import main
 
 
@@ -154,22 +154,93 @@ def _imported_packages(*argv):
     return proc.returncode, names
 
 
-def test_scipy_loaded_only_by_check():
+FIVE_COMMANDS = (
+    ["boost", "--nu=0,0,1", "--r=0.3", "--v=0.1,0.2,0.3"],
+    ["compose", "--nu=0,0,1", "--n1=1,0,0", "--alpha1=0.8", "--v2=0.1,0.2,0.3"],
+    ["invariants", "--nu=0,0,1", "--r=0.3", "--x=2,1,0,0", "--v=0.5,0,0",
+     "--psi=1,0,0,0.5,0,0,0,0"],
+    ["spinor", "--nu=0,0,1", "--r=0.3", "--v=0.5,0,0", "--psi=1,0,0,0,0,0,0,0"],
+    ["surface", "--nu=0,0,1", "--family=horosphere", "--level=1", "--resolution=3x3"],
+)
+
+
+def test_scipy_loaded_only_by_check(tmp_path):
     assert callable(checks.expm)
     code, names = _imported_packages("-c", "import finslerboost.cli")
     assert code == 0 and "finslerboost" in names
     assert "scipy" not in names
-    code, names = _imported_packages(
-        "-m", "finslerboost.cli", "boost", "--nu=0,0,1", "--r=0.3", "--v=0.1,0.2,0.3"
-    )
-    assert code == 0 and "numpy" in names
-    assert "scipy" not in names
+    for argv in FIVE_COMMANDS:
+        if argv[0] == "surface":
+            argv = argv + [f"--output={tmp_path / 'x.csv'}"]
+        code, names = _imported_packages("-m", "finslerboost.cli", *argv)
+        assert code == 0 and "numpy" not in names, argv[0]
+        assert "scipy" not in names
     code, names = _imported_packages(
         "-m", "finslerboost.cli", "check", "--suite", "oracle", "--suite", "spinor",
         "--samples", "5",
     )
     assert code == 0
     assert "scipy" in names
+
+
+def test_check_unknown_suite_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--suite", "closure", "--suite", "nope")
+    assert code == 1
+    assert out == ""
+    assert "'nope'" in err
+    assert all(name in err for name in checks.SUITES)
+
+
+# Every command, both ways of giving a boost, with and without an event, a
+# rapidity in the series band |nu.n alpha| < 1e-4, and both surface
+# families in both formats.
+REPLAY = (
+    ["boost", "--nu=0.3,-0.4,0.8", "--r=0.37", "--n=0.2,0.9,-0.1", "--alpha=1.7"],
+    ["boost", "--nu=0.3,-0.4,0.8", "--r=-0.6", "--n=-0.5,0.1,0.7", "--alpha=-2.3",
+     "--x=1.9,0.3,-0.7,0.2"],
+    ["boost", "--nu=0,0,1", "--r=0.8", "--v=0.31,-0.52,0.44"],
+    ["boost", "--nu=0,0,1", "--r=-0.25", "--v=-0.2,0.1,-0.6", "--x=2.5,-1.1,0.4,0.9"],
+    ["boost", "--nu=0,0,1", "--r=0.5", "--n=1,0,0.00002", "--alpha=2.5",
+     "--x=1.2,0.1,0.2,0.3"],
+    ["compose", "--nu=0.3,-0.4,0.8", "--n1=0.2,0.9,-0.1", "--alpha1=1.7",
+     "--v2=0.31,-0.52,0.44"],
+    ["compose", "--nu=0,0,1", "--v1=-0.2,0.1,-0.6", "--n2=0.6,0.8,0", "--alpha2=-0.9"],
+    ["invariants", "--nu=0.3,-0.4,0.8", "--r=0.37", "--x=2.1,0.3,-0.7,0.2",
+     "--v=0.31,-0.52,0.44", "--psi=0.9,-0.3,0.2,0.7,-0.4,0.1,0.25,-0.6"],
+    ["invariants", "--nu=0,0,1", "--r=0.3", "--x=1,2,0,0"],
+    ["spinor", "--nu=0.3,-0.4,0.8", "--r=-0.45", "--v=0.31,-0.52,0.44",
+     "--psi=0.9,-0.3,0.2,0.7,-0.4,0.1,0.25,-0.6"],
+    ["surface", "--nu=0.3,-0.4,0.8", "--family=horosphere", "--level=1.7",
+     "--resolution=5x4", "--format=csv"],
+    ["surface", "--nu=0.3,-0.4,0.8", "--family=horosphere", "--level=0.6",
+     "--resolution=4x6", "--extent=1.5", "--format=json"],
+    ["surface", "--nu=0,0,1", "--family=cylinder", "--level=0.8", "--resolution=6x5",
+     "--format=csv"],
+    ["surface", "--nu=0.3,-0.4,0.8", "--family=cylinder", "--level=1.3",
+     "--resolution=4x7", "--format=json"],
+)
+
+
+def test_cli_bytes_do_not_depend_on_numpy_being_loaded(tmp_path, capsys):
+    """In process, numpy is loaded; a fresh `python -m finslerboost.cli`
+    never imports it.  Both must print and write the same bytes."""
+    assert "numpy" in sys.modules
+    for i, argv in enumerate(REPLAY):
+        path = tmp_path / f"out-{i}"
+        argv = argv + [f"--output={path}"] if argv[0] == "surface" else argv
+        code = main(argv)
+        out = capsys.readouterr().out.encode()
+        written = path.read_bytes() if argv[0] == "surface" else None
+        if written is not None:
+            path.unlink()
+        proc = subprocess.run(
+            [sys.executable, "-m", "finslerboost.cli", *argv], capture_output=True
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+        if written is not None:
+            assert path.read_bytes() == written, argv
+    # the fifth boost is in the series band
+    assert abs(UnitVector3.normalized((1.0, 0.0, 2e-5)).z * 2.5) < 1e-4
 
 
 def test_check_determinism(capsys):

@@ -144,3 +144,44 @@ def test_json_round_trips():
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
     psi = np.array([1 + 2j, -3j, 0.5, -1.0])
     assert np.array_equal(bispinor_from_json(bispinor_to_json(psi)), psi)
+
+
+def _same_floats(a, b):
+    return [x.hex() for x in a] == [x.hex() for x in b]
+
+
+def test_float_inputs_list_tuple_ndarray_agree():
+    raw = [0.3, -1.7, 2.9]
+    forms = (raw, tuple(raw), np.array(raw))
+    units = [UnitVector3.normalized(f).to_json() for f in forms]
+    assert all(_same_floats(u, units[0]) for u in units)
+    vel = [0.1, -0.25, 0.6]
+    vs = [Velocity3.from_array(f).to_json() for f in (vel, tuple(vel), np.array(vel))]
+    assert all(_same_floats(v, vs[0]) for v in vs)
+    ev = [1.5, -0.2, 0.7, 0.3]
+    xs = [FourVector.from_array(f).to_json() for f in (ev, tuple(ev), np.array(ev))]
+    assert all(_same_floats(x, xs[0]) for x in xs)
+    assert all(type(c) is float for c in xs[0] + vs[0] + units[0])
+
+
+@pytest.mark.parametrize("values", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+def test_float_inputs_wrong_length(values):
+    for form in (values, tuple(values), np.array(values)):
+        with pytest.raises(ValueError):
+            UnitVector3.normalized(form)
+        with pytest.raises(ValueError):
+            Velocity3.from_array(form)
+    for form in (values[:3], values + [0.5], np.array(values[:3])):
+        with pytest.raises(ValueError):
+            FourVector.from_array(form)
+
+
+def test_json_helpers_take_rows_and_complex_lists():
+    m = np.linspace(-1.0, 1.0, 16).reshape(4, 4) / 3.0
+    assert matrix_to_json(m) == matrix_to_json(m.tolist())
+    assert _same_floats(matrix_to_json(m), m.reshape(16).tolist())
+    with pytest.raises(ValueError):
+        matrix_to_json([[1.0, 2.0]] * 3)
+    psi = np.array([1 + 2j, -3j, 0.5, -1.0]) / 7.0
+    assert bispinor_to_json(psi) == bispinor_to_json(psi.tolist())
+    assert bispinor_to_json(tuple(psi.tolist())) == bispinor_to_json(psi)
