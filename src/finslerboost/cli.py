@@ -65,14 +65,15 @@ def _psi(text: str) -> tuple:
 
 
 def _tolerance(args) -> Tolerance:
-    override = args.tol
-    if override is None:
-        env = os.environ.get("FINSLER_TOL")
-        if env:
-            override = float(env)
-    if override is None:
+    text = args.tol
+    if text is None:
+        text = os.environ.get("FINSLER_TOL") or None
+    if text is None:
         return DEFAULT_TOL
-    return Tolerance(abs_tol=override)
+    try:
+        return Tolerance(abs_tol=float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: {exc}") from None
 
 
 def _emit(obj) -> None:
@@ -261,8 +262,8 @@ def cmd_surface(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="finslerboost", description=__doc__)
     tol_parent = _Parser(add_help=False)
-    tol_parent.add_argument("--tol", type=float, default=None,
-                            help="override the absolute tolerance (also env FINSLER_TOL)")
+    tol_parent.add_argument("--tol", default=None,
+                            help="override the absolute tolerance, 0 < TOL < 1 (also env FINSLER_TOL)")
     nu_parent = _Parser(add_help=False)
     nu_parent.add_argument("--nu", type=_triple, required=True,
                            help="preferred direction, comma triple (normalized)")

@@ -98,8 +98,10 @@ class Tolerance:
     limit_switch: float = 1e-4
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.limit_switch > 0):
-            raise ValueError("tolerances must be strictly positive")
+        # speeds are below 1 and |density| <= j0: an abs_tol >= 1 would turn
+        # every velocity into rest and every bispinor into a null density
+        if not (0 < self.abs_tol < 1 and 0 < self.limit_switch < math.inf):
+            raise ValueError("need 0 < abs_tol < 1 and a finite limit_switch > 0")
 
 
 DEFAULT_TOL = Tolerance()

@@ -136,7 +136,7 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
 def _verify(nu, family, level, v: Velocity3) -> Velocity3:
     got = horosphere_level(nu, v) if family == "horosphere" else cylinder_level(nu, v)
     if abs(got - level) > SURFACE_CHECK_TOL * max(1.0, abs(level)):
-        raise AssertionError(
+        raise OutOfRange(
             f"sampled point re-evaluates to {got}, expected level {level}"
         )
     return v

@@ -3,7 +3,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from finslerboost import (
     DEFAULT_TOL,
@@ -30,6 +29,7 @@ from finslerboost import (
     velocity_from_params,
 )
 from finslerboost.boost import _exprel, _log1p_over, add_velocities_raw
+from finslerboost.checks import expm
 
 NU_Z = UnitVector3(0.0, 0.0, 1.0)
 E_X = UnitVector3(1.0, 0.0, 0.0)

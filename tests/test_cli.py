@@ -164,7 +164,7 @@ FIVE_COMMANDS = (
 )
 
 
-def test_scipy_loaded_only_by_check(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     assert callable(checks.expm)
     code, names = _imported_packages("-c", "import finslerboost.cli")
     assert code == 0 and "finslerboost" in names
@@ -180,7 +180,7 @@ def test_scipy_loaded_only_by_check(tmp_path):
         "--samples", "5",
     )
     assert code == 0
-    assert "scipy" in names
+    assert "scipy" not in names
 
 
 def test_check_unknown_suite_is_usage_error(capsys):
@@ -275,12 +275,16 @@ def test_surface_export(tmp_path, capsys):
 
 
 def test_surface_out_of_range(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "surface", "--nu", "0,0,1", "--family", "horosphere",
-        "--level", "-1", "--resolution", "4x4", "--output", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-    assert "OutOfRange" in err
+    # level 1e8: the sampled points no longer re-evaluate to the level
+    path = tmp_path / "x.csv"
+    for family, level in (("horosphere", "-1"), ("horosphere", "1e8"), ("cylinder", "1e8")):
+        code, out, err = run(
+            capsys, "surface", "--nu", "0,0,1", "--family", family,
+            "--level", level, "--resolution", "4x4", "--output", str(path),
+        )
+        assert (code, out) == (2, ""), (family, level)
+        assert err.startswith("finslerboost: OutOfRange: ") and err.count("\n") == 1
+        assert not path.exists()
 
 
 def test_usage_errors(capsys):
@@ -321,3 +325,15 @@ def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FINSLER_TOL", "1e-6")
     code, out, _ = run(capsys, "boost", "--nu", "0,0,1", "--r", "0", "--v", "0,0,0.5")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e300", "-1", "abc"])
+def test_meaningless_tolerance_is_usage_error(value, capsys, monkeypatch):
+    argv = ["boost", "--nu", "0,0,1", "--r", "0.2", "--v", "0.3,0,0"]
+    code, out, err = run(capsys, *argv, "--tol", value)
+    assert (code, out) == (1, "")
+    assert "bad tolerance" in err
+    monkeypatch.setenv("FINSLER_TOL", value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "bad tolerance" in err

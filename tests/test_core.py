@@ -8,6 +8,7 @@ from finslerboost import (
     DegenerateRatio,
     FourVector,
     SpacelikeInput,
+    Tolerance,
     UnitVector3,
     Velocity3,
     cross3,
@@ -104,12 +105,18 @@ def test_finsler_positive_homogeneity():
         )
 
 
-def test_finsler_joint_rotation_invariance():
-    from scipy.spatial.transform import Rotation
+def _rotation(rng) -> np.ndarray:
+    """Uniform random rotation: QR of a normal 3x3 matrix, with the column
+    signs fixed by diag(R) and the overall sign by det = +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
 
+
+def test_finsler_joint_rotation_invariance():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        rot = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
+        rot = _rotation(rng)
         nu = UnitVector3.normalized(rng.normal(size=3))
         x = rng.uniform(-1, 1, size=3)
         t = float(np.linalg.norm(x)) + rng.uniform(0.05, 2.0)
@@ -121,6 +128,9 @@ def test_finsler_joint_rotation_invariance():
 
 
 def test_type_validation():
+    for bad in ({"abs_tol": 1.0}, {"abs_tol": math.nan}, {"limit_switch": math.inf}):
+        with pytest.raises(ValueError):
+            Tolerance(**bad)
     with pytest.raises(ValueError):
         UnitVector3(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from finslerboost import (
     AnisotropySpec,
@@ -23,6 +22,7 @@ from finslerboost import (
     spinor_generator,
     velocity_from_params,
 )
+from finslerboost.checks import expm
 from finslerboost.spinor import bilinear_current, bispinor_matrix_via_params
 
 NU_Z = UnitVector3(0.0, 0.0, 1.0)

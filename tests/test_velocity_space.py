@@ -155,6 +155,10 @@ def test_sample_surface_errors():
         sample_surface(NU_Z, "horosphere", 0.0)
     with pytest.raises(OutOfRange):
         sample_surface(NU_Z, "cylinder", -0.5)
+    # levels whose points no longer re-evaluate to the level in float64
+    for family in ("horosphere", "cylinder"):
+        with pytest.raises(OutOfRange, match="re-evaluates"):
+            sample_surface(NU_Z, family, 1e8)
     with pytest.raises(ValueError):
         sample_surface(NU_Z, "paraboloid", 1.0)
 
