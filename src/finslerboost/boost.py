@@ -139,14 +139,20 @@ def _boost_rows(
     nu: UnitVector3, params: BoostParams, switch: float, scale: float = 1.0
 ) -> list:
     """Rows of scale * Lambda as four lists of four floats."""
-    n, nuv, km, kp, c0 = _coefficients(nu, params, switch)
-    row0 = [-(km * p + c0 * q) for p, q in zip(n, nuv)]
-    rows = [[1.0 + c0, *row0]]
-    for i in range(3):
-        rows.append(
-            [kp * n[i] + c0 * nuv[i]]
-            + [float(i == j) - kp * (n[i] * nuv[j]) + nuv[i] * row0[j] for j in range(3)]
-        )
+    (n0, n1, n2), (m0, m1, m2), km, kp, c0 = _coefficients(nu, params, switch)
+    r1, r2, r3 = -(km * n0 + c0 * m0), -(km * n1 + c0 * m1), -(km * n2 + c0 * m2)
+    # spatial entry (i, j) is delta_ij - kp n_i nu_j + nu_i r_j; starting
+    # off the diagonal from delta_ij = 0.0 fixes the sign of a zero entry,
+    # which the CLI prints (-0.0 and 0.0 differ)
+    rows = [
+        [1.0 + c0, r1, r2, r3],
+        [kp * n0 + c0 * m0, 1.0 - kp * (n0 * m0) + m0 * r1,
+         0.0 - kp * (n0 * m1) + m0 * r2, 0.0 - kp * (n0 * m2) + m0 * r3],
+        [kp * n1 + c0 * m1, 0.0 - kp * (n1 * m0) + m1 * r1,
+         1.0 - kp * (n1 * m1) + m1 * r2, 0.0 - kp * (n1 * m2) + m1 * r3],
+        [kp * n2 + c0 * m2, 0.0 - kp * (n2 * m0) + m2 * r1,
+         0.0 - kp * (n2 * m1) + m2 * r2, 1.0 - kp * (n2 * m2) + m2 * r3],
+    ]
     if scale == 1.0:
         return rows
     return [[scale * c for c in row] for row in rows]

@@ -39,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _finite(text: str) -> float:
+    """A finite float; argparse prefixes the error with the option's name."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _floats(text: str, count: int, what: str) -> tuple:
     parts = text.split(",")
     if len(parts) != count:
@@ -46,9 +57,12 @@ def _floats(text: str, count: int, what: str) -> tuple:
             f"{what} needs {count} comma-separated numbers, got {text!r}"
         )
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad {what}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"{what} has a non-finite component: {text!r}")
+    return values
 
 
 def _triple(text: str) -> tuple:
@@ -62,6 +76,19 @@ def _four(text: str) -> tuple:
 def _psi(text: str) -> tuple:
     vals = _floats(text, 8, "bispinor (re,im interleaved)")
     return tuple(complex(re, im) for re, im in zip(vals[0::2], vals[1::2]))
+
+
+def _resolution(text: str) -> tuple:
+    n1, _, n2 = text.partition("x")
+    try:
+        grid = (int(n1), int(n2))
+    except ValueError:
+        grid = (0, 0)
+    if min(grid) < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad resolution {text!r}: need ROWSxCOLS, each at least 1"
+        )
+    return grid
 
 
 def _tolerance(args) -> Tolerance:
@@ -226,13 +253,8 @@ def cmd_check(args) -> int:
 
 def cmd_surface(args) -> int:
     nu = UnitVector3.normalized(args.nu)
-    n1, _, n2 = args.resolution.partition("x")
-    try:
-        resolution = (int(n1), int(n2))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad resolution {args.resolution!r}") from None
     sample = velocity_space.sample_surface(
-        nu, args.family, args.level, resolution, extent=args.extent
+        nu, args.family, args.level, args.resolution, extent=args.extent
     )
     if args.family == "cylinder" and args.level == 0.0:
         sys.stderr.write(
@@ -271,9 +293,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("boost", parents=[common], help="build one generalized boost")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--n", type=_triple)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_finite)
     p.add_argument("--v", type=_triple)
     p.add_argument("--x", type=_four, help="optional event to transform")
     p.set_defaults(func=cmd_boost)
@@ -281,19 +303,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compose", parents=[common], help="compose two boosts")
     for suffix in ("1", "2"):
         p.add_argument(f"--n{suffix}", type=_triple)
-        p.add_argument(f"--alpha{suffix}", type=float)
+        p.add_argument(f"--alpha{suffix}", type=_finite)
         p.add_argument(f"--v{suffix}", type=_triple)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("invariants", parents=[common], help="report invariants")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--x", type=_four)
     p.add_argument("--v", type=_triple)
     p.add_argument("--psi", type=_psi)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("spinor", parents=[nu_parent], help="transform a bispinor")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--v", type=_triple, required=True)
     p.add_argument("--psi", type=_psi, required=True)
     p.set_defaults(func=cmd_spinor)
@@ -307,9 +329,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("surface", parents=[nu_parent], help="export an invariant surface")
     p.add_argument("--family", choices=["horosphere", "cylinder"], required=True)
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--resolution", default="8x8", help="grid, e.g. 8x8")
-    p.add_argument("--extent", type=float, default=2.0,
+    p.add_argument("--level", type=_finite, required=True)
+    p.add_argument("--resolution", type=_resolution, default="8x8", help="grid, e.g. 8x8")
+    p.add_argument("--extent", type=_finite, default=2.0,
                    help="half-width of the parameter grid")
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="csv")

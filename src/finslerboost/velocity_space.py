@@ -10,12 +10,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .boost import (
-    BoostParams,
-    add_velocities,
-    params_from_velocity,
-    velocity_from_params,
-)
+from .boost import _add_velocities
 from .core import (
     DEFAULT_TOL,
     FourVector,
@@ -67,6 +62,18 @@ def cylinder_level(nu: UnitVector3, v: Velocity3) -> float:
     return _dot(c, c) / (1.0 - _dot(vv, vv))
 
 
+def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
+    """Velocity reached by the inverse of the element reaching u, on float
+    3-tuples; see induced_motion."""
+    s = _dot(u, nuv)
+    u_x_nu = _cross(u, nuv)
+    perp = _cross(nuv, u_x_nu)
+    w = 1.0 - _dot(u, u)
+    c = _dot(u_x_nu, u_x_nu) / w
+    k = (1.0 + s) / math.sqrt(w)
+    return tuple((m * (c - s) - k * p) / (1.0 + c) for p, m in zip(perp, nuv))
+
+
 def induced_motion(
     nu: UnitVector3,
     frame_v: Velocity3,
@@ -78,13 +85,19 @@ def induced_motion(
     Realized through the group action: the inverse of the boost reaching
     frame_v is composed with the element reaching v, with the subgroup's
     compensating axis turn built into the addition law.  Preserves the
-    Lobachevsky distance between any two velocities.
+    Lobachevsky distance between any two velocities.  Frames below
+    abs_tol in speed are the identity.
+
+    The inverse element reaches [-gamma (1 + s) u_perp + (C - s) nu]/(1 + C)
+    for frame velocity u, with s = u.nu, u_perp = nu x (u x nu) and
+    C = |u x nu|^2/(1 - u^2): it has the same gamma, horosphere level 1/h
+    and perpendicular part -u_perp/h, where h = gamma (1 - s) and
+    1/h = gamma (1 + s)/(1 + C).
     """
     if frame_v.speed() < tol.abs_tol:
         return v
-    g = params_from_velocity(nu, frame_v, tol)
-    back_v = velocity_from_params(nu, BoostParams(g.n, -g.alpha), tol)
-    return add_velocities(nu, back_v, v)
+    nuv = _t3(nu)
+    return Velocity3(*_add_velocities(nuv, _inverse_frame(nuv, _t3(frame_v)), _t3(v)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,13 @@ from finslerboost import (
     translate,
     velocity_from_params,
 )
-from finslerboost.boost import _exprel, _log1p_over, add_velocities_raw
+from finslerboost.boost import (
+    _boost_rows,
+    _coefficients,
+    _exprel,
+    _log1p_over,
+    add_velocities_raw,
+)
 from finslerboost.checks import expm
 
 NU_Z = UnitVector3(0.0, 0.0, 1.0)
@@ -324,3 +330,48 @@ def test_series_coefficients_against_mpmath():
         pts = [t for t in xs if t > -1.0] if name == "log1p(t)/t" else xs
         worst[name] = max(_rel_err(ours, exact, x) for x in pts)
     assert max(worst.values()) <= 6.7e-16, worst
+
+
+def _boost_rows_loop(nu, params, switch, scale=1.0):
+    """Reference: the rows as a loop over (i, j), entry
+    delta_ij - kp n_i nu_j + nu_i row0_j."""
+    n, nuv, km, kp, c0 = _coefficients(nu, params, switch)
+    row0 = [-(km * p + c0 * q) for p, q in zip(n, nuv)]
+    rows = [[1.0 + c0, *row0]]
+    for i in range(3):
+        rows.append(
+            [kp * n[i] + c0 * nuv[i]]
+            + [float(i == j) - kp * (n[i] * nuv[j]) + nuv[i] * row0[j] for j in range(3)]
+        )
+    if scale == 1.0:
+        return rows
+    return [[scale * c for c in row] for row in rows]
+
+
+def test_boost_rows_match_loop_reference_bit_for_bit():
+    """Every entry equals the loop form's, signed zeros included: on random
+    and on coordinate axes (where entries are zero), at scale 1 and not,
+    inside and outside the series band."""
+    rng = np.random.default_rng(163)
+    sw = DEFAULT_TOL.limit_switch
+    axes = [UnitVector3(*row) for row in np.vstack([np.eye(3), -np.eye(3)]).tolist()]
+    inside = outside = 0
+    for k in range(2000):
+        nu = axes[k % 6] if k % 3 == 0 else rand_unit(rng)
+        n = axes[(k // 3) % 6] if k % 4 == 0 else rand_unit(rng)
+        alpha = float(rng.uniform(-3, 3))
+        if k % 2:
+            # |(nu.n) alpha| below the switch
+            alpha = float(rng.uniform(-0.99, 0.99)) * sw / max(abs(dot3(nu, n)), sw)
+        params = BoostParams(n, alpha)
+        if abs(dot3(nu, n) * params.alpha) < sw:
+            inside += 1
+        else:
+            outside += 1
+        scale = 1.0 if k % 5 < 2 else math.exp(float(rng.uniform(-2, 2)))
+        got = _boost_rows(nu, params, sw, scale)
+        want = _boost_rows_loop(nu, params, sw, scale)
+        assert [[c.hex() for c in row] for row in got] == [
+            [c.hex() for c in row] for row in want
+        ], (nu, params, scale)
+    assert inside >= 800 and outside >= 800

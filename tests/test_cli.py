@@ -299,6 +299,51 @@ def test_usage_errors(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("grid", ["0x3", "3x-1", "3x0", "abc", "3"])
+def test_malformed_resolution_is_usage_error(grid, tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "--nu", "0,0,1", "--family", "horosphere", "--level", "1",
+              f"--resolution={grid}", "--output", str(path)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert f"argument --resolution: bad resolution {grid!r}" in err
+    assert not path.exists()
+
+
+_SURFACE = ["surface", "--family", "horosphere", "--output", "unused.csv"]
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["boost", "--nu=0,0,1", "--r=nan", "--v=0,0,0"], "--r", "nan"),
+    (["boost", "--nu=0,0,1", "--r=-inf", "--v=0,0,0"], "--r", "-inf"),
+    (["boost", "--nu=0,0,1", "--r=0", "--n=0,0,1", "--alpha=nan"], "--alpha", "nan"),
+    (["boost", "--nu=0,0,1", "--r=0", "--n=0,0,1", "--alpha=1e400"], "--alpha", "1e400"),
+    (["compose", "--nu=0,0,1", "--n1=0,0,1", "--alpha1=inf", "--n2=1,0,0", "--alpha2=1"],
+     "--alpha1", "inf"),
+    (["compose", "--nu=0,0,1", "--n1=0,0,1", "--alpha1=1", "--n2=1,0,0", "--alpha2=nan"],
+     "--alpha2", "nan"),
+    (["invariants", "--nu=0,0,1", "--r=inf", "--x=1,0,0,0"], "--r", "inf"),
+    (["spinor", "--nu=0,0,1", "--r=nan", "--v=0,0,0", "--psi=1,0,0,0,0,0,0,0"], "--r", "nan"),
+    (_SURFACE + ["--nu=0,0,1", "--level=inf"], "--level", "inf"),
+    (_SURFACE + ["--nu=0,0,1", "--level=1", "--extent=nan"], "--extent", "nan"),
+    (_SURFACE + ["--nu=0,0,1", "--level=1", "--extent=inf"], "--extent", "inf"),
+    (["boost", "--nu=0,nan,1", "--r=0", "--v=0,0,0"], "--nu", "0,nan,1"),
+    (["boost", "--nu=0,0,1", "--r=0", "--v=inf,0,0"], "--v", "inf,0,0"),
+    (["boost", "--nu=0,0,1", "--r=0", "--v=0,0,0", "--x=1,0,0,-inf"], "--x", "1,0,0,-inf"),
+    (["compose", "--nu=0,0,1", "--n1=0,0,1", "--alpha1=1", "--n2=0,inf,1", "--alpha2=1"],
+     "--n2", "0,inf,1"),
+    (["invariants", "--nu=0,0,1", "--r=0", "--psi=1,0,0,0,0,nan,0,0"],
+     "--psi", "1,0,0,0,0,nan,0,0"),
+])
+def test_non_finite_number_is_usage_error(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert f"argument {option}: " in err and repr(value) in err
+
+
 def test_tol_only_on_commands_that_read_it(tmp_path):
     for argv in (
         ["spinor", "--nu", "0,0,1", "--r", "0", "--v", "0,0,0", "--psi", "1,0,0,0,0,0,0,0"],
