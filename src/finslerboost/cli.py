@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
 
 from . import boost, spinor, subgroups, velocity_space
@@ -18,7 +18,6 @@ from .core import (
     AnisotropySpec,
     DomainError,
     FourVector,
-    Tolerance,
     UnitVector3,
     Velocity3,
     bispinor_to_json,
@@ -34,6 +33,12 @@ EXIT_CHECK = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as -1e-3, -0.5,0,0 or -inf is an option's value,
+        # not an unknown option
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -91,23 +96,11 @@ def _resolution(text: str) -> tuple:
     return grid
 
 
-def _tolerance(args) -> Tolerance:
-    text = args.tol
-    if text is None:
-        text = os.environ.get("FINSLER_TOL") or None
-    if text is None:
-        return DEFAULT_TOL
-    try:
-        return Tolerance(abs_tol=float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: {exc}") from None
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _params_or_velocity(args, nu, tol, suffix=""):
+def _params_or_velocity(args, nu, suffix=""):
     n = getattr(args, "n" + suffix, None)
     alpha = getattr(args, "alpha" + suffix, None)
     v = getattr(args, "v" + suffix, None)
@@ -115,21 +108,20 @@ def _params_or_velocity(args, nu, tol, suffix=""):
         if n is not None or alpha is not None:
             raise argparse.ArgumentTypeError("give either (n, alpha) or v, not both")
         vel = Velocity3.from_array(v)
-        return boost.params_from_velocity(nu, vel, tol), vel
+        return boost.params_from_velocity(nu, vel), vel
     if n is None or alpha is None:
         raise argparse.ArgumentTypeError(
             f"need --n{suffix} and --alpha{suffix}, or --v{suffix}"
         )
     params = boost.BoostParams(UnitVector3.normalized(n), alpha)
-    return params, boost.velocity_from_params(nu, params, tol)
+    return params, boost.velocity_from_params(nu, params)
 
 
 def cmd_boost(args) -> int:
-    tol = _tolerance(args)
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
-    params, vel = _params_or_velocity(args, nu, tol)
-    mat = boost._generalized_rows(spec, params, tol)
+    params, vel = _params_or_velocity(args, nu)
+    mat = boost._generalized_rows(spec, params, DEFAULT_TOL)
     out = {
         "matrix": matrix_to_json(mat),
         "params": params.to_json(),
@@ -143,12 +135,11 @@ def cmd_boost(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    tol = _tolerance(args)
     nu = UnitVector3.normalized(args.nu)
-    g1, _ = _params_or_velocity(args, nu, tol, "1")
-    g2, _ = _params_or_velocity(args, nu, tol, "2")
-    g = boost.compose(nu, g1, g2, tol)
-    switch = tol.limit_switch
+    g1, _ = _params_or_velocity(args, nu, "1")
+    g2, _ = _params_or_velocity(args, nu, "2")
+    g = boost.compose(nu, g1, g2)
+    switch = DEFAULT_TOL.limit_switch
     l1 = boost._boost_rows(nu, g1, switch)
     l2 = boost._boost_rows(nu, g2, switch)
     product = [[sum(r[k] * l1[k][j] for k in range(4)) for j in range(4)] for r in l2]
@@ -162,7 +153,7 @@ def cmd_compose(args) -> int:
     _emit(
         {
             "params": g.to_json(),
-            "velocity": boost.velocity_from_params(nu, g, tol).to_json(),
+            "velocity": boost.velocity_from_params(nu, g).to_json(),
             "residual": residual,
         }
     )
@@ -179,7 +170,6 @@ def _guarded(out: dict, key: str, fn) -> bool:
 
 
 def cmd_invariants(args) -> int:
-    tol = _tolerance(args)
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     out = {}
@@ -188,7 +178,7 @@ def cmd_invariants(args) -> int:
         x = FourVector.from_array(args.x)
         out["minkowski_interval"] = minkowski_interval(x)
         failed |= _guarded(
-            out, "finsler_interval_sq", lambda: finsler_interval_sq(x, spec, tol)
+            out, "finsler_interval_sq", lambda: finsler_interval_sq(x, spec)
         )
         failed |= _guarded(
             out, "axial_invariants", lambda: subgroups.axial_invariants(spec, x).to_json()
@@ -204,7 +194,7 @@ def cmd_invariants(args) -> int:
         failed |= _guarded(
             out,
             "finsler_bispinor_invariant",
-            lambda: spinor.finsler_bispinor_invariant(spec, psi, tol),
+            lambda: spinor.finsler_bispinor_invariant(spec, psi),
         )
     _emit(out)
     return EXIT_DOMAIN if failed else EXIT_OK
@@ -236,9 +226,8 @@ def cmd_check(args) -> int:
         raise argparse.ArgumentTypeError(
             f"unknown suite {unknown[0]!r}; valid suites: {', '.join(checks.SUITES)}"
         )
-    tol = _tolerance(args)
     names = args.suite if args.suite else list(checks.SUITES)
-    reports = checks.run_all(names, seed=args.seed, samples=args.samples, tol=tol)
+    reports = checks.run_all(names, seed=args.seed, samples=args.samples)
     passed = all(r.passed for r in reports)
     _emit(
         {
@@ -283,16 +272,12 @@ def cmd_surface(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="finslerboost", description=__doc__)
-    tol_parent = _Parser(add_help=False)
-    tol_parent.add_argument("--tol", default=None,
-                            help="override the absolute tolerance, 0 < TOL < 1 (also env FINSLER_TOL)")
     nu_parent = _Parser(add_help=False)
     nu_parent.add_argument("--nu", type=_triple, required=True,
                            help="preferred direction, comma triple (normalized)")
-    common = _Parser(add_help=False, parents=[tol_parent, nu_parent])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("boost", parents=[common], help="build one generalized boost")
+    p = sub.add_parser("boost", parents=[nu_parent], help="build one generalized boost")
     p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--n", type=_triple)
     p.add_argument("--alpha", type=_finite)
@@ -300,14 +285,14 @@ def build_parser() -> _Parser:
     p.add_argument("--x", type=_four, help="optional event to transform")
     p.set_defaults(func=cmd_boost)
 
-    p = sub.add_parser("compose", parents=[common], help="compose two boosts")
+    p = sub.add_parser("compose", parents=[nu_parent], help="compose two boosts")
     for suffix in ("1", "2"):
         p.add_argument(f"--n{suffix}", type=_triple)
         p.add_argument(f"--alpha{suffix}", type=_finite)
         p.add_argument(f"--v{suffix}", type=_triple)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("invariants", parents=[common], help="report invariants")
+    p = sub.add_parser("invariants", parents=[nu_parent], help="report invariants")
     p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--x", type=_four)
     p.add_argument("--v", type=_triple)
@@ -320,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", type=_psi, required=True)
     p.set_defaults(func=cmd_spinor)
 
-    p = sub.add_parser("check", parents=[tol_parent], help="run conformance suites")
+    p = sub.add_parser("check", help="run conformance suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--suite", action="append",

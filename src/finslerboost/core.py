@@ -89,6 +89,11 @@ class OutOfRange(DomainError):
 class Tolerance:
     """Numerical tolerances shared across the library.
 
+    abs_tol is the rest band on speeds and rapidities.  The light-cone band
+    of finsler_interval_sq and the null-density band of
+    finsler_bispinor_invariant are abs_tol times the input's squared size,
+    so both functions stay homogeneous of degree 2 at every scale.
+
     limit_switch is the threshold on the small group parameter (the
     product of the axis projection and the rapidity) below which series
     branches replace the closed-form coefficient functions.
@@ -306,7 +311,7 @@ def finsler_interval_sq(
     sx = (dx.x, dx.y, dx.z)
     num = dx.t - _dot(_t3(spec.nu), sx)
     scale = dx.t * dx.t + _dot(sx, sx)
-    thr = tol.abs_tol * max(1.0, scale)
+    thr = tol.abs_tol * scale
     if base < -thr:
         if spec.r != round(spec.r):
             raise SpacelikeInput(

@@ -224,7 +224,7 @@ def finsler_bispinor_invariant(
     psi = _c4(psi)
     j = _current(psi)
     rho = _density(psi)
-    if abs(rho) < tol.abs_tol * max(1.0, j[0]):
+    if abs(rho) <= tol.abs_tol * j[0]:  # j0 >= |rho|; psi = 0 is null
         raise NullDensity("psibar psi vanishes; the invariant form is singular")
     q = (j[0] - _dot(_t3(spec.nu), j[1:])) / rho
     if q == 0.0:

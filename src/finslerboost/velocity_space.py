@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 from .boost import _add_velocities
 from .core import (
-    DEFAULT_TOL,
     FourVector,
     OutOfRange,
-    Tolerance,
     UnitVector3,
     Velocity3,
     _cross,
@@ -74,19 +72,14 @@ def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
     return tuple((m * (c - s) - k * p) / (1.0 + c) for p, m in zip(perp, nuv))
 
 
-def induced_motion(
-    nu: UnitVector3,
-    frame_v: Velocity3,
-    v: Velocity3,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Velocity3:
+def induced_motion(nu: UnitVector3, frame_v: Velocity3, v: Velocity3) -> Velocity3:
     """Image of velocity v in the frame moving at frame_v.
 
     Realized through the group action: the inverse of the boost reaching
     frame_v is composed with the element reaching v, with the subgroup's
     compensating axis turn built into the addition law.  Preserves the
-    Lobachevsky distance between any two velocities.  Frames below
-    abs_tol in speed are the identity.
+    Lobachevsky distance between any two velocities; a frame at rest is
+    the identity.
 
     The inverse element reaches [-gamma (1 + s) u_perp + (C - s) nu]/(1 + C)
     for frame velocity u, with s = u.nu, u_perp = nu x (u x nu) and
@@ -94,8 +87,6 @@ def induced_motion(
     and perpendicular part -u_perp/h, where h = gamma (1 - s) and
     1/h = gamma (1 + s)/(1 + C).
     """
-    if frame_v.speed() < tol.abs_tol:
-        return v
     nuv = _t3(nu)
     return Velocity3(*_add_velocities(nuv, _inverse_frame(nuv, _t3(frame_v)), _t3(v)))
 

@@ -335,6 +335,10 @@ _SURFACE = ["surface", "--family", "horosphere", "--output", "unused.csv"]
      "--n2", "0,inf,1"),
     (["invariants", "--nu=0,0,1", "--r=0", "--psi=1,0,0,0,0,nan,0,0"],
      "--psi", "1,0,0,0,0,nan,0,0"),
+    # the value as a separate token
+    (["boost", "--nu=0,0,1", "--r=0", "--n=0,0,1", "--alpha", "-inf"], "--alpha", "-inf"),
+    (["boost", "--nu=0,0,1", "--r=0", "--n=0,0,1", "--alpha", "-nan"], "--alpha", "-nan"),
+    (["boost", "--nu=0,0,1", "--r", "-Infinity", "--v=0,0,0"], "--r", "-Infinity"),
 ])
 def test_non_finite_number_is_usage_error(argv, option, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -342,17 +346,6 @@ def test_non_finite_number_is_usage_error(argv, option, value, capsys):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (1, "")
     assert f"argument {option}: " in err and repr(value) in err
-
-
-def test_tol_only_on_commands_that_read_it(tmp_path):
-    for argv in (
-        ["spinor", "--nu", "0,0,1", "--r", "0", "--v", "0,0,0", "--psi", "1,0,0,0,0,0,0,0"],
-        ["surface", "--nu", "0,0,1", "--family", "horosphere", "--level", "1",
-         "--output", str(tmp_path / "x.csv")],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--tol", "1e-6"])
-        assert exc.value.code == 1
 
 
 def test_overflowing_rapidity_is_domain_error(capsys):
@@ -366,19 +359,46 @@ def test_overflowing_rapidity_is_domain_error(capsys):
         assert err.startswith("finslerboost: ")
 
 
-def test_tol_env_override(capsys, monkeypatch):
+SIX_COMMANDS = FIVE_COMMANDS + (["check", "--suite=closure", "--samples=1"],)
+
+
+@pytest.mark.parametrize("argv", SIX_COMMANDS, ids=lambda argv: argv[0])
+def test_tol_is_not_an_option(argv, tmp_path, capsys):
+    if argv[0] == "surface":
+        argv = argv + [f"--output={tmp_path / 'x.csv'}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-6"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert "unrecognized arguments: --tol 1e-6" in err
+
+
+def test_tol_environment_variable_is_not_read(capsys, monkeypatch):
+    # a frame slower than a 1e-6 tolerance is a boost, not the identity
+    argv = ["boost", "--nu", "0,0,1", "--r", "0", "--v", "1e-7,0,0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["params"]["alpha"] > 0
     monkeypatch.setenv("FINSLER_TOL", "1e-6")
-    code, out, _ = run(capsys, "boost", "--nu", "0,0,1", "--r", "0", "--v", "0,0,0.5")
-    assert code == 0
+    assert run(capsys, *argv) == (code, out, "")
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "1e300", "-1", "abc"])
-def test_meaningless_tolerance_is_usage_error(value, capsys, monkeypatch):
-    argv = ["boost", "--nu", "0,0,1", "--r", "0.2", "--v", "0.3,0,0"]
-    code, out, err = run(capsys, *argv, "--tol", value)
-    assert (code, out) == (1, "")
-    assert "bad tolerance" in err
-    monkeypatch.setenv("FINSLER_TOL", value)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert "bad tolerance" in err
+@pytest.mark.parametrize("argv, option, value", [
+    (["boost", "--nu", "0,0,1", "--v", "0.3,0,0"], "--r", "-1e-3"),
+    (["boost", "--nu", "0,0,1", "--r", "0.2"], "--v", "-0.5,0,0"),
+    (["boost", "--nu", "0,0,1", "--r", "0.2"], "--v", "-.5,-0.1,-2e-1"),
+    (["boost", "--r", "0.2", "--v", "0.1,0,0"], "--nu", "-0,0,-1"),
+    (["boost", "--nu", "0,0,1", "--r", "0.2", "--n", "0,0,1"], "--alpha", "-2.5"),
+    (["compose", "--nu", "0,0,1", "--v1", "0.1,0,0", "--n2", "1,0,0"], "--alpha2", "-1E-5"),
+    (["invariants", "--nu", "0,0,1", "--r", "-0.3"], "--x", "-2,1,0,0"),
+    (["spinor", "--nu", "0,0,1", "--r", "0.3", "--psi", "1,0,0,0,0,0,0,0"],
+     "--v", "-0.5,0,0"),
+    (["surface", "--nu", "0,0,1", "--family", "horosphere", "--level", "1",
+      "--resolution", "2x2", "--output", "unused.csv"], "--extent", "-1.5"),
+])
+def test_negative_number_as_separate_token(argv, option, value, capsys, tmp_path,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    separate = run(capsys, *argv, option, value)
+    joined = run(capsys, *argv, f"{option}={value}")
+    assert separate == joined
+    assert separate[0] == 0, separate

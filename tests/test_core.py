@@ -105,6 +105,42 @@ def test_finsler_positive_homogeneity():
         )
 
 
+SCALES = (1.0, 1e-3, 1e-7, 1e-30, 1e-100)
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_finsler_degree_two_down_to_tiny_scales(lam):
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        x = rng.uniform(-1, 1, size=3)
+        t = float(np.linalg.norm(x)) + rng.uniform(0.05, 2.0)
+        spec = AnisotropySpec(UnitVector3.normalized(rng.normal(size=3)),
+                              float(rng.uniform(-0.9, 0.9)))
+        scaled = FourVector(lam * t, *(lam * x))
+        assert finsler_interval_sq(scaled, spec) == pytest.approx(
+            lam * lam * finsler_interval_sq(FourVector(t, *x), spec), rel=1e-12, abs=0
+        )
+    # nearly lightlike and small: base 9.9e-13 is not rounded to the cone
+    spec = AnisotropySpec(NU_Z, 0.3)
+    x = FourVector(lam * 1e-6, lam * 1e-7, 0.0, 0.0)
+    base = minkowski_interval(x)
+    assert finsler_interval_sq(x, spec) == pytest.approx(
+        (x.t * x.t / base) ** 0.3 * base, rel=1e-14, abs=0
+    )
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_finsler_light_cone_at_every_scale(lam):
+    for r in (-0.3, 0.0, 0.3):
+        spec = AnisotropySpec(NU_Z, r)
+        assert finsler_interval_sq(FourVector(0.0, 0.0, 0.0, 0.0), spec) == 0.0
+        assert finsler_interval_sq(FourVector(lam, 0.0, 0.0, lam), spec) == 0.0
+    off_ray = FourVector(lam, lam, 0.0, 0.0)
+    assert finsler_interval_sq(off_ray, AnisotropySpec(NU_Z, 0.3)) == 0.0
+    with pytest.raises(DegenerateRatio):
+        finsler_interval_sq(off_ray, AnisotropySpec(NU_Z, -0.3))
+
+
 def _rotation(rng) -> np.ndarray:
     """Uniform random rotation: QR of a normal 3x3 matrix, with the column
     signs fixed by diag(R) and the overall sign by det = +1."""

@@ -223,6 +223,28 @@ def test_invariant_null_density_raises():
         finsler_bispinor_invariant(AnisotropySpec(NU_Z, 0.4), psi)
 
 
+@pytest.mark.parametrize("lam", (1.0, 1e-3, 1e-7, 1e-30, 1e-100))
+def test_invariant_degree_two_down_to_tiny_scales(lam):
+    rng = np.random.default_rng(131)
+    for _ in range(200):
+        spec = AnisotropySpec(rand_unit(rng), float(rng.uniform(-0.9, 0.9)))
+        psi = rand_psi(rng)
+        if abs(complex(dirac_adjoint(psi) @ psi).real) < 0.1:
+            continue
+        assert finsler_bispinor_invariant(spec, lam * psi) == pytest.approx(
+            lam * lam * finsler_bispinor_invariant(spec, psi), rel=1e-12, abs=0
+        )
+    spec = AnisotropySpec(NU_Z, 0.4)
+    small = lam * np.array([1e-5, 0.0, 2e-6, 0.0], dtype=complex)
+    assert finsler_bispinor_invariant(spec, small) == pytest.approx(
+        lam * lam * finsler_bispinor_invariant(spec, small / lam), rel=1e-14, abs=0
+    )
+    with pytest.raises(NullDensity):
+        finsler_bispinor_invariant(spec, lam * np.array([1.0, 0.0, 1.0, 0.0]))
+    with pytest.raises(NullDensity):
+        finsler_bispinor_invariant(spec, np.zeros(4, dtype=complex))
+
+
 def test_invariant_basis_state():
     # For psi = (1,0,0,0): rho = 1 and the spatial current vanishes in the
     # standard basis, so nu_n j^n = 1 and the invariant is 1 for every r.

@@ -13,9 +13,11 @@ from finslerboost import (
     abelian_velocity,
     cylinder_level,
     dilation_factor,
+    dot3,
     horosphere_level,
     induced_motion,
     lobachevsky_distance,
+    params_from_velocity,
     sample_surface,
 )
 from finslerboost.subgroups import perpendicular_to
@@ -196,13 +198,17 @@ def test_cylinder_levels_invariant_under_axial_motions():
 
 
 def test_dilation_is_level_power():
+    """D = h(v)^r from the velocity equals e^{-r (nu.n) alpha} from the
+    group parameters of the boost reaching v."""
     rng = np.random.default_rng(157)
     for _ in range(1000):
         nu = rand_unit(rng)
         r = float(rng.uniform(-0.9, 0.9))
         v = rand_speed(rng)
+        g = params_from_velocity(nu, v)
         assert abs(
-            dilation_factor(AnisotropySpec(nu, r), v) - horosphere_level(nu, v) ** r
+            dilation_factor(AnisotropySpec(nu, r), v)
+            - math.exp(-r * dot3(nu, g.n) * g.alpha)
         ) < 1e-12
 
 
