@@ -8,14 +8,14 @@ frame.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
-    DEFAULT_TOL,
     AnisotropySpec,
     FourVector,
-    Tolerance,
+    OutOfRange,
     UnitVector3,
     Velocity3,
     _cross,
@@ -38,7 +38,6 @@ __all__ = [
     "velocity_from_params",
     "params_from_velocity",
     "add_velocities",
-    "add_velocities_raw",
     "dilation_factor",
     "generalized_boost_matrix",
     "axial_rotation",
@@ -78,32 +77,37 @@ class BoostParams:
 
 
 # The closed forms have removable singularities only in expm1(x)/x and
-# log1p(t)/t; below the switch threshold an explicit Taylor series
-# replaces each of the two.
+# log1p(t)/t.  Neither quotient cancels for x != 0 (expm1 and log1p are
+# accurate down to subnormal x), so only x = 0 needs the limit 1.
 
-def _exprel(x: float, switch: float) -> float:
-    """expm1(x) / x; tends to 1 as x -> 0."""
-    if abs(x) < switch:
-        return 1.0 + x / 2 + x * x / 6 + x**3 / 24 + x**4 / 120
-    return math.expm1(x) / x
+def _exprel(x: float) -> float:
+    """expm1(x) / x, and its limit 1 at x = 0."""
+    return math.expm1(x) / x if x != 0.0 else 1.0
 
 
-def _log1p_over(t: float, switch: float) -> float:
-    """log(1 + t) / t; tends to 1 as t -> 0."""
-    if abs(t) < switch:
-        return 1.0 - t / 2 + t * t / 3 - t**3 / 4
-    return math.log1p(t) / t
+def _log1p_over(t: float) -> float:
+    """log(1 + t) / t, and its limit 1 at t = 0."""
+    return math.log1p(t) / t if t != 0.0 else 1.0
 
 
-def _coefficients(nu: UnitVector3, params: BoostParams, switch: float):
+def _coefficients(nu: UnitVector3, params: BoostParams):
     """Fields of n and nu, and the boost coefficients with a = (nu.n) alpha:
     km = (1 - e^{-a}) alpha / a, kp = (1 - e^{a}) alpha / a and
     c0 = (cosh a - 1) alpha^2 / a^2 = -km kp / 2."""
     n, nuv, alpha = _t3(params.n), _t3(nu), params.alpha
     a = _dot(nuv, n) * alpha
-    km = alpha * _exprel(-a, switch)
-    kp = -alpha * _exprel(a, switch)
-    return n, nuv, km, kp, -0.5 * km * kp
+    try:
+        km = alpha * _exprel(-a)
+        kp = -alpha * _exprel(a)
+    except OverflowError:  # |a| > 709.78
+        km = kp = math.nan
+    c0 = -0.5 * km * kp
+    if not c0 < math.inf:
+        raise OutOfRange(
+            f"rapidity alpha = {alpha} with axis part (nu.n) alpha = {a}"
+            " overflows the boost coefficients"
+        )
+    return n, nuv, km, kp, c0
 
 
 def _cross_rows(m: tuple) -> list:
@@ -135,11 +139,9 @@ def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
     return generator(spec.nu, n) - spec.r * s * np.eye(4)
 
 
-def _boost_rows(
-    nu: UnitVector3, params: BoostParams, switch: float, scale: float = 1.0
-) -> list:
+def _boost_rows(nu: UnitVector3, params: BoostParams, scale: float = 1.0) -> list:
     """Rows of scale * Lambda as four lists of four floats."""
-    (n0, n1, n2), (m0, m1, m2), km, kp, c0 = _coefficients(nu, params, switch)
+    (n0, n1, n2), (m0, m1, m2), km, kp, c0 = _coefficients(nu, params)
     r1, r2, r3 = -(km * n0 + c0 * m0), -(km * n1 + c0 * m1), -(km * n2 + c0 * m2)
     # spatial entry (i, j) is delta_ij - kp n_i nu_j + nu_i r_j; starting
     # off the diagonal from delta_ij = 0.0 fixes the sign of a zero entry,
@@ -158,40 +160,29 @@ def _boost_rows(
     return [[scale * c for c in row] for row in rows]
 
 
-def _generalized_rows(
-    spec: AnisotropySpec, params: BoostParams, tol: Tolerance
-) -> list:
-    """Rows of the generalized boost D * Lambda with D = e^{-r (nu.n) alpha}."""
-    d = math.exp(-spec.r * dot3(spec.nu, params.n) * params.alpha)
-    return _boost_rows(spec.nu, params, tol.limit_switch, d)
+def _params_dilation(spec: AnisotropySpec, params: BoostParams) -> float:
+    """Scale D = e^{-r (nu.n) alpha} of the generalized boost D * Lambda."""
+    return math.exp(-spec.r * dot3(spec.nu, params.n) * params.alpha)
 
 
-def boost_matrix(
-    nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def boost_matrix(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """Closed-form finite boost; unimodular and interval-preserving."""
     import numpy as np
 
-    return np.array(_boost_rows(nu, params, tol.limit_switch))
+    return np.array(_boost_rows(nu, params))
 
 
-def boost_matrix_inverse(
-    nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def boost_matrix_inverse(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """Inverse boost, obtained by negating the rapidity."""
-    return boost_matrix(nu, BoostParams(params.n, -params.alpha), tol)
+    return boost_matrix(nu, BoostParams(params.n, -params.alpha))
 
 
-def compose(
-    nu: UnitVector3,
-    g1: BoostParams,
-    g2: BoostParams,
-    tol: Tolerance = DEFAULT_TOL,
-) -> BoostParams:
+def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
     """Group composition: the element whose matrix is L(g2) L(g1).
 
-    g1 acts first.  A result below abs_tol in norm is the identity and is
-    returned as (n = nu, alpha = 0).
+    g1 acts first.  A result whose squared norm n alpha . n alpha is zero
+    or subnormal has no float direction; it is the identity, returned as
+    (n = nu, alpha = 0).
     """
     nuv = _t3(nu)
     n1, a1 = _t3(g1.n), g1.alpha
@@ -199,44 +190,51 @@ def compose(
     s1a = _dot(nuv, n1) * a1
     s2a = _dot(nuv, n2) * a2
     x = _dot(nuv, [p * a1 + q * a2 for p, q in zip(n1, n2)])
-    c1 = -a1 * _exprel(s1a, tol.limit_switch)
-    c2 = -math.exp(s1a) * a2 * _exprel(s2a, tol.limit_switch)
-    pref = -1.0 / _exprel(x, tol.limit_switch)  # x / (1 - e^x)
+    c1 = -a1 * _exprel(s1a)
+    c2 = -math.exp(s1a) * a2 * _exprel(s2a)
+    pref = -1.0 / _exprel(x)  # x / (1 - e^x)
     vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
-    alpha = math.sqrt(_dot(vec, vec))
-    if alpha < tol.abs_tol:
+    asq = _dot(vec, vec)
+    if asq < sys.float_info.min:
         return BoostParams.identity(nu)
-    return BoostParams(UnitVector3.normalized(vec), alpha)
+    return BoostParams(UnitVector3.normalized(vec), math.sqrt(asq))
 
 
-def velocity_from_params(
-    nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
-) -> Velocity3:
-    """Velocity of the primed frame for group parameters (n, alpha)."""
-    n, nuv, km, _, c0 = _coefficients(nu, params, tol.limit_switch)
-    return Velocity3(*[(km * p + c0 * q) / (1.0 + c0) for p, q in zip(n, nuv)])
+def velocity_from_params(nu: UnitVector3, params: BoostParams) -> Velocity3:
+    """Velocity of the primed frame for group parameters (n, alpha).
+
+    Raises OutOfRange where the rapidity is so large that the speed rounds
+    to 1 (from (nu.n) alpha ~ 19 along the axis, alpha ~ 1e4 across it).
+    """
+    n, nuv, km, _, c0 = _coefficients(nu, params)
+    try:  # the components are finite, so only the speed check can fail
+        return Velocity3(*[(km * p + c0 * q) / (1.0 + c0) for p, q in zip(n, nuv)])
+    except ValueError:
+        raise OutOfRange(
+            f"rapidity alpha = {params.alpha} with axis part (nu.n) alpha ="
+            f" {_dot(n, nuv) * params.alpha} gives a speed that rounds to 1"
+        ) from None
 
 
-def params_from_velocity(
-    nu: UnitVector3, v: Velocity3, tol: Tolerance = DEFAULT_TOL
-) -> BoostParams:
+def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     """Group parameters (n, alpha) of the boost reaching velocity v.
 
-    Velocities below abs_tol return the identity element by convention.
-    The rapidity is evaluated in a cancellation-free form whose series
-    branch covers the degenerate (horosphere) band where the textbook
-    quotient is 0/0.
+    A velocity whose squared norm v.v is zero or subnormal has no float
+    direction; it gives the identity element (n = nu, alpha = 0).  The
+    rapidity is evaluated in a cancellation-free form, log1p(t)/t covering
+    the degenerate (horosphere) case t = 0 where the textbook quotient is
+    0/0.
     """
     vv = _t3(v)
     vsq = _dot(vv, vv)
-    if math.sqrt(vsq) < tol.abs_tol:
+    if vsq < sys.float_info.min:
         return BoostParams.identity(nu)
     nuv = _t3(nu)
     w = 1.0 - _dot(vv, nuv)
     gamma_inv = math.sqrt(1.0 - vsq)
     u = vsq / (1.0 + gamma_inv)  # 1 - sqrt(1 - v^2), cancellation-free
     t = (gamma_inv - w) / w
-    alpha = math.sqrt(2.0 * u / w) * _log1p_over(t, tol.limit_switch)
+    alpha = math.sqrt(2.0 * u / w) * _log1p_over(t)
     p, q = math.sqrt(2.0 * w * u), math.sqrt(u / (2.0 * w))
     n_vec = [c / p - q * m for c, m in zip(vv, nuv)]
     return BoostParams(UnitVector3.normalized(n_vec), alpha)
@@ -256,14 +254,6 @@ def _add_velocities(nuv: tuple, a1: tuple, a2: tuple) -> tuple:
     )
 
 
-def add_velocities_raw(nu: UnitVector3, a1, a2) -> np.ndarray:
-    """Velocity composition on plain arrays; admits the boundary point
-    a2 = nu, where the result is nu regardless of a1."""
-    import numpy as np
-
-    return np.array(_add_velocities(_t3(nu), _t3(a1), _t3(a2)))
-
-
 def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
     """Velocity-space composition consistent with compose(g1, g2).
 
@@ -279,13 +269,11 @@ def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
     return _horosphere(_t3(v), _t3(spec.nu)) ** spec.r
 
 
-def generalized_boost_matrix(
-    spec: AnisotropySpec, params: BoostParams, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.ndarray:
     """Generalized boost D * Lambda with D = e^{-r (nu.n) alpha}."""
     import numpy as np
 
-    return np.array(_generalized_rows(spec, params, tol))
+    return np.array(_boost_rows(spec.nu, params, _params_dilation(spec, params)))
 
 
 def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:

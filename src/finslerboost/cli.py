@@ -14,7 +14,6 @@ import sys
 
 from . import boost, spinor, subgroups, velocity_space
 from .core import (
-    DEFAULT_TOL,
     AnisotropySpec,
     DomainError,
     FourVector,
@@ -121,12 +120,13 @@ def cmd_boost(args) -> int:
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     params, vel = _params_or_velocity(args, nu)
-    mat = boost._generalized_rows(spec, params, DEFAULT_TOL)
+    dilation = boost._params_dilation(spec, params)
+    mat = boost._boost_rows(nu, params, dilation)
     out = {
         "matrix": matrix_to_json(mat),
         "params": params.to_json(),
         "velocity": vel.to_json(),
-        "dilation": boost.dilation_factor(spec, vel),
+        "dilation": dilation,
     }
     if args.x is not None:
         out["x_prime"] = boost.apply_matrix(mat, FourVector.from_array(args.x)).to_json()
@@ -139,13 +139,12 @@ def cmd_compose(args) -> int:
     g1, _ = _params_or_velocity(args, nu, "1")
     g2, _ = _params_or_velocity(args, nu, "2")
     g = boost.compose(nu, g1, g2)
-    switch = DEFAULT_TOL.limit_switch
-    l1 = boost._boost_rows(nu, g1, switch)
-    l2 = boost._boost_rows(nu, g2, switch)
+    l1 = boost._boost_rows(nu, g1)
+    l2 = boost._boost_rows(nu, g2)
     product = [[sum(r[k] * l1[k][j] for k in range(4)) for j in range(4)] for r in l2]
     diffs = [
         abs(p - q)
-        for row, prow in zip(boost._boost_rows(nu, g, switch), product)
+        for row, prow in zip(boost._boost_rows(nu, g), product)
         for p, q in zip(row, prow)
     ]
     # a NaN entry makes the residual NaN, whatever its position

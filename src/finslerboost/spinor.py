@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .boost import BoostParams, _exprel, dilation_factor, params_from_velocity
+from .boost import BoostParams, _exprel
 from .core import (
     DEFAULT_TOL,
     AnisotropySpec,
@@ -44,7 +44,6 @@ __all__ = [
     "dirac_adjoint",
     "bilinear_current",
     "finsler_bispinor_invariant",
-    "bispinor_matrix_via_params",
 ]
 
 
@@ -125,9 +124,7 @@ def spinor_generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     return _matrix(_blocks(0.0, _cross(_t3(nu), nv), nv))
 
 
-def spinor_boost(
-    nu: UnitVector3, params: BoostParams, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """Closed-form spin matrix S(nu; n, alpha) = exp(K alpha / 2).
 
     The power identities of the generator K terminate the exponential:
@@ -137,7 +134,7 @@ def spinor_boost(
     nuv, nv = _t3(nu), _t3(params.n)
     half = 0.5 * (_dot(nuv, nv) * params.alpha)
     # sinh(h)/h = (exprel(h) + exprel(-h)) / 2, with no cancellation
-    sinhc = 0.5 * (_exprel(half, tol.limit_switch) + _exprel(-half, tol.limit_switch))
+    sinhc = 0.5 * (_exprel(half) + _exprel(-half))
     f = 0.5 * params.alpha * sinhc
     return _matrix(
         _blocks(math.cosh(half), [f * c for c in _cross(nuv, nv)], [f * c for c in nv])
@@ -234,13 +231,3 @@ def finsler_bispinor_invariant(
             return 0.0
         return rho
     return (q * q) ** (-1.5 * spec.r) * rho
-
-
-# D^{-3/2} S through the parametrization maps; the production path is the
-# closed form in bispinor_matrix, this is its cross-check.
-def bispinor_matrix_via_params(
-    spec: AnisotropySpec, v: Velocity3, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    params = params_from_velocity(spec.nu, v, tol)
-    d = dilation_factor(spec, v)
-    return d ** -1.5 * spinor_boost(spec.nu, params, tol)

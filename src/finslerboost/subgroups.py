@@ -7,16 +7,15 @@ subgroup boosts along the axis and carries the full scale factor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import (
-    DEFAULT_TOL,
     AnisotropySpec,
     FourVector,
     NonOrthogonal,
     NonTimelike,
     OffHorosphere,
-    Tolerance,
     UnitVector3,
     Velocity3,
     ZeroVelocity,
@@ -45,7 +44,7 @@ __all__ = [
 
 ORTHO_TOL = 1e-12
 # The horosphere condition is quadratically degenerate near v = 0, so its
-# membership gate is looser than the working absolute tolerance.
+# membership gate is loose.
 HOROSPHERE_TOL = 1e-8
 
 
@@ -129,16 +128,17 @@ def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
     )
 
 
-def abelian_params_from_velocity(
-    nu: UnitVector3, v: Velocity3, tol: Tolerance = DEFAULT_TOL
-) -> AbelianParams:
+def abelian_params_from_velocity(nu: UnitVector3, v: Velocity3) -> AbelianParams:
     """Invert the velocity map on the horosphere.
 
-    Unique for alpha > 0 with v.nu > 0; v.nu = 0 forces alpha = 0.
+    Unique for alpha > 0 with v.nu > 0; v.nu = 0 forces alpha = 0.  A
+    velocity whose squared norm v.v is zero or subnormal has no float
+    direction and raises ZeroVelocity.
     """
     vv, nuv = _t3(v), _t3(nu)
-    if math.sqrt(_dot(vv, vv)) < tol.abs_tol:
-        raise ZeroVelocity("direction is undefined at v = 0")
+    vsq = _dot(vv, vv)
+    if vsq < sys.float_info.min:
+        raise ZeroVelocity(f"direction is undefined: v.v = {vsq} is zero or subnormal")
     level = _horosphere(vv, nuv)
     if abs(level - 1.0) > HOROSPHERE_TOL:
         raise OffHorosphere(f"velocity is off the horosphere: level = {level}")

@@ -76,7 +76,7 @@ def test_acceptance_10_velocity_space(capsys):
 
 
 def test_acceptance_11_branch_continuity(capsys):
-    _run(capsys, 11, "generic and series branches agree at the switch threshold",
+    _run(capsys, 11, "closed forms match a degree-4 Taylor evaluation at |(nu.n) alpha| <= 1e-4",
          "branch")
 
 

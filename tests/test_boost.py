@@ -1,14 +1,15 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
 from finslerboost import (
-    DEFAULT_TOL,
     AnisotropySpec,
     BoostParams,
     FourVector,
+    OutOfRange,
     UnitVector3,
     Velocity3,
     add_velocities,
@@ -29,11 +30,11 @@ from finslerboost import (
     velocity_from_params,
 )
 from finslerboost.boost import (
+    _add_velocities,
     _boost_rows,
     _coefficients,
     _exprel,
     _log1p_over,
-    add_velocities_raw,
 )
 from finslerboost.checks import expm
 
@@ -184,8 +185,8 @@ def test_add_velocities_identity_and_fixed_point():
     for _ in range(200):
         nu = rand_unit(rng)
         v = velocity_from_params(nu, rand_params(rng))
-        out = add_velocities_raw(nu, v.as_array(), nu.as_array())
-        assert np.max(np.abs(out - nu.as_array())) < 1e-12
+        out = _add_velocities(nu.to_json(), v.to_json(), nu.to_json())
+        assert np.max(np.abs(np.array(out) - nu.as_array())) < 1e-12
 
 
 def test_add_velocities_matches_composition():
@@ -303,39 +304,40 @@ def _rel_err(ours, exact, x):
 
 def test_series_coefficients_against_mpmath():
     """Each coefficient, composed from the two primitives the way the library
-    composes it, is within 3 ulp of its 50-digit value on both sides of the
-    series switch."""
-    sw = DEFAULT_TOL.limit_switch
+    composes it, is within 2 ulp of its 50-digit value from subnormal
+    arguments up to 20; each primitive is exactly 1 at 0."""
     mags = np.concatenate([
+        np.geomspace(1e-320, 1e-9, 300),
         np.geomspace(1e-9, 20.0, 1000),
-        sw * np.array([1 - 1e-9, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3]),
+        1e-4 * np.array([1 - 1e-9, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3]),
     ])
     xs = [float(s * m) for m in mags for s in (1.0, -1.0)]
     cases = {
-        "k-": (lambda a: _exprel(-a, sw), lambda a: -mpmath.expm1(-a) / a),
-        "k+": (lambda a: -_exprel(a, sw), lambda a: -mpmath.expm1(a) / a),
+        "k-": (lambda a: _exprel(-a), lambda a: -mpmath.expm1(-a) / a),
+        "k+": (lambda a: -_exprel(a), lambda a: -mpmath.expm1(a) / a),
         "(cosh a - 1)/a^2": (
-            lambda a: 0.5 * _exprel(a, sw) * _exprel(-a, sw),
+            lambda a: 0.5 * _exprel(a) * _exprel(-a),
             lambda a: 2 * mpmath.sinh(a / 2) ** 2 / a**2,
         ),
-        "x/(1 - e^x)": (lambda x: -1.0 / _exprel(x, sw), lambda x: -x / mpmath.expm1(x)),
+        "x/(1 - e^x)": (lambda x: -1.0 / _exprel(x), lambda x: -x / mpmath.expm1(x)),
         "sinh h/h": (
-            lambda h: 0.5 * (_exprel(h, sw) + _exprel(-h, sw)),
+            lambda h: 0.5 * (_exprel(h) + _exprel(-h)),
             lambda h: mpmath.sinh(h) / h,
         ),
-        "log1p(t)/t": (lambda t: _log1p_over(t, sw), lambda t: mpmath.log1p(t) / t),
+        "log1p(t)/t": (lambda t: _log1p_over(t), lambda t: mpmath.log1p(t) / t),
     }
+    assert _exprel(0.0) == _exprel(-0.0) == _log1p_over(0.0) == 1.0
     worst = {}
     for name, (ours, exact) in cases.items():
         pts = [t for t in xs if t > -1.0] if name == "log1p(t)/t" else xs
         worst[name] = max(_rel_err(ours, exact, x) for x in pts)
-    assert max(worst.values()) <= 6.7e-16, worst
+    assert max(worst.values()) <= 2 * 2.220446049250313e-16, worst
 
 
-def _boost_rows_loop(nu, params, switch, scale=1.0):
+def _boost_rows_loop(nu, params, scale=1.0):
     """Reference: the rows as a loop over (i, j), entry
     delta_ij - kp n_i nu_j + nu_i row0_j."""
-    n, nuv, km, kp, c0 = _coefficients(nu, params, switch)
+    n, nuv, km, kp, c0 = _coefficients(nu, params)
     row0 = [-(km * p + c0 * q) for p, q in zip(n, nuv)]
     rows = [[1.0 + c0, *row0]]
     for i in range(3):
@@ -351,9 +353,9 @@ def _boost_rows_loop(nu, params, switch, scale=1.0):
 def test_boost_rows_match_loop_reference_bit_for_bit():
     """Every entry equals the loop form's, signed zeros included: on random
     and on coordinate axes (where entries are zero), at scale 1 and not,
-    inside and outside the series band."""
+    inside and outside the near-zero band |(nu.n) alpha| < 1e-4."""
     rng = np.random.default_rng(163)
-    sw = DEFAULT_TOL.limit_switch
+    sw = 1e-4
     axes = [UnitVector3(*row) for row in np.vstack([np.eye(3), -np.eye(3)]).tolist()]
     inside = outside = 0
     for k in range(2000):
@@ -361,7 +363,7 @@ def test_boost_rows_match_loop_reference_bit_for_bit():
         n = axes[(k // 3) % 6] if k % 4 == 0 else rand_unit(rng)
         alpha = float(rng.uniform(-3, 3))
         if k % 2:
-            # |(nu.n) alpha| below the switch
+            # |(nu.n) alpha| inside the band
             alpha = float(rng.uniform(-0.99, 0.99)) * sw / max(abs(dot3(nu, n)), sw)
         params = BoostParams(n, alpha)
         if abs(dot3(nu, n) * params.alpha) < sw:
@@ -369,9 +371,164 @@ def test_boost_rows_match_loop_reference_bit_for_bit():
         else:
             outside += 1
         scale = 1.0 if k % 5 < 2 else math.exp(float(rng.uniform(-2, 2)))
-        got = _boost_rows(nu, params, sw, scale)
-        want = _boost_rows_loop(nu, params, sw, scale)
+        got = _boost_rows(nu, params, scale)
+        want = _boost_rows_loop(nu, params, scale)
         assert [[c.hex() for c in row] for row in got] == [
             [c.hex() for c in row] for row in want
         ], (nu, params, scale)
     assert inside >= 800 and outside >= 800
+
+
+# Near zero: 50-digit references for the parameter maps and the composition.
+
+NEAR_ZERO = [float(m) for m in np.geomspace(1e-150, 1e-4, 30)]
+
+
+def _mp_exprel(x):
+    return mpmath.expm1(x) / x if x != 0 else mpmath.mpf(1)
+
+
+def _mp_dot(a, b):
+    return mpmath.fsum(mpmath.mpf(p) * q for p, q in zip(a, b))
+
+
+def _mp_unit(u):
+    """u / |u|: a float unit vector is unit only to about 1e-16."""
+    norm = mpmath.sqrt(_mp_dot(u, u))
+    return [mpmath.mpf(c) / norm for c in u]
+
+
+def _mp_velocity(nu, n, alpha):
+    """(km n + c0 nu) / (1 + c0) with a = (nu.n) alpha."""
+    nu, n = _mp_unit(nu), _mp_unit(n)
+    a = _mp_dot(nu, n) * alpha
+    km = alpha * _mp_exprel(-a)
+    c0 = -km * (-alpha * _mp_exprel(a)) / 2
+    return [(km * p + c0 * q) / (1 + c0) for p, q in zip(n, nu)]
+
+
+def _mp_params(nu, v):
+    """(n, alpha) of velocity v, written without cancellation."""
+    nu = _mp_unit(nu)
+    vsq, vnu = _mp_dot(v, v), _mp_dot(v, nu)
+    w = 1 - vnu
+    u = vsq / (1 + mpmath.sqrt(1 - vsq))  # 1 - sqrt(1 - v^2)
+    t = (vnu - u) / w
+    alpha = mpmath.sqrt(2 * u / w) * (mpmath.log1p(t) / t if t != 0 else 1)
+    p, q = mpmath.sqrt(2 * w * u), mpmath.sqrt(u / (2 * w))
+    return [mpmath.mpf(c) / p - q * m for c, m in zip(v, nu)], alpha
+
+
+def _mp_compose(nu, g1, g2):
+    nu, n1, n2 = _mp_unit(nu), _mp_unit(g1.n.to_json()), _mp_unit(g2.n.to_json())
+    a1, a2 = mpmath.mpf(g1.alpha), mpmath.mpf(g2.alpha)
+    s1a, s2a = _mp_dot(nu, n1) * a1, _mp_dot(nu, n2) * a2
+    c1 = -a1 * _mp_exprel(s1a)
+    c2 = -mpmath.exp(s1a) * a2 * _mp_exprel(s2a)
+    pref = -1 / _mp_exprel(s1a + s2a)
+    vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
+    alpha = mpmath.sqrt(_mp_dot(vec, vec))
+    return [c / alpha for c in vec], alpha
+
+
+def _near_zero_directions(rng, nu):
+    """A random direction, one exactly across nu, and one nearly along it."""
+    perp = np.cross(nu.as_array(), rand_unit(rng).as_array())
+    return [rand_unit(rng), UnitVector3.normalized(perp),
+            UnitVector3.normalized(nu.as_array() + 1e-3 * perp)]
+
+
+def test_velocity_from_params_near_zero_against_mpmath():
+    rng = np.random.default_rng(211)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for mag in NEAR_ZERO:
+            nu = rand_unit(rng)
+            for n in _near_zero_directions(rng, nu):
+                got = velocity_from_params(nu, BoostParams(n, mag))
+                want = _mp_velocity(nu.to_json(), n.to_json(), mpmath.mpf(mag))
+                speed = mpmath.sqrt(_mp_dot(want, want))
+                assert got.speed() == pytest.approx(mag, rel=1e-4)
+                err = max(abs(g - w) for g, w in zip(got.to_json(), want)) / speed
+                worst = max(worst, float(err))
+    assert worst <= 4.5e-16, worst
+
+
+def test_params_from_velocity_near_zero_against_mpmath():
+    # a frame slower than the old 1e-10 rest band is a boost, not the identity
+    g = params_from_velocity(NU_Z, Velocity3(1e-11, 0.0, 0.0))
+    assert g.alpha == pytest.approx(1e-11, rel=1e-15)
+    assert g.n.x == pytest.approx(1.0, abs=1e-15)
+    rng = np.random.default_rng(223)
+    worst_alpha = worst_n = 0.0
+    with mpmath.workdps(50):
+        for mag in NEAR_ZERO:
+            nu = rand_unit(rng)
+            for d in _near_zero_directions(rng, nu):
+                v = Velocity3(*(mag * d.as_array()).tolist())
+                got = params_from_velocity(nu, v)
+                n, alpha = _mp_params(nu.to_json(), v.to_json())
+                # the reference reaches v again
+                back = _mp_velocity(nu.to_json(), n, alpha)
+                assert max(abs(b - c) for b, c in zip(back, v.to_json())) <= 1e-40 * mag
+                worst_alpha = max(worst_alpha, float(abs(got.alpha - alpha) / alpha))
+                worst_n = max(worst_n, float(max(
+                    abs(g - w) for g, w in zip(got.n.to_json(), n))))
+    assert worst_alpha <= 4.5e-16 and worst_n <= 4.5e-16, (worst_alpha, worst_n)
+
+
+def test_compose_near_zero_against_mpmath():
+    # two transverse boosts below the old 1e-10 identity band
+    g = compose(NU_Z, BoostParams(E_X, 1e-11), BoostParams(UnitVector3(0.0, 1.0, 0.0), 1e-11))
+    assert g.alpha == pytest.approx(math.sqrt(2.0) * 1e-11, rel=1e-15)
+    rng = np.random.default_rng(227)
+    worst_alpha = worst_n = 0.0
+    with mpmath.workdps(50):
+        for mag in NEAR_ZERO:
+            nu = rand_unit(rng)
+            n1, n2, n3 = _near_zero_directions(rng, nu)
+            for p, q in ((n1, n2), (n2, n3), (n3, n1)):
+                g1 = BoostParams(p, mag * float(rng.uniform(0.5, 2.0)))
+                g2 = BoostParams(q, mag * float(rng.uniform(0.5, 2.0)))
+                got = compose(nu, g1, g2)
+                n, alpha = _mp_compose(nu.to_json(), g1, g2)
+                worst_alpha = max(worst_alpha, float(abs(got.alpha - alpha) / alpha))
+                worst_n = max(worst_n, float(max(
+                    abs(g - w) for g, w in zip(got.n.to_json(), n))))
+    assert worst_alpha <= 4.5e-16 and worst_n <= 4.5e-16, (worst_alpha, worst_n)
+
+
+def test_subnormal_squared_norm_has_no_direction():
+    """Below sqrt(sys.float_info.min) ~ 1.5e-154, v.v and alpha^2 are
+    subnormal or zero: the maps return the identity instead of a direction
+    from a few significant bits, and the forward map has no fork."""
+    for speed in (0.0, 1e-160, 1e-155):
+        assert speed * speed < sys.float_info.min
+        assert params_from_velocity(NU_Z, Velocity3(speed, 0.0, 0.0)) == BoostParams.identity(NU_Z)
+    g = params_from_velocity(NU_Z, Velocity3(2e-154, 0.0, 0.0))
+    assert g.alpha == pytest.approx(2e-154, rel=1e-15)
+    v = velocity_from_params(NU_Z, BoostParams(E_X, 1e-160))
+    assert v.vx == 1e-160 and v.vy == 0.0 and 0.0 <= v.vz < 1e-320
+    ey = UnitVector3(0.0, 1.0, 0.0)
+    tiny = compose(NU_Z, BoostParams(E_X, 1e-160), BoostParams(ey, 1e-160))
+    assert tiny == BoostParams.identity(NU_Z)
+    small = compose(NU_Z, BoostParams(E_X, 2e-154), BoostParams(ey, 2e-154))
+    assert small.alpha == pytest.approx(math.sqrt(2.0) * 2e-154, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, alpha, what", [
+    (NU_Z, 25.0, "speed that rounds to 1"),
+    (E_X, 1e5, "speed that rounds to 1"),
+    (NU_Z, 800.0, "overflows"),
+    (UnitVector3(0.0, 0.0, -1.0), 800.0, "overflows"),
+    (E_X, 1e200, "overflows"),
+])
+def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
+    g = BoostParams(n, alpha)
+    with pytest.raises(OutOfRange, match=f"rapidity alpha = .*{what}"):
+        velocity_from_params(NU_Z, g)
+    if what == "overflows":
+        with pytest.raises(OutOfRange, match="rapidity"):
+            boost_matrix(NU_Z, g)
+    else:
+        assert np.isfinite(boost_matrix(NU_Z, g)).all()

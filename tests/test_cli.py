@@ -192,7 +192,7 @@ def test_check_unknown_suite_is_usage_error(capsys):
 
 
 # Every command, both ways of giving a boost, with and without an event, a
-# rapidity in the series band |nu.n alpha| < 1e-4, and both surface
+# rapidity in the near-zero band |nu.n alpha| < 1e-4, and both surface
 # families in both formats.
 REPLAY = (
     ["boost", "--nu=0.3,-0.4,0.8", "--r=0.37", "--n=0.2,0.9,-0.1", "--alpha=1.7"],
@@ -239,7 +239,7 @@ def test_cli_bytes_do_not_depend_on_numpy_being_loaded(tmp_path, capsys):
         assert (proc.returncode, proc.stdout) == (code, out), argv
         if written is not None:
             assert path.read_bytes() == written, argv
-    # the fifth boost is in the series band
+    # the fifth boost is in the near-zero band
     assert abs(UnitVector3.normalized((1.0, 0.0, 2e-5)).z * 2.5) < 1e-4
 
 
@@ -357,6 +357,54 @@ def test_overflowing_rapidity_is_domain_error(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("finslerboost: ")
+
+
+@pytest.mark.parametrize("n, alpha, what", [
+    ("0,0,1", "25", "gives a speed that rounds to 1"),
+    ("1,0,0", "1e5", "gives a speed that rounds to 1"),
+    ("0,0,-1", "800", "overflows the boost coefficients"),
+])
+def test_rapidity_outside_the_float_domain_is_named(n, alpha, what, capsys):
+    code, out, err = run(
+        capsys, "boost", "--nu", "0,0,1", "--r", "0.2", "--n", n, "--alpha", alpha
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("finslerboost: OutOfRange: rapidity alpha = ")
+    assert what in err
+
+
+def test_slow_frames_are_boosts_not_the_identity(capsys):
+    code, out, _ = run(capsys, "boost", "--nu", "0,0,1", "--r", "0", "--v", "1e-11,0,0")
+    doc = json.loads(out)
+    assert code == 0 and doc["params"]["alpha"] == pytest.approx(1e-11, rel=1e-15)
+    m = np.array(doc["matrix"]).reshape(4, 4)
+    assert m[0, 1] == pytest.approx(-1e-11, rel=1e-15)
+    code, out, _ = run(
+        capsys, "compose", "--nu", "0,0,1",
+        "--n1", "1,0,0", "--alpha1", "1e-11", "--n2", "0,1,0", "--alpha2", "1e-11",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["params"]["alpha"] == pytest.approx(math.sqrt(2.0) * 1e-11, rel=1e-15)
+    assert doc["velocity"][:2] == pytest.approx([1e-11, 1e-11], rel=1e-15)
+    assert doc["residual"] <= 1e-16
+
+
+def test_boost_prints_the_dilation_of_its_matrix(capsys):
+    # across the axis e^{-r (nu.n) alpha} is exactly 1, however fast the frame
+    code, out, _ = run(
+        capsys, "boost", "--nu", "0,0,1", "--r", "0.2", "--n", "1,0,0", "--alpha", "40"
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["dilation"] == 1.0
+    assert np.array(doc["matrix"]).reshape(4, 4)[2, 2] == 1.0
+    # along it, the matrix is scaled by the printed factor
+    code, out, _ = run(
+        capsys, "boost", "--nu", "0,0,1", "--r", "0.2", "--n", "0,0,1", "--alpha", "1"
+    )
+    doc = json.loads(out)
+    assert doc["dilation"] == math.exp(-0.2)
+    assert np.array(doc["matrix"]).reshape(4, 4)[1, 1] == math.exp(-0.2)
 
 
 SIX_COMMANDS = FIVE_COMMANDS + (["check", "--suite=closure", "--samples=1"],)

@@ -164,9 +164,12 @@ def test_finsler_joint_rotation_invariance():
 
 
 def test_type_validation():
-    for bad in ({"abs_tol": 1.0}, {"abs_tol": math.nan}, {"limit_switch": math.inf}):
+    for bad in ({"abs_tol": 1.0}, {"abs_tol": math.nan}):
         with pytest.raises(ValueError):
             Tolerance(**bad)
+    # limit_switch is a class constant, not a field
+    with pytest.raises(TypeError):
+        Tolerance(limit_switch=math.inf)
     with pytest.raises(ValueError):
         UnitVector3(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):

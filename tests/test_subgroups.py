@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -118,6 +119,30 @@ def test_abelian_params_small_velocity_limit():
     p = AbelianParams(E_X, 1e-4)
     back = abelian_params_from_velocity(NU_Z, abelian_velocity(NU_Z, p))
     assert back.alpha == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_abelian_params_near_zero_against_mpmath():
+    """Down to alpha = 1e-150 the rapidity comes back to 50-digit accuracy.
+    nu is a coordinate axis: along a general nu, the float n.nu ~ 1e-17
+    would swamp the alpha^2 / 2 that v.nu carries."""
+    rng = np.random.default_rng(61)
+    axes = [UnitVector3(*row) for row in np.vstack([np.eye(3), -np.eye(3)]).tolist()]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k, mag in enumerate(np.geomspace(1e-150, 1e-4, 30).tolist()):
+            nu = axes[k % 6]
+            p = AbelianParams(AbelianParams.from_tangent(nu, rng.normal(size=3)).n, mag)
+            back = abelian_params_from_velocity(nu, abelian_velocity(nu, p))
+            assert back.alpha == pytest.approx(mag, rel=1e-15)
+            assert np.max(np.abs(back.n.as_array() - p.n.as_array())) <= 1e-15
+            vnu = mpmath.mpf(dot3(abelian_velocity(nu, p), nu))  # one nonzero term
+            exact = mpmath.sqrt(2 * vnu / (1 - vnu))
+            worst = max(worst, float(abs(back.alpha - exact) / exact))
+    assert worst <= 4.5e-16, worst
+    # where v.v is subnormal or zero, the velocity has no float direction
+    for speed in (0.0, 1e-160, 1e-155):
+        with pytest.raises(ZeroVelocity):
+            abelian_params_from_velocity(NU_Z, Velocity3(speed, 0.0, 0.0))
 
 
 def test_abelian_params_error_paths():
