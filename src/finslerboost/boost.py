@@ -182,7 +182,7 @@ def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
 
     g1 acts first.  A result whose squared norm n alpha . n alpha is zero
     or subnormal has no float direction; it is the identity, returned as
-    (n = nu, alpha = 0).
+    (n = nu, alpha = 0).  Coefficients that overflow raise OutOfRange.
     """
     nuv = _t3(nu)
     n1, a1 = _t3(g1.n), g1.alpha
@@ -190,11 +190,16 @@ def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
     s1a = _dot(nuv, n1) * a1
     s2a = _dot(nuv, n2) * a2
     x = _dot(nuv, [p * a1 + q * a2 for p, q in zip(n1, n2)])
-    c1 = -a1 * _exprel(s1a)
-    c2 = -math.exp(s1a) * a2 * _exprel(s2a)
-    pref = -1.0 / _exprel(x)  # x / (1 - e^x)
+    try:
+        c1 = -a1 * _exprel(s1a)
+        c2 = -math.exp(s1a) * a2 * _exprel(s2a)
+        pref = -1.0 / _exprel(x)  # x / (1 - e^x)
+    except OverflowError:  # an axis part beyond 709.78
+        c1 = c2 = pref = math.nan
     vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
     asq = _dot(vec, vec)
+    if not asq < math.inf:
+        raise OutOfRange(f"rapidities alpha = {a1}, {a2} overflow the composition coefficients")
     if asq < sys.float_info.min:
         return BoostParams.identity(nu)
     return BoostParams(UnitVector3.normalized(vec), math.sqrt(asq))

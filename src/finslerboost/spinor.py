@@ -22,6 +22,7 @@ from .core import (
     AnisotropySpec,
     DegenerateRatio,
     NullDensity,
+    OutOfRange,
     Tolerance,
     UnitVector3,
     Velocity3,
@@ -133,9 +134,13 @@ def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """
     nuv, nv = _t3(nu), _t3(params.n)
     half = 0.5 * (_dot(nuv, nv) * params.alpha)
-    # sinh(h)/h = (exprel(h) + exprel(-h)) / 2, with no cancellation
-    sinhc = 0.5 * (_exprel(half) + _exprel(-half))
+    try:  # sinh(h)/h = (exprel(h) + exprel(-h)) / 2, with no cancellation
+        sinhc = 0.5 * (_exprel(half) + _exprel(-half))
+    except OverflowError:  # |(nu.n) alpha| > 1419.56, before cosh(half) overflows
+        sinhc = math.nan
     f = 0.5 * params.alpha * sinhc
+    if not f < math.inf:
+        raise OutOfRange(f"rapidity alpha = {params.alpha} overflows the spin coefficients")
     return _matrix(
         _blocks(math.cosh(half), [f * c for c in _cross(nuv, nv)], [f * c for c in nv])
     )

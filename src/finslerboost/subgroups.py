@@ -16,6 +16,7 @@ from .core import (
     NonOrthogonal,
     NonTimelike,
     OffHorosphere,
+    OutOfRange,
     UnitVector3,
     Velocity3,
     ZeroVelocity,
@@ -104,19 +105,34 @@ def _check_orthogonal(nu: UnitVector3, n: UnitVector3) -> None:
         raise NonOrthogonal(f"boost direction not orthogonal to axis: nu.n = {dot3(nu, n)}")
 
 
+def _abelian(nuv: tuple, w: tuple, x: FourVector) -> FourVector:
+    """Transverse boost by the tangent vector w (orthogonal to nu) of an
+    event: with d = x0 - nu.x, which it keeps, and c = (w.w / 2) d - w.x,
+    the image is (x0 + c, x - d w + c nu)."""
+    (m0, m1, m2), (w0, w1, w2) = nuv, w
+    t, a, b, e = x.t, x.x, x.y, x.z
+    d = t - (m0 * a + m1 * b + m2 * e)
+    c = 0.5 * (w0 * w0 + w1 * w1 + w2 * w2) * d - (w0 * a + w1 * b + w2 * e)
+    return FourVector(t + c, a - w0 * d + m0 * c, b - w1 * d + m1 * c, e - w2 * d + m2 * c)
+
+
+def _tangent(nuv: tuple, v: tuple) -> tuple:
+    """Tangent vector w = (v - (v.nu) nu)/(1 - v.nu) of the transverse boost
+    reaching the velocity v.  Its norm alpha is read from the transverse part
+    of v, so it does not cancel.  Raises OffHorosphere for v off the unit
+    horosphere; v = 0 is on it."""
+    level = _horosphere(v, nuv)
+    if abs(level - 1.0) > HOROSPHERE_TOL:
+        raise OffHorosphere(f"velocity is off the horosphere: level = {level}")
+    s = _dot(v, nuv)
+    return tuple((c - s * m) / (1.0 - s) for c, m in zip(v, nuv))
+
+
 def abelian_transform(nu: UnitVector3, p: AbelianParams, x: FourVector) -> FourVector:
     """Finite Abelian boost applied to event coordinates."""
     _check_orthogonal(nu, p.n)
-    nuv = _t3(nu)
-    nv = _t3(p.n)
-    a = p.alpha
-    sx = (x.x, x.y, x.z)
-    nx = _dot(nv, sx)
-    nux = _dot(nuv, sx)
-    half = a * a / 2.0
-    t = (half + 1.0) * x.t - a * nx - half * nux
-    cn, cnu = -x.t + nux, (x.t - nux) * half - nx * a
-    return FourVector(t, *[q + m * cn * a + u * cnu for q, m, u in zip(sx, nv, nuv)])
+    n, a = p.n, p.alpha
+    return _abelian(_t3(nu), (n.x * a, n.y * a, n.z * a), x)
 
 
 def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
@@ -129,27 +145,16 @@ def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
 
 
 def abelian_params_from_velocity(nu: UnitVector3, v: Velocity3) -> AbelianParams:
-    """Invert the velocity map on the horosphere.
-
-    Unique for alpha > 0 with v.nu > 0; v.nu = 0 forces alpha = 0.  A
-    velocity whose squared norm v.v is zero or subnormal has no float
-    direction and raises ZeroVelocity.
+    """Invert the velocity map on the horosphere: n alpha is the tangent
+    vector (v - (v.nu) nu)/(1 - v.nu), with alpha >= 0.  A velocity whose
+    squared norm v.v is zero or subnormal has no float direction and raises
+    ZeroVelocity.
     """
-    vv, nuv = _t3(v), _t3(nu)
+    vv = _t3(v)
     vsq = _dot(vv, vv)
     if vsq < sys.float_info.min:
         raise ZeroVelocity(f"direction is undefined: v.v = {vsq} is zero or subnormal")
-    level = _horosphere(vv, nuv)
-    if abs(level - 1.0) > HOROSPHERE_TOL:
-        raise OffHorosphere(f"velocity is off the horosphere: level = {level}")
-    vnu = _dot(vv, nuv)
-    alpha = math.sqrt(2.0 * vnu / (1.0 - vnu)) if vnu > 0 else 0.0
-    if alpha == 0.0:
-        n = UnitVector3.normalized([c - vnu * u for c, u in zip(vv, nuv)])
-        return AbelianParams(n, 0.0)
-    half = alpha * alpha / 2.0
-    n_vec = [(c * (1.0 + half) - u * half) / alpha for c, u in zip(vv, nuv)]
-    return AbelianParams(UnitVector3.normalized(n_vec), alpha)
+    return AbelianParams.from_tangent(nu, _tangent(_t3(nu), vv))
 
 
 def abelian_transform_v(nu: UnitVector3, v: Velocity3, x: FourVector) -> FourVector:
@@ -158,19 +163,8 @@ def abelian_transform_v(nu: UnitVector3, v: Velocity3, x: FourVector) -> FourVec
     Preserves both (x0^2 - x^2) and (x0 - nu.x), hence the anisotropic
     interval for every r.
     """
-    vv, nuv = _t3(v), _t3(nu)
-    if _dot(vv, vv) > 0:
-        level = _horosphere(vv, nuv)
-        if abs(level - 1.0) > HOROSPHERE_TOL:
-            raise OffHorosphere(f"velocity is off the horosphere: level = {level}")
-    sx = (x.x, x.y, x.z)
-    vx = _dot(vv, sx)
-    nux = _dot(nuv, sx)
-    vnu = _dot(vv, nuv)
-    w = 1.0 - vnu
-    t = (x.t - vx) / w
-    cv, cnu = x.t - nux, (2.0 * x.t - nux) * vnu - vx
-    return FourVector(t, *[q - (cv * p - cnu * u) / w for q, p, u in zip(sx, vv, nuv)])
+    nuv = _t3(nu)
+    return _abelian(nuv, _tangent(nuv, _t3(v)), x)
 
 
 def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> FourVector:
@@ -181,8 +175,11 @@ def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> Four
     nuv = _t3(spec.nu)
     sx = (x.x, x.y, x.z)
     nux = _dot(nuv, sx)
-    d = math.exp(-spec.r * p.alpha)
-    ch, sh = math.cosh(p.alpha), math.sinh(p.alpha)
+    try:
+        d = math.exp(-spec.r * p.alpha)
+        ch, sh = math.cosh(p.alpha), math.sinh(p.alpha)
+    except OverflowError:  # |alpha| > 710.47 or -r alpha > 709.78
+        raise OutOfRange(f"rapidity alpha = {p.alpha} overflows the axial coefficients") from None
     t = d * (x.t * ch - nux * sh)
     along = -x.t * sh + nux * ch
     return FourVector(t, *[d * (q - u * nux + u * along) for q, u in zip(sx, nuv)])

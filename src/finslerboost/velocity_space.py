@@ -20,9 +20,8 @@ from .core import (
     _dot,
     _horosphere,
     _t3,
-    norm3,
 )
-from .subgroups import AbelianParams, abelian_transform, perpendicular_to
+from .subgroups import _abelian, perpendicular_to
 
 __all__ = [
     "SurfaceSample",
@@ -119,31 +118,29 @@ def _plane_basis(nu: UnitVector3):
 
 
 def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
-    """numpy.linspace on floats, digit for digit: i * step + start, the
-    last point set to stop, and numpy's (i / div) * delta when the step
-    underflows to 0."""
-    div = num - 1 if endpoint else num
-    delta = stop - start
-    if div > 0:
-        step = delta / div
-        if step == 0:
-            points = [i / div * delta + start for i in range(num)]
-        else:
-            points = [i * step + start for i in range(num)]
-    else:
-        points = [i * delta + start for i in range(num)]
+    """num evenly spaced floats start + (stop - start) i / div; the last is
+    stop when endpoint is true."""
+    div = max(num - 1, 1) if endpoint else num
+    points = [start + (stop - start) * i / div for i in range(num)]
     if endpoint and num > 1:
         points[-1] = stop
     return points
 
 
-def _verify(nu, family, level, v: Velocity3) -> Velocity3:
-    got = horosphere_level(nu, v) if family == "horosphere" else cylinder_level(nu, v)
+def _verify(nu, family, level, v: tuple) -> Velocity3:
+    """The point v, after checking that it re-evaluates to its level; a
+    speed that rounds to 1 re-evaluates to inf."""
+    try:
+        p = Velocity3(*v)
+    except ValueError:  # the speed rounds to 1, or a component overflowed
+        got = math.inf
+    else:
+        got = horosphere_level(nu, p) if family == "horosphere" else cylinder_level(nu, p)
     if abs(got - level) > SURFACE_CHECK_TOL * max(1.0, abs(level)):
         raise OutOfRange(
             f"sampled point re-evaluates to {got}, expected level {level}"
         )
-    return v
+    return p
 
 
 def sample_surface(
@@ -176,30 +173,20 @@ def sample_surface(
         base = FourVector(math.cosh(alpha0), *[sh * c for c in nuv])
         for b1 in _linspace(-extent, extent, n1):
             for b2 in _linspace(-extent, extent, n2):
-                w = [b1 * p + b2 * q for p, q in zip(e1, e2)]
-                mag = norm3(w)
-                if mag == 0.0:
-                    u = base
-                else:
-                    p = AbelianParams(UnitVector3.normalized([c / mag for c in w]), mag)
-                    u = abelian_transform(nu, p, base)
-                v = Velocity3(u.x / u.t, u.y / u.t, u.z / u.t)
-                points.append(_verify(nu, family, level, v))
+                u = _abelian(nuv, tuple(b1 * p + b2 * q for p, q in zip(e1, e2)), base)
+                points.append(_verify(nu, family, level, (u.x / u.t, u.y / u.t, u.z / u.t)))
     elif family == "cylinder":
         if level < 0:
             raise OutOfRange("cylinder level must be nonnegative")
         for t in _linspace(-extent, extent, n1):
             a = math.tanh(t)
             if level == 0.0:
-                v = Velocity3(*[a * c for c in nuv])
-                points.append(_verify(nu, family, level, v))
+                points.append(_verify(nu, family, level, tuple(a * c for c in nuv)))
                 continue
             rho = math.sqrt(level * (1.0 - a * a) / (1.0 + level))
             for theta in _linspace(0.0, 2.0 * math.pi, n2, endpoint=False):
                 ct, st = math.cos(theta), math.sin(theta)
-                v = Velocity3(
-                    *[a * c + rho * (ct * p + st * q) for c, p, q in zip(nuv, e1, e2)]
-                )
+                v = tuple(a * c + rho * (ct * p + st * q) for c, p, q in zip(nuv, e1, e2))
                 points.append(_verify(nu, family, level, v))
     else:
         raise ValueError(f"unknown surface family: {family!r}")

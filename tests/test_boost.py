@@ -7,6 +7,7 @@ import pytest
 
 from finslerboost import (
     AnisotropySpec,
+    AxialParams,
     BoostParams,
     FourVector,
     OutOfRange,
@@ -15,6 +16,7 @@ from finslerboost import (
     add_velocities,
     apply_matrix,
     axial_rotation,
+    axial_transform,
     boost_matrix,
     boost_matrix_inverse,
     compose,
@@ -26,6 +28,7 @@ from finslerboost import (
     generator,
     minkowski_interval,
     params_from_velocity,
+    spinor_boost,
     translate,
     velocity_from_params,
 )
@@ -532,3 +535,16 @@ def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
             boost_matrix(NU_Z, g)
     else:
         assert np.isfinite(boost_matrix(NU_Z, g)).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compose(NU_Z, BoostParams(NU_Z, 710.0), BoostParams(E_X, 0.1)),
+    lambda: compose(NU_Z, BoostParams(NU_Z, 400.0), BoostParams(NU_Z, 400.0)),
+    lambda: spinor_boost(NU_Z, BoostParams(NU_Z, 1500.0)),
+    lambda: axial_transform(
+        AnisotropySpec(NU_Z, 0.0), AxialParams(800.0), FourVector(1.0, 0.0, 0.0, 0.0)
+    ),
+], ids=["compose-axis-710", "compose-400-400", "spinor-1500", "axial-800"])
+def test_coefficient_overflow_is_out_of_range(call):
+    with pytest.raises(OutOfRange, match=r"rapidit(y|ies) alpha = .* overflows?"):
+        call()

@@ -1,7 +1,9 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,3 +452,22 @@ def test_negative_number_as_separate_token(argv, option, value, capsys, tmp_path
     joined = run(capsys, *argv, f"{option}={value}")
     assert separate == joined
     assert separate[0] == 0, separate
+
+
+def _readme_cli_examples() -> list:
+    """The `finslerboost ...` commands of README's CLI block, with lines
+    that end in a backslash joined to the next."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("finslerboost ")]
+    assert commands, "README has no CLI example"
+    return commands
+
+
+def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for command in _readme_cli_examples():
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert (code, err) == (0, ""), command
+        json.loads(out)
