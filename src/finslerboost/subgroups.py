@@ -178,11 +178,13 @@ def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> Four
     try:
         d = math.exp(-spec.r * p.alpha)
         ch, sh = math.cosh(p.alpha), math.sinh(p.alpha)
-    except OverflowError:  # |alpha| > 710.47 or -r alpha > 709.78
-        raise OutOfRange(f"rapidity alpha = {p.alpha} overflows the axial coefficients") from None
-    t = d * (x.t * ch - nux * sh)
-    along = -x.t * sh + nux * ch
-    return FourVector(t, *[d * (q - u * nux + u * along) for q, u in zip(sx, nuv)])
+        t = d * (x.t * ch - nux * sh)
+        along = -x.t * sh + nux * ch
+        return FourVector(t, *[d * (q - u * nux + u * along) for q, u in zip(sx, nuv)])
+    except (OverflowError, ValueError):  # a coefficient or the image is beyond float range
+        raise OutOfRange(
+            f"rapidity alpha = {p.alpha} with r = {spec.r} overflows the axial transform"
+        ) from None
 
 
 @dataclass(frozen=True)

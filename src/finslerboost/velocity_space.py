@@ -136,7 +136,7 @@ def _verify(nu, family, level, v: tuple) -> Velocity3:
         got = math.inf
     else:
         got = horosphere_level(nu, p) if family == "horosphere" else cylinder_level(nu, p)
-    if abs(got - level) > SURFACE_CHECK_TOL * max(1.0, abs(level)):
+    if not abs(got - level) <= SURFACE_CHECK_TOL * max(1.0, abs(level)):  # nan fails
         raise OutOfRange(
             f"sampled point re-evaluates to {got}, expected level {level}"
         )
@@ -162,6 +162,8 @@ def sample_surface(
     n1, n2 = resolution
     if n1 < 1 or n2 < 1:
         raise ValueError("resolution must be at least 1x1")
+    if not math.isfinite(level):
+        raise OutOfRange(f"surface level must be finite: {level}")
     nuv = _t3(nu)
     e1, e2 = _plane_basis(nu)
     points = []

@@ -544,7 +544,10 @@ def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
     lambda: axial_transform(
         AnisotropySpec(NU_Z, 0.0), AxialParams(800.0), FourVector(1.0, 0.0, 0.0, 0.0)
     ),
-], ids=["compose-axis-710", "compose-400-400", "spinor-1500", "axial-800"])
+    lambda: axial_transform(  # e^{-r alpha} and cosh alpha are finite, their product is not
+        AnisotropySpec(NU_Z, -1.0), AxialParams(400.0), FourVector(1.0, 0.0, 0.0, 0.0)
+    ),
+], ids=["compose-axis-710", "compose-400-400", "spinor-1500", "axial-800", "axial-r-400"])
 def test_coefficient_overflow_is_out_of_range(call):
     with pytest.raises(OutOfRange, match=r"rapidit(y|ies) alpha = .* overflows?"):
         call()

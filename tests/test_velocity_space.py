@@ -252,6 +252,13 @@ def test_sample_surface_errors():
         sample_surface(NU_Z, "paraboloid", 1.0)
 
 
+@pytest.mark.parametrize("family", ["horosphere", "cylinder"])
+@pytest.mark.parametrize("level", [math.inf, math.nan])
+def test_sample_surface_nonfinite_level(family, level):
+    with pytest.raises(OutOfRange, match="level must be finite"):
+        sample_surface(NU_Z, family, level)
+
+
 def test_surface_serialization(tmp_path):
     import csv
     import io
