@@ -21,6 +21,7 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
+    _r_power,
     _t3,
     dot3,
 )
@@ -162,7 +163,7 @@ def _boost_rows(nu: UnitVector3, params: BoostParams, scale: float = 1.0) -> lis
 
 def _params_dilation(spec: AnisotropySpec, params: BoostParams) -> float:
     """Scale D = e^{-r (nu.n) alpha} of the generalized boost D * Lambda."""
-    return math.exp(-spec.r * dot3(spec.nu, params.n) * params.alpha)
+    return _r_power(spec.r, math.exp, -spec.r * dot3(spec.nu, params.n) * params.alpha)
 
 
 def boost_matrix(nu: UnitVector3, params: BoostParams) -> np.ndarray:
@@ -245,18 +246,41 @@ def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     return BoostParams(UnitVector3.normalized(n_vec), alpha)
 
 
+def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
+    """Velocity reached by the inverse of the element reaching u, on float
+    3-tuples: [-gamma (1 + s) u_perp + (C - s) nu]/(1 + C) with s = u.nu,
+    u_perp = nu x (u x nu) and C = |u x nu|^2/(1 - u^2).  It has the same
+    gamma, horosphere level 1/h and perpendicular part -u_perp/h, where
+    h = gamma (1 - s) and 1/h = gamma (1 + s)/(1 + C)."""
+    s = _dot(u, nuv)
+    u_x_nu = _cross(u, nuv)
+    perp = _cross(nuv, u_x_nu)
+    w = 1.0 - _dot(u, u)
+    c = _dot(u_x_nu, u_x_nu) / w
+    k = (1.0 + s) / math.sqrt(w)
+    return tuple((m * (c - s) - k * p) / (1.0 + c) for p, m in zip(perp, nuv))
+
+
+def _act(nuv: tuple, u: tuple, w: tuple, x: tuple) -> tuple:
+    """Image of velocity x under the boost reaching u, whose inverse reaches w.
+
+    With g = 1/sqrt(1 - u^2) that boost is
+    Lambda = [[g, -g u^T], [g w, I - (g w - (g - 1) nu) nu^T - g nu u^T]]:
+    its time row is the frame's 4-velocity, its time column the inverse
+    frame's.  It acts on velocities projectively, x -> the spatial part of
+    Lambda (1, x) over its time part g (1 - u.x).
+    """
+    g = 1.0 / math.sqrt(1.0 - _dot(u, u))
+    nu_x, u_x = _dot(nuv, x), _dot(u, x)
+    a = g * (1.0 - nu_x)
+    b = (g - 1.0) * nu_x - g * u_x
+    den = g * (1.0 - u_x)
+    return tuple((a * p + q + m * b) / den for p, q, m in zip(w, x, nuv))
+
+
 def _add_velocities(nuv: tuple, a1: tuple, a2: tuple) -> tuple:
-    """Velocity composition on float 3-tuples."""
-    g1s = math.sqrt(1.0 - _dot(a1, a1))
-    d1 = 1.0 - _dot(a1, nuv)
-    nu_v2 = _dot(nuv, a2)
-    v1_v2 = _dot(a1, a2)
-    along = v1_v2 + nu_v2 * (g1s - 1.0)
-    den = d1 + v1_v2 * g1s + nu_v2 * (d1 + g1s) * (g1s - 1.0)
-    return tuple(
-        ((p * (1.0 - nu_v2) + q * g1s) * d1 + m * along * g1s) / den
-        for p, q, m in zip(a1, a2, nuv)
-    )
+    """add_velocities on 3-tuples: Lambda(a1)^-1 reaches a1's inverse frame."""
+    return _act(nuv, _inverse_frame(nuv, a1), a1, a2)
 
 
 def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
@@ -271,7 +295,7 @@ def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
 
 def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
     """Scale factor D = ((1 - v.nu)/sqrt(1 - v^2))^r; strictly positive."""
-    return _horosphere(_t3(v), _t3(spec.nu)) ** spec.r
+    return _r_power(spec.r, pow, _horosphere(_t3(v), _t3(spec.nu)), spec.r)
 
 
 def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.ndarray:

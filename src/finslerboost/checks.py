@@ -139,6 +139,17 @@ def _params(rng) -> boost.BoostParams:
     return boost.BoostParams(_unit(rng), _alpha(rng))
 
 
+def _near_band_params(rng, nu: UnitVector3) -> boost.BoostParams:
+    """Parameters with alpha in [0.5, 3] and the axis part (nu.n) alpha drawn
+    uniformly from the near-zero band |(nu.n) alpha| < limit_switch."""
+    band = DEFAULT_TOL.limit_switch
+    alpha = float(rng.uniform(0.5, 3.0))
+    s = float(rng.uniform(-band, band)) / alpha
+    perp = subgroups.perpendicular_to(nu)
+    n = UnitVector3.normalized(math.sqrt(1.0 - s * s) * perp.as_array() + s * nu.as_array())
+    return boost.BoostParams(n, alpha)
+
+
 def _timelike(rng) -> FourVector:
     x = rng.uniform(-1.0, 1.0, size=3)
     t = norm3(x) + rng.uniform(0.1, 2.0)
@@ -222,19 +233,10 @@ def suite_roundtrip(rng, samples):
     p_n = PropertyResult("direction-roundtrip", 1e-9)
     p_a = PropertyResult("rapidity-roundtrip", 1e-9)
     degenerate = min(100, samples)
-    switch = DEFAULT_TOL.limit_switch
     for i in range(samples):
         nu = _unit(rng)
         if i < degenerate:
-            # force |nu.n alpha| into the near-zero band
-            alpha = float(rng.uniform(0.5, 3.0))
-            target = float(rng.uniform(-switch, switch))
-            s = target / alpha
-            perp = subgroups.perpendicular_to(nu)
-            n = UnitVector3.normalized(
-                math.sqrt(1.0 - s * s) * perp.as_array() + s * nu.as_array()
-            )
-            g = boost.BoostParams(n, alpha)
+            g = _near_band_params(rng, nu)
         else:
             g = boost.BoostParams(_unit(rng), float(rng.uniform(1e-3, 3.0)))
         v = boost.velocity_from_params(nu, g)
@@ -367,15 +369,10 @@ def suite_subgroups(rng, samples):
         nu = _unit(rng)
         r = _aniso(rng)
         spec = AnisotropySpec(nu, r)
-        e1 = subgroups.perpendicular_to(nu)
-        e2 = UnitVector3.normalized(np.cross(nu.as_array(), e1.as_array()))
+        e1, e2 = map(np.array, velocity_space._plane_basis(nu))
         th1, th2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        n1 = UnitVector3.normalized(
-            math.cos(th1) * e1.as_array() + math.sin(th1) * e2.as_array()
-        )
-        n2 = UnitVector3.normalized(
-            math.cos(th2) * e1.as_array() + math.sin(th2) * e2.as_array()
-        )
+        n1 = UnitVector3.normalized(math.cos(th1) * e1 + math.sin(th1) * e2)
+        n2 = UnitVector3.normalized(math.cos(th2) * e1 + math.sin(th2) * e2)
         a1, a2 = rng.uniform(-2.0, 2.0, size=2)
         x = _timelike(rng)
         pa1 = subgroups.AbelianParams(n1, float(a1))
@@ -490,16 +487,9 @@ def suite_branch(rng, samples):
     p_lam = PropertyResult("boost-branch-continuity", 1e-9)
     p_vel = PropertyResult("velocity-branch-continuity", 1e-9)
     p_spin = PropertyResult("spinor-branch-continuity", 1e-9)
-    band = DEFAULT_TOL.limit_switch
     for _ in range(samples):
         nu = _unit(rng)
-        alpha = float(rng.uniform(0.5, 3.0))
-        s = float(rng.uniform(-band, band)) / alpha
-        perp = subgroups.perpendicular_to(nu)
-        n = UnitVector3.normalized(
-            math.sqrt(1.0 - s * s) * perp.as_array() + s * nu.as_array()
-        )
-        g = boost.BoostParams(n, alpha)
+        g = _near_band_params(rng, nu)
         lam, vel, spin = _taylor_near_zero(nu, g)
         p_lam.record(_maxdiff(boost.boost_matrix(nu, g), lam))
         p_vel.record(_maxdiff(boost.velocity_from_params(nu, g).as_array(), vel))

@@ -82,32 +82,26 @@ class NullDensity(DomainError):
 
 
 class OutOfRange(DomainError):
-    """Requested level outside the range of the surface family, or a
-    rapidity whose speed rounds to 1 or whose coefficients overflow."""
+    """Input outside the float range of an operation: a surface level out of
+    its family's range, a rapidity whose speed rounds to 1, or an overflow."""
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical tolerance of the two singular bands of the library.
+    """Numerical tolerances: read-only class constants, not settings.
 
     The light-cone band of finsler_interval_sq and the null-density band of
     finsler_bispinor_invariant are abs_tol times the input's squared size,
     so both functions stay homogeneous of degree 2 at every scale.  No
     function compares a speed or a rapidity with abs_tol.
 
-    limit_switch is a read-only class constant, not a setting: the
-    near-zero band |(nu.n) alpha| < 1e-4 that the conformance checks and
-    the benchmark sample separately.  No library function branches on it.
+    limit_switch is the near-zero band |(nu.n) alpha| < 1e-4 that the
+    conformance checks and the benchmark sample separately.  No library
+    function branches on it.
     """
 
-    abs_tol: float = 1e-10
+    abs_tol: ClassVar[float] = 1e-10
     limit_switch: ClassVar[float] = 1e-4
-
-    def __post_init__(self):
-        # |density| <= j0: an abs_tol >= 1 would turn every bispinor into a
-        # null density
-        if not 0 < self.abs_tol < 1:
-            raise ValueError("need 0 < abs_tol < 1")
 
 
 DEFAULT_TOL = Tolerance()
@@ -279,6 +273,15 @@ def _horosphere(v: tuple, nu: tuple) -> float:
     return (1.0 - _dot(v, nu)) / math.sqrt(1.0 - _dot(v, v))
 
 
+def _r_power(r: float, power, *args) -> float:
+    """power(*args), math.exp or pow, with an exponent that grows with the
+    anisotropy r: an overflow raises OutOfRange naming r; underflow is 0.0."""
+    try:
+        return power(*args)
+    except OverflowError:
+        raise OutOfRange(f"anisotropy r = {r} overflows its scale factor") from None
+
+
 def dot3(a, b) -> float:
     return _dot(_t3(a), _t3(b))
 
@@ -299,9 +302,7 @@ def minkowski_interval(dx: FourVector) -> float:
     return dx.t * dx.t - (dx.x * dx.x + dx.y * dx.y + dx.z * dx.z)
 
 
-def finsler_interval_sq(
-    dx: FourVector, spec: AnisotropySpec, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
     """Anisotropic interval ds^2 = [(dx0 - nu.dx)^2 / (dx0^2 - dx^2)]^r (dx0^2 - dx^2).
 
     Defined on the timelike region and its lightlike boundary.  On the
@@ -312,13 +313,13 @@ def finsler_interval_sq(
     sx = (dx.x, dx.y, dx.z)
     num = dx.t - _dot(_t3(spec.nu), sx)
     scale = dx.t * dx.t + _dot(sx, sx)
-    thr = tol.abs_tol * scale
+    thr = Tolerance.abs_tol * scale
     if base < -thr:
         if spec.r != round(spec.r):
             raise SpacelikeInput(
                 "spacelike displacement: fractional power of a negative base"
             )
-        return (num * num / base) ** round(spec.r) * base
+        return _r_power(spec.r, pow, num * num / base, round(spec.r)) * base
     if abs(base) <= thr:
         if abs(num) <= math.sqrt(thr):
             return 0.0
@@ -327,7 +328,7 @@ def finsler_interval_sq(
                 "lightlike displacement off the preferred ray diverges for r < 0"
             )
         return 0.0
-    return (num * num / base) ** spec.r * base
+    return _r_power(spec.r, pow, num * num / base, spec.r) * base
 
 
 def matrix_to_json(m) -> list:

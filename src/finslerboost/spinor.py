@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 from .boost import BoostParams, _exprel
 from .core import (
-    DEFAULT_TOL,
     AnisotropySpec,
     DegenerateRatio,
     NullDensity,
@@ -29,6 +28,7 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
+    _r_power,
     _t3,
 )
 
@@ -153,7 +153,8 @@ def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
     vnu = _dot(vv, nuv)
     root = math.sqrt(1.0 - _dot(vv, vv))
     level = _horosphere(vv, nuv)
-    pref = level ** (-1.5 * spec.r) / (2.0 * math.sqrt((1.0 - vnu) * root))
+    weight = _r_power(spec.r, pow, level, -1.5 * spec.r)
+    pref = weight / (2.0 * math.sqrt((1.0 - vnu) * root))
     w = [p - (1.0 - root) * u for p, u in zip(vv, nuv)]
     return _blocks(
         pref * (1.0 - vnu + root),
@@ -214,9 +215,7 @@ def bilinear_current(psi) -> np.ndarray:
     return np.array(_current(_c4(psi)))
 
 
-def finsler_bispinor_invariant(
-    spec: AnisotropySpec, psi, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     """Anisotropy-weighted scalar density, invariant under bispinor boosts.
 
     Returns [((nu_n j^n)/rho)^2]^{-3r/2} rho with rho = psibar psi and
@@ -226,7 +225,7 @@ def finsler_bispinor_invariant(
     psi = _c4(psi)
     j = _current(psi)
     rho = _density(psi)
-    if abs(rho) <= tol.abs_tol * j[0]:  # j0 >= |rho|; psi = 0 is null
+    if abs(rho) <= Tolerance.abs_tol * j[0]:  # j0 >= |rho|; psi = 0 is null
         raise NullDensity("psibar psi vanishes; the invariant form is singular")
     q = (j[0] - _dot(_t3(spec.nu), j[1:])) / rho
     if q == 0.0:
@@ -235,4 +234,4 @@ def finsler_bispinor_invariant(
         if spec.r < 0:
             return 0.0
         return rho
-    return (q * q) ** (-1.5 * spec.r) * rho
+    return _r_power(spec.r, pow, q * q, -1.5 * spec.r) * rho

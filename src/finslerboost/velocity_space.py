@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .boost import _add_velocities
+from .boost import _act, _inverse_frame
 from .core import (
     FourVector,
     OutOfRange,
@@ -59,35 +59,16 @@ def cylinder_level(nu: UnitVector3, v: Velocity3) -> float:
     return _dot(c, c) / (1.0 - _dot(vv, vv))
 
 
-def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
-    """Velocity reached by the inverse of the element reaching u, on float
-    3-tuples; see induced_motion."""
-    s = _dot(u, nuv)
-    u_x_nu = _cross(u, nuv)
-    perp = _cross(nuv, u_x_nu)
-    w = 1.0 - _dot(u, u)
-    c = _dot(u_x_nu, u_x_nu) / w
-    k = (1.0 + s) / math.sqrt(w)
-    return tuple((m * (c - s) - k * p) / (1.0 + c) for p, m in zip(perp, nuv))
-
-
 def induced_motion(nu: UnitVector3, frame_v: Velocity3, v: Velocity3) -> Velocity3:
     """Image of velocity v in the frame moving at frame_v.
 
-    Realized through the group action: the inverse of the boost reaching
-    frame_v is composed with the element reaching v, with the subgroup's
-    compensating axis turn built into the addition law.  Preserves the
-    Lobachevsky distance between any two velocities; a frame at rest is
-    the identity.
-
-    The inverse element reaches [-gamma (1 + s) u_perp + (C - s) nu]/(1 + C)
-    for frame velocity u, with s = u.nu, u_perp = nu x (u x nu) and
-    C = |u x nu|^2/(1 - u^2): it has the same gamma, horosphere level 1/h
-    and perpendicular part -u_perp/h, where h = gamma (1 - s) and
-    1/h = gamma (1 + s)/(1 + C).
+    Realized through the group action: the boost reaching frame_v acts on
+    v projectively (boost._act), with the subgroup's compensating axis turn
+    built into its matrix.  Preserves the Lobachevsky distance between any
+    two velocities; a frame at rest is the identity.
     """
-    nuv = _t3(nu)
-    return Velocity3(*_add_velocities(nuv, _inverse_frame(nuv, _t3(frame_v)), _t3(v)))
+    nuv, u = _t3(nu), _t3(frame_v)
+    return Velocity3(*_act(nuv, u, _inverse_frame(nuv, u), _t3(v)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +156,11 @@ def sample_surface(
         base = FourVector(math.cosh(alpha0), *[sh * c for c in nuv])
         for b1 in _linspace(-extent, extent, n1):
             for b2 in _linspace(-extent, extent, n2):
-                u = _abelian(nuv, tuple(b1 * p + b2 * q for p, q in zip(e1, e2)), base)
+                w = tuple(b1 * p + b2 * q for p, q in zip(e1, e2))
+                try:
+                    u = _abelian(nuv, w, base)
+                except ValueError:  # an event component overflowed
+                    raise OutOfRange(f"horosphere extent = {extent} overflows") from None
                 points.append(_verify(nu, family, level, (u.x / u.t, u.y / u.t, u.z / u.t)))
     elif family == "cylinder":
         if level < 0:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -15,6 +16,7 @@ from finslerboost import (
     Velocity3,
     add_velocities,
     apply_matrix,
+    bispinor_matrix,
     axial_rotation,
     axial_transform,
     boost_matrix,
@@ -22,12 +24,14 @@ from finslerboost import (
     compose,
     dilation_factor,
     dot3,
+    finsler_bispinor_invariant,
     finsler_interval_sq,
     generalized_boost_matrix,
     generalized_generator,
     generator,
     minkowski_interval,
     params_from_velocity,
+    sample_surface,
     spinor_boost,
     translate,
     velocity_from_params,
@@ -550,4 +554,24 @@ def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
 ], ids=["compose-axis-710", "compose-400-400", "spinor-1500", "axial-800", "axial-r-400"])
 def test_coefficient_overflow_is_out_of_range(call):
     with pytest.raises(OutOfRange, match=r"rapidit(y|ies) alpha = .* overflows?"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: generalized_boost_matrix(AnisotropySpec(NU_Z, -1e3), BoostParams(NU_Z, 1.0)),
+     "anisotropy r = -1000.0"),
+    (lambda: dilation_factor(AnisotropySpec(NU_Z, -1e3), Velocity3(0.0, 0.0, 0.9)),
+     "anisotropy r = -1000.0"),
+    (lambda: bispinor_matrix(AnisotropySpec(NU_Z, 1e3), Velocity3(0.0, 0.0, 0.9)),
+     "anisotropy r = 1000.0"),
+    (lambda: finsler_interval_sq(FourVector(2.0, 0.0, 0.0, 1.9), AnisotropySpec(NU_Z, -1e3)),
+     "anisotropy r = -1000.0"),
+    (lambda: finsler_bispinor_invariant(AnisotropySpec(NU_Z, 1e3), [1, 0, 0.999, 0]),
+     "anisotropy r = 1000.0"),
+    (lambda: sample_surface(NU_Z, "horosphere", 1.0, (3, 3), extent=1e155),
+     "horosphere extent = 1e+155"),
+], ids=["generalized-boost", "dilation", "bispinor", "interval", "bispinor-invariant",
+        "horosphere-extent"])
+def test_overflow_is_out_of_range_naming_the_input(call, name):
+    with pytest.raises(OutOfRange, match=f"{re.escape(name)} overflows"):
         call()

@@ -165,7 +165,7 @@ def test_finsler_joint_rotation_invariance():
 
 def test_type_validation():
     for bad in ({"abs_tol": 1.0}, {"abs_tol": math.nan}):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Tolerance(**bad)
     # limit_switch is a class constant, not a field
     with pytest.raises(TypeError):

@@ -11,6 +11,7 @@ from finslerboost import (
     UnitVector3,
     Velocity3,
     abelian_velocity,
+    add_velocities,
     cylinder_level,
     dilation_factor,
     dot3,
@@ -167,10 +168,83 @@ def test_inverse_frame_against_mpmath():
         exact = _mp_induced_motion(nuv, u, v.to_json())
         worst_im = max(worst_im, *(abs(float(p - q)) for p, q in zip(got, exact)))
     assert worst_inv <= 1e-14, worst_inv
-    # The addition law alone, given the correctly rounded inverse frame,
-    # loses up to 2.9e-12 on these draws: its denominator cancels when the
-    # image is near rest and both inputs are fast.  This bound is its.
-    assert worst_im <= 4e-12, worst_im
+    # The reference takes the float nu as exact, but |nu|^2 - 1 can be 6e-17,
+    # which alone moves the image by up to 6.2e-13 on these draws (sample
+    # 3046); test_velocity_action_against_mpmath normalizes nu first.
+    assert worst_im <= 1e-12, worst_im
+
+
+def _mp_params(nu, u):
+    """(n, alpha) of the element reaching u at 50 digits, for a unit nu."""
+    usq, w = _mp_dot(u, u), 1 - _mp_dot(u, nu)
+    gamma_inv = mpmath.sqrt(1 - usq)
+    t = (gamma_inv - w) / w
+    alpha = mpmath.sqrt(2 * (1 - gamma_inv) / w) * (mpmath.log1p(t) / t if t else 1)
+    p, q = mpmath.sqrt(2 * w * (1 - gamma_inv)), mpmath.sqrt((1 - gamma_inv) / (2 * w))
+    n = [c / p - q * m for c, m in zip(u, nu)]
+    return [c / mpmath.sqrt(_mp_dot(n, n)) for c in n], alpha
+
+
+def _mp_boost_image(nu, n, alpha, x):
+    """Lambda (1, x) of the boost (n, alpha) as a velocity, from the rows of
+    boost_matrix at 50 digits: with a = (nu.n) alpha, km = alpha (1 - e^-a)/a,
+    kp = alpha (1 - e^a)/a, c0 = -km kp / 2 and r = -(km n + c0 nu), the time
+    row is (1 + c0, r) and spatial row i is
+    (kp n_i + c0 nu_i, delta_i - kp n_i nu + nu_i r)."""
+    a = _mp_dot(nu, n) * alpha
+    km = -alpha * mpmath.expm1(-a) / a if a else alpha
+    kp = -alpha * mpmath.expm1(a) / a if a else -alpha
+    c0 = -km * kp / 2
+    r = [-(km * p + c0 * m) for p, m in zip(n, nu)]
+    nu_x, r_x = _mp_dot(nu, x), _mp_dot(r, x)
+    t = 1 + c0 + r_x
+    return [(kp * p * (1 - nu_x) + c0 * m + q + m * r_x) / t for p, q, m in zip(n, x, nu)]
+
+
+def _mp_unit(u):
+    """u / |u| at 50 digits: a float unit vector is unit only to about 1e-16."""
+    u = [mpmath.mpf(c) for c in u]
+    return [c / mpmath.sqrt(_mp_dot(u, u)) for c in u]
+
+
+def _fast_frames_near_rest(rng):
+    """(nu, frame, v): frames at rapidity 2 to 3 and a v that the frame sees
+    within speed 0.1 of rest, the frame's Einstein sum with a slow velocity."""
+    for _ in range(3000):
+        nu = rand_unit(rng)
+        u = math.tanh(rng.uniform(2, 3)) * rand_unit(rng).as_array()
+        s = math.tanh(rng.uniform(0, 0.1)) * rand_unit(rng).as_array()
+        g = 1 / math.sqrt(1 - dot3(u, u))
+        v = (u + s / g + g / (1 + g) * dot3(u, s) * u) / (1 + dot3(u, s))
+        yield nu, Velocity3.from_array(u), Velocity3.from_array(v)
+
+
+def _mp_image(nu, frame, x, sign):
+    """Lambda(frame)^sign (1, x) as a velocity at 50 digits, nu normalized first."""
+    with mpmath.workdps(50):
+        nuv = _mp_unit(nu.to_json())
+        n, alpha = _mp_params(nuv, [mpmath.mpf(c) for c in frame.to_json()])
+        return _mp_boost_image(nuv, n, sign * alpha, [mpmath.mpf(c) for c in x.to_json()])
+
+
+def test_velocity_action_against_mpmath():
+    """induced_motion is Lambda(u) and add_velocities(v1, .) is Lambda(v1)^-1
+    acting on velocities; both against the boost's rows at 50 digits."""
+    rng = np.random.default_rng(173)
+    drawn = [(nu, frame, rand_speed(rng)) for nu, frame in _frames(rng)]
+    near_rest = list(_fast_frames_near_rest(rng))
+    pairs = [(rand_unit(rng), rand_speed(rng), rand_speed(rng)) for _ in range(3000)]
+    for draws, act, sign, bound in (
+        (drawn, induced_motion, 1, 1e-13),
+        (near_rest, induced_motion, 1, 1e-13),
+        (pairs, add_velocities, -1, 2e-14),
+    ):
+        worst = max(
+            abs(float(p - q))
+            for nu, frame, v in draws
+            for p, q in zip(act(nu, frame, v).to_json(), _mp_image(nu, frame, v, sign))
+        )
+        assert worst <= bound, (act.__name__, worst)
 
 
 def test_horosphere_levels_invariant_under_abelian_motions():
