@@ -72,10 +72,6 @@ class BoostParams:
     def to_json(self) -> dict:
         return {"n": self.n.to_json(), "alpha": self.alpha}
 
-    @classmethod
-    def from_json(cls, obj) -> "BoostParams":
-        return cls(UnitVector3.from_json(obj["n"]), float(obj["alpha"]))
-
 
 # The closed forms have removable singularities only in expm1(x)/x and
 # log1p(t)/t.  Neither quotient cancels for x != 0 (expm1 and log1p are

@@ -36,6 +36,11 @@ from .core import (
 __all__ = ["PropertyResult", "CheckReport", "SUITES", "run_suite", "run_all"]
 
 
+def _json_number(x: float):
+    """x, or None (JSON null) where x is inf or NaN: stdout is strict JSON."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass
 class PropertyResult:
     name: str
@@ -54,8 +59,8 @@ class PropertyResult:
     def to_json(self) -> dict:
         return {
             "property": self.name,
-            "tolerance": self.tolerance if math.isfinite(self.tolerance) else None,
-            "max_deviation": self.max_deviation,
+            "tolerance": _json_number(self.tolerance),
+            "max_deviation": _json_number(self.max_deviation),
             "pass": self.passed,
         }
 
@@ -84,7 +89,7 @@ class CheckReport:
             "seed": self.seed,
             "samples": self.samples,
             "vacuous": self.samples == 0,
-            "max_deviation": self.max_deviation,
+            "max_deviation": _json_number(self.max_deviation),
             "pass": self.passed,
             "properties": [p.to_json() for p in self.properties],
         }

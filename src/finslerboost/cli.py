@@ -17,6 +17,7 @@ from .core import (
     AnisotropySpec,
     DomainError,
     FourVector,
+    OutOfRange,
     UnitVector3,
     Velocity3,
     bispinor_to_json,
@@ -95,8 +96,15 @@ def _resolution(text: str) -> tuple:
     return grid
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+def _emit(obj: dict) -> None:
+    """Print obj as strict JSON.  A value holding inf or NaN prints nothing
+    and raises OutOfRange naming its key."""
+    for key, value in obj.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise OutOfRange(f"{key} is not finite") from None
+    sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _params_or_velocity(args, nu, suffix=""):

@@ -41,9 +41,7 @@ __all__ = [
     "minkowski_interval",
     "finsler_interval_sq",
     "matrix_to_json",
-    "matrix_from_json",
     "bispinor_to_json",
-    "bispinor_from_json",
 ]
 
 UNIT_NORM_TOL = 1e-12
@@ -144,10 +142,6 @@ class FourVector:
     def to_json(self) -> list:
         return [self.t, self.x, self.y, self.z]
 
-    @classmethod
-    def from_json(cls, obj) -> "FourVector":
-        return cls(*map(float, obj))
-
 
 @dataclass(frozen=True)
 class UnitVector3:
@@ -182,10 +176,6 @@ class UnitVector3:
     def to_json(self) -> list:
         return [self.x, self.y, self.z]
 
-    @classmethod
-    def from_json(cls, obj) -> "UnitVector3":
-        return cls(*map(float, obj))
-
 
 @dataclass(frozen=True)
 class Velocity3:
@@ -215,10 +205,6 @@ class Velocity3:
     def to_json(self) -> list:
         return [self.vx, self.vy, self.vz]
 
-    @classmethod
-    def from_json(cls, obj) -> "Velocity3":
-        return cls(*map(float, obj))
-
 
 @dataclass(frozen=True)
 class AnisotropySpec:
@@ -236,10 +222,6 @@ class AnisotropySpec:
 
     def to_json(self) -> dict:
         return {"nu": self.nu.to_json(), "r": self.r}
-
-    @classmethod
-    def from_json(cls, obj) -> "AnisotropySpec":
-        return cls(UnitVector3.from_json(obj["nu"]), float(obj["r"]))
 
 
 # Kernels on 3-tuples of floats.  numpy would send these dots through BLAS,
@@ -297,9 +279,17 @@ def norm3(a) -> float:
     return math.sqrt(_dot(a, a))
 
 
+def _finite_square(value: float, dx: FourVector) -> float:
+    """value, built from squares of dx's components, if it is finite."""
+    if not math.isfinite(value):
+        raise OutOfRange(f"event {dx.to_json()} overflows its squared size")
+    return value
+
+
 def minkowski_interval(dx: FourVector) -> float:
-    """dt^2 - |dx|^2; negative for spacelike displacements."""
-    return dx.t * dx.t - (dx.x * dx.x + dx.y * dx.y + dx.z * dx.z)
+    """dt^2 - |dx|^2; negative for spacelike displacements.  OutOfRange
+    when a square overflows."""
+    return _finite_square(dx.t * dx.t - (dx.x * dx.x + dx.y * dx.y + dx.z * dx.z), dx)
 
 
 def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
@@ -308,18 +298,13 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
     Defined on the timelike region and its lightlike boundary.  On the
     boundary: 0 when dx0 = nu.dx as well (the ray along nu), otherwise 0
     for r >= 0 and DegenerateRatio for r < 0 (the ratio diverges).
+    OutOfRange when dx0^2 + dx^2, (dx0 - nu.dx)^2 or the result overflows.
     """
     base = minkowski_interval(dx)
     sx = (dx.x, dx.y, dx.z)
     num = dx.t - _dot(_t3(spec.nu), sx)
-    scale = dx.t * dx.t + _dot(sx, sx)
+    scale = _finite_square(dx.t * dx.t + _dot(sx, sx), dx)
     thr = Tolerance.abs_tol * scale
-    if base < -thr:
-        if spec.r != round(spec.r):
-            raise SpacelikeInput(
-                "spacelike displacement: fractional power of a negative base"
-            )
-        return _r_power(spec.r, pow, num * num / base, round(spec.r)) * base
     if abs(base) <= thr:
         if abs(num) <= math.sqrt(thr):
             return 0.0
@@ -328,7 +313,15 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
                 "lightlike displacement off the preferred ray diverges for r < 0"
             )
         return 0.0
-    return _r_power(spec.r, pow, num * num / base, spec.r) * base
+    if base < 0 and spec.r != round(spec.r):
+        raise SpacelikeInput("spacelike displacement: fractional power of a negative base")
+    r = round(spec.r) if base < 0 else spec.r
+    value = _r_power(spec.r, pow, _finite_square(num * num, dx) / base, r) * base
+    if not math.isfinite(value):
+        raise OutOfRange(
+            f"anisotropy r = {spec.r} overflows the interval of event {dx.to_json()}"
+        )
+    return value
 
 
 def matrix_to_json(m) -> list:
@@ -340,26 +333,9 @@ def matrix_to_json(m) -> list:
     return flat
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    import numpy as np
-
-    a = np.asarray([float(v) for v in obj], dtype=float)
-    if a.size != 16:
-        raise ValueError("expected 16 entries")
-    return a.reshape(4, 4)
-
-
 def bispinor_to_json(psi) -> list:
     """Four [re, im] pairs of a length-4 ndarray or of four complex numbers."""
     vals = psi.tolist() if hasattr(psi, "tolist") else psi
     if len(vals) != 4:
         raise ValueError("expected 4 components")
     return [[c.real, c.imag] for c in map(complex, vals)]
-
-
-def bispinor_from_json(obj) -> np.ndarray:
-    import numpy as np
-
-    if len(obj) != 4:
-        raise ValueError("expected 4 [re, im] pairs")
-    return np.array([complex(p[0], p[1]) for p in obj], dtype=complex)

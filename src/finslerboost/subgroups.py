@@ -25,6 +25,7 @@ from .core import (
     _horosphere,
     _t3,
     dot3,
+    minkowski_interval,
     norm3,
 )
 
@@ -210,11 +211,12 @@ class AxialInvariants:
 def axial_invariants(spec: AnisotropySpec, x: FourVector) -> AxialInvariants:
     """Scaling quantities of the axial subgroup at an event.
 
-    Raises NonTimelike when x0^2 <= |x|^2, where the ratio is undefined.
+    Raises NonTimelike when x0^2 <= |x|^2, where the ratio is undefined,
+    and OutOfRange when a square overflows.
     """
     sx, nuv = (x.x, x.y, x.z), _t3(spec.nu)
     proj = x.t - _dot(nuv, sx)
-    interval = x.t * x.t - _dot(sx, sx)
+    interval = minkowski_interval(x)
     if interval <= 0.0:
         raise NonTimelike("cylinder ratio requires a timelike event")
     ratio = norm3(_cross(sx, nuv)) / math.sqrt(interval)

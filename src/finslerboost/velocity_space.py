@@ -36,14 +36,14 @@ SURFACE_CHECK_TOL = 1e-8
 
 
 def lobachevsky_distance(v1: Velocity3, v2: Velocity3) -> float:
-    """Hyperbolic distance: artanh of the Einstein relative speed."""
+    """Hyperbolic distance d with sinh d = g1 g2 sqrt((1 - v1.v2)^2 - w1 w2),
+    wi = 1 - vi^2 = 1/gi^2.  With D = v1 - v2 the radicand is
+    w1 |D|^2 + (v1.D)^2, two non-negative terms, so nothing cancels."""
     a1, a2 = _t3(v1), _t3(v2)
-    diff = [p - q for p, q in zip(a1, a2)]
-    crs = _cross(a1, a2)
-    den = 1.0 - _dot(a1, a2)
-    wsq = (_dot(diff, diff) - _dot(crs, crs)) / (den * den)
-    w = math.sqrt(max(wsq, 0.0))
-    return math.atanh(min(w, 1.0 - 1e-16))
+    diff = tuple(p - q for p, q in zip(a1, a2))
+    w1, w2 = 1.0 - _dot(a1, a1), 1.0 - _dot(a2, a2)
+    proj = _dot(a1, diff)
+    return math.asinh(math.sqrt(w1 * _dot(diff, diff) + proj * proj) / math.sqrt(w1 * w2))
 
 
 def horosphere_level(nu: UnitVector3, v: Velocity3) -> float:
@@ -152,8 +152,11 @@ def sample_surface(
         if level <= 0:
             raise OutOfRange("horosphere level must be strictly positive")
         alpha0 = -math.log(level)
-        sh = math.sinh(alpha0)
-        base = FourVector(math.cosh(alpha0), *[sh * c for c in nuv])
+        try:
+            sh, ch = math.sinh(alpha0), math.cosh(alpha0)
+        except OverflowError:  # a level below about 2.8e-309
+            raise OutOfRange(f"horosphere level = {level} overflows") from None
+        base = FourVector(ch, *[sh * c for c in nuv])
         for b1 in _linspace(-extent, extent, n1):
             for b2 in _linspace(-extent, extent, n2):
                 w = tuple(b1 * p + b2 * q for p, q in zip(e1, e2))

@@ -570,8 +570,26 @@ def test_coefficient_overflow_is_out_of_range(call):
      "anisotropy r = 1000.0"),
     (lambda: sample_surface(NU_Z, "horosphere", 1.0, (3, 3), extent=1e155),
      "horosphere extent = 1e+155"),
+    (lambda: sample_surface(NU_Z, "horosphere", 1e-310, (3, 3)),
+     "horosphere level = 1e-310"),
+    (lambda: finsler_interval_sq(FourVector(1e200, 0.0, 0.0, 0.0), AnisotropySpec(NU_Z, 0.5)),
+     "event [1e+200, 0.0, 0.0, 0.0]"),
+    (lambda: finsler_interval_sq(FourVector(1e200, 0.0, 0.0, 1e200), AnisotropySpec(NU_Z, 0.5)),
+     "event [1e+200, 0.0, 0.0, 1e+200]"),
+    (lambda: minkowski_interval(FourVector(1e200, 1e200, 0.0, 0.0)),
+     "event [1e+200, 1e+200, 0.0, 0.0]"),
+    (lambda: finsler_interval_sq(FourVector(2e3, 0.0, 0.0, 1.9e3), AnisotropySpec(NU_Z, -193)),
+     "anisotropy r = -193"),
+    (lambda: finsler_interval_sq(  # t^2 - x^2 is 0.0, t^2 + x^2 overflows
+        FourVector(1.3e154, 1.3e154, 0.0, 0.0), AnisotropySpec(NU_Z, 0.5)),
+     "event [1.3e+154, 1.3e+154, 0.0, 0.0]"),
+    (lambda: finsler_interval_sq(  # (t - z)^2 overflows; for r < 0 its power would be 0.0
+        FourVector(1.2e154, 0.0, 0.0, -0.5e154), AnisotropySpec(NU_Z, -0.5)),
+     "event [1.2e+154, 0.0, 0.0, -5e+153]"),
 ], ids=["generalized-boost", "dilation", "bispinor", "interval", "bispinor-invariant",
-        "horosphere-extent"])
+        "horosphere-extent", "horosphere-level", "interval-timelike-size",
+        "interval-ray-size", "minkowski-size", "interval-product", "interval-band-size",
+        "interval-projection-size"])
 def test_overflow_is_out_of_range_naming_the_input(call, name):
     with pytest.raises(OutOfRange, match=f"{re.escape(name)} overflows"):
         call()

@@ -25,6 +25,17 @@ def test_nan_deviation_fails_property():
     assert math.isnan(report.max_deviation)
 
 
+@pytest.mark.parametrize("dev", [math.nan, math.inf])
+def test_non_finite_deviation_is_null_in_json(dev):
+    prop = checks.PropertyResult("p", 1e-10)
+    prop.record(dev)
+    report = checks.CheckReport("s", seed=0, samples=1, properties=[prop])
+    assert prop.to_json()["max_deviation"] is None
+    assert prop.to_json()["pass"] is False
+    assert report.to_json()["max_deviation"] is None
+    assert report.to_json()["pass"] is False
+
+
 def test_negative_samples_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         checks.run_suite("closure", samples=-5)

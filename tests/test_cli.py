@@ -18,6 +18,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not have."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_boost_standard_matrix(capsys):
     code, out, _ = run(
         capsys, "boost", "--nu", "0,0,1", "--r", "0", "--n", "0,0,1", "--alpha", "1"
@@ -232,6 +240,7 @@ def test_cli_bytes_do_not_depend_on_numpy_being_loaded(tmp_path, capsys):
         argv = argv + [f"--output={path}"] if argv[0] == "surface" else argv
         code = main(argv)
         out = capsys.readouterr().out.encode()
+        strict_json(out)
         written = path.read_bytes() if argv[0] == "surface" else None
         if written is not None:
             path.unlink()
@@ -361,6 +370,25 @@ def test_overflowing_rapidity_is_domain_error(capsys):
         assert err.startswith("finslerboost: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["invariants", "--nu=0,0,1", "--r=0.5", "--x=1e200,0,0,0"],
+     "event [1e+200, 0.0, 0.0, 0.0] overflows its squared size"),
+    (["invariants", "--nu=0,0,1", "--r=0.5", "--x=1e200,0,0,1e200"],
+     "event [1e+200, 0.0, 0.0, 1e+200] overflows its squared size"),
+    (["invariants", "--nu=0,0,1", "--r=0.5", "--psi=1e200,0,0,0,0,0,0,0"],
+     "density is not finite"),
+    (["surface", "--nu=0,0,1", "--family=horosphere", "--level=1e-310"],
+     "horosphere level = 1e-310 overflows"),
+], ids=["event-size", "ray-size", "density", "horosphere-level"])
+def test_non_finite_result_is_out_of_range(argv, message, capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    argv = argv + [f"--output={path}"] if argv[0] == "surface" else argv
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"finslerboost: OutOfRange: {message}\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("n, alpha, what", [
     ("0,0,1", "25", "gives a speed that rounds to 1"),
     ("1,0,0", "1e5", "gives a speed that rounds to 1"),
@@ -470,4 +498,4 @@ def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch):
     for command in _readme_cli_examples():
         code, out, err = run(capsys, *shlex.split(command)[1:])
         assert (code, err) == (0, ""), command
-        json.loads(out)
+        strict_json(out)

@@ -17,12 +17,7 @@ from finslerboost import (
     minkowski_interval,
     norm3,
 )
-from finslerboost.core import (
-    bispinor_from_json,
-    bispinor_to_json,
-    matrix_from_json,
-    matrix_to_json,
-)
+from finslerboost.core import bispinor_to_json, matrix_to_json
 
 NU_Z = UnitVector3(0.0, 0.0, 1.0)
 
@@ -181,18 +176,20 @@ def test_type_validation():
 
 
 def test_json_round_trips():
+    """The JSON writers lose nothing: the constructors read their output back."""
     x = FourVector(1.5, -2.0, 0.25, 3.0)
-    assert FourVector.from_json(x.to_json()) == x
+    assert FourVector(*x.to_json()) == x
     nu = UnitVector3.normalized((1, 2, 2))
-    assert UnitVector3.from_json(nu.to_json()) == nu
+    assert UnitVector3(*nu.to_json()) == nu
     v = Velocity3(0.1, -0.2, 0.3)
-    assert Velocity3.from_json(v.to_json()) == v
+    assert Velocity3(*v.to_json()) == v
     spec = AnisotropySpec(nu, -0.4)
-    assert AnisotropySpec.from_json(spec.to_json()) == spec
+    obj = spec.to_json()
+    assert AnisotropySpec(UnitVector3(*obj["nu"]), obj["r"]) == spec
     m = np.arange(16, dtype=float).reshape(4, 4)
-    assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+    assert np.array_equal(np.array(matrix_to_json(m)).reshape(4, 4), m)
     psi = np.array([1 + 2j, -3j, 0.5, -1.0])
-    assert np.array_equal(bispinor_from_json(bispinor_to_json(psi)), psi)
+    assert np.array_equal([complex(*p) for p in bispinor_to_json(psi)], psi)
 
 
 def _same_floats(a, b):

@@ -31,9 +31,9 @@ def rand_unit(rng):
     return UnitVector3.normalized(rng.normal(size=3))
 
 
-def rand_speed(rng):
+def rand_speed(rng, lo=0, hi=3):
     return Velocity3.from_array(
-        math.tanh(rng.uniform(0, 3)) * rand_unit(rng).as_array()
+        math.tanh(rng.uniform(lo, hi)) * rand_unit(rng).as_array()
     )
 
 
@@ -97,38 +97,37 @@ def _mp_dot(a, b):
     return sum(p * q for p, q in zip(a, b))
 
 
-def _mp_inverse_frame(nu, u):
-    """The parameter path at 50 digits: (n, alpha) of the element reaching
-    u, then the velocity reached by (n, -alpha)."""
-    with mpmath.workdps(50):
-        nu, u = [mpmath.mpf(c) for c in nu], [mpmath.mpf(c) for c in u]
-        usq = _mp_dot(u, u)
-        w = 1 - _mp_dot(u, nu)
-        gamma_inv = mpmath.sqrt(1 - usq)
-        t = (gamma_inv - w) / w
-        alpha = mpmath.sqrt(2 * (1 - gamma_inv) / w) * (mpmath.log1p(t) / t if t else 1)
-        p, q = mpmath.sqrt(2 * w * (1 - gamma_inv)), mpmath.sqrt((1 - gamma_inv) / (2 * w))
-        n = [c / p - q * m for c, m in zip(u, nu)]
-        n = [c / mpmath.sqrt(_mp_dot(n, n)) for c in n]
-        a = -_mp_dot(nu, n) * alpha
-        km = -alpha * mpmath.expm1(-a) / (-a) if a else -alpha
-        c0 = (mpmath.cosh(a) - 1) * alpha**2 / a**2 if a else alpha**2 / 2
-        return [(km * p + c0 * q) / (1 + c0) for p, q in zip(n, nu)]
+def _mp_distance(v1, v2):
+    """acosh(g1 g2 (1 - v1.v2)) at 60 digits, the float inputs taken as exact."""
+    with mpmath.workdps(60):
+        a, b = [mpmath.mpf(c) for c in v1.to_json()], [mpmath.mpf(c) for c in v2.to_json()]
+        return mpmath.acosh(
+            (1 - _mp_dot(a, b)) / mpmath.sqrt((1 - _mp_dot(a, a)) * (1 - _mp_dot(b, b)))
+        )
 
 
-def _mp_induced_motion(nu, u, v):
-    """The parameter-path inverse frame, composed with v by the addition
-    law, at 50 digits."""
-    with mpmath.workdps(50):
-        a1 = _mp_inverse_frame(nu, u)
-        nu, a2 = [mpmath.mpf(c) for c in nu], [mpmath.mpf(c) for c in v]
-        g = mpmath.sqrt(1 - _mp_dot(a1, a1))
-        d1 = 1 - _mp_dot(a1, nu)
-        nu_v2, v1_v2 = _mp_dot(nu, a2), _mp_dot(a1, a2)
-        along = v1_v2 + nu_v2 * (g - 1)
-        den = d1 + v1_v2 * g + nu_v2 * (d1 + g) * (g - 1)
-        return [((p * (1 - nu_v2) + q * g) * d1 + m * along * g) / den
-                for p, q, m in zip(a1, a2, nu)]
+def test_distance_against_mpmath():
+    """Relative error against 60 digits: random pairs at rapidity 0-3 and
+    3-12, nearly equal pairs, and two speeds of 1 - 1e-10 head to head.
+    Above rapidity 3 the rounding of 1 - v.v is what remains."""
+    rng = np.random.default_rng(181)
+
+    def rel_err(a, b):
+        d = _mp_distance(a, b)
+        return abs(float((lobachevsky_distance(a, b) - d) / d))
+
+    def nearly(a, eps):
+        return a, Velocity3(*(c + eps * rng.uniform(-1, 1) for c in a.to_json()))
+
+    for pairs, bound in (
+        ([(rand_speed(rng), rand_speed(rng)) for _ in range(1000)], 1e-14),
+        ([(rand_speed(rng, 3, 12), rand_speed(rng, 3, 12)) for _ in range(1000)], 1e-7),
+        ([nearly(rand_speed(rng), eps) for eps in (1e-6, 1e-9, 1e-12) for _ in range(300)],
+         5e-14),
+        ([(Velocity3(0.9999999999, 0, 0), Velocity3(-0.9999999999, 0, 0))], 1e-10),
+    ):
+        got = max(rel_err(a, b) for a, b in pairs)
+        assert got <= bound, (bound, got)
 
 
 def _frames(rng):
@@ -147,31 +146,6 @@ def _frames(rng):
         nu = rand_unit(rng)
         e = UnitVector3.normalized(np.cross(nu.as_array(), rng.normal(size=3)))
         yield nu, Velocity3.from_array(math.tanh(rng.uniform(0.01, 3)) * e.as_array())
-
-
-def test_inverse_frame_against_mpmath():
-    """The closed-form inverse frame and induced_motion against the
-    parameter path at 50 digits.  The inverse frame has the frame's speed
-    and the reciprocal of its horosphere level."""
-    rng = np.random.default_rng(167)
-    worst_inv = worst_im = 0.0
-    for nu, frame in _frames(rng):
-        nuv, u = nu.to_json(), frame.to_json()
-        back = _inverse_frame(tuple(nuv), tuple(u))
-        exact = _mp_inverse_frame(nuv, u)
-        worst_inv = max(worst_inv, *(abs(float(p - q)) for p, q in zip(back, exact)))
-        back_v = Velocity3(*back)
-        assert abs(back_v.speed() - frame.speed()) <= 1e-15
-        assert abs(horosphere_level(nu, back_v) * horosphere_level(nu, frame) - 1.0) <= 1e-13
-        v = rand_speed(rng)
-        got = induced_motion(nu, frame, v).to_json()
-        exact = _mp_induced_motion(nuv, u, v.to_json())
-        worst_im = max(worst_im, *(abs(float(p - q)) for p, q in zip(got, exact)))
-    assert worst_inv <= 1e-14, worst_inv
-    # The reference takes the float nu as exact, but |nu|^2 - 1 can be 6e-17,
-    # which alone moves the image by up to 6.2e-13 on these draws (sample
-    # 3046); test_velocity_action_against_mpmath normalizes nu first.
-    assert worst_im <= 1e-12, worst_im
 
 
 def _mp_params(nu, u):
@@ -225,6 +199,23 @@ def _mp_image(nu, frame, x, sign):
         nuv = _mp_unit(nu.to_json())
         n, alpha = _mp_params(nuv, [mpmath.mpf(c) for c in frame.to_json()])
         return _mp_boost_image(nuv, n, sign * alpha, [mpmath.mpf(c) for c in x.to_json()])
+
+
+def test_inverse_frame_against_mpmath():
+    """The closed-form inverse frame against the image of rest under the
+    frame's boost at 50 digits.  The inverse frame has the frame's speed
+    and the reciprocal of its horosphere level."""
+    rng = np.random.default_rng(167)
+    rest = Velocity3(0.0, 0.0, 0.0)
+    worst = 0.0
+    for nu, frame in _frames(rng):
+        back = _inverse_frame(tuple(nu.to_json()), tuple(frame.to_json()))
+        exact = _mp_image(nu, frame, rest, 1)
+        worst = max(worst, *(abs(float(p - q)) for p, q in zip(back, exact)))
+        back_v = Velocity3(*back)
+        assert abs(back_v.speed() - frame.speed()) <= 1e-15
+        assert abs(horosphere_level(nu, back_v) * horosphere_level(nu, frame) - 1.0) <= 1e-13
+    assert worst <= 1e-14, worst
 
 
 def test_velocity_action_against_mpmath():
