@@ -21,7 +21,9 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
+    _ndarray,
     _r_power,
+    _require_finite,
     _t3,
     dot3,
 )
@@ -59,8 +61,7 @@ class BoostParams:
     alpha: float
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        _require_finite(self.alpha)
         if self.alpha < 0:
             object.__setattr__(self, "alpha", -self.alpha)
             object.__setattr__(self, "n", -self.n)
@@ -119,21 +120,17 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     block is the rotation generator about nu x n that keeps the preferred
     axis fixed in the moving frame.
     """
-    import numpy as np
-
     nv = _t3(n)
     rows = [[0.0, *[-c for c in nv]]]
     for c, row in zip(nv, _cross_rows(_cross(_t3(nu), nv))):
         rows.append([-c, *row])
-    return np.array(rows)
+    return _ndarray(rows)
 
 
 def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
     """Boost generator plus the compensating scale generator -r (nu.n) I."""
-    import numpy as np
-
-    s = dot3(spec.nu, n)
-    return generator(spec.nu, n) - spec.r * s * np.eye(4)
+    rs = spec.r * dot3(spec.nu, n)
+    return generator(spec.nu, n) - _ndarray([[rs * (i == j) for j in range(4)] for i in range(4)])
 
 
 def _boost_rows(nu: UnitVector3, params: BoostParams, scale: float = 1.0) -> list:
@@ -164,9 +161,7 @@ def _params_dilation(spec: AnisotropySpec, params: BoostParams) -> float:
 
 def boost_matrix(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """Closed-form finite boost; unimodular and interval-preserving."""
-    import numpy as np
-
-    return np.array(_boost_rows(nu, params))
+    return _ndarray(_boost_rows(nu, params))
 
 
 def boost_matrix_inverse(nu: UnitVector3, params: BoostParams) -> np.ndarray:
@@ -296,15 +291,11 @@ def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
 
 def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.ndarray:
     """Generalized boost D * Lambda with D = e^{-r (nu.n) alpha}."""
-    import numpy as np
-
-    return np.array(_boost_rows(spec.nu, params, _params_dilation(spec, params)))
+    return _ndarray(_boost_rows(spec.nu, params, _params_dilation(spec, params)))
 
 
 def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:
     """Passive rotation of the spatial axes by phi about nu."""
-    import numpy as np
-
     nuv = _t3(nu)
     c, s = math.cos(phi), math.sin(phi)
     rows = [[1.0, 0.0, 0.0, 0.0]]
@@ -313,7 +304,7 @@ def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:
             [0.0]
             + [c * float(i == j) - s * cr[j] + (1.0 - c) * (nuv[i] * nuv[j]) for j in range(3)]
         )
-    return np.array(rows)
+    return _ndarray(rows)
 
 
 def translate(x: FourVector, a: FourVector) -> FourVector:

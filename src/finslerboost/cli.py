@@ -44,18 +44,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _finite(text: str) -> float:
-    """A finite float; argparse prefixes the error with the option's name."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
 def _floats(text: str, count: int, what: str) -> tuple:
+    """count finite floats, comma-separated; argparse prefixes an error with
+    the option's name."""
     parts = text.split(",")
     if len(parts) != count:
         raise argparse.ArgumentTypeError(
@@ -68,6 +59,10 @@ def _floats(text: str, count: int, what: str) -> tuple:
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"{what} has a non-finite component: {text!r}")
     return values
+
+
+def _finite(text: str) -> float:
+    return _floats(text, 1, "number")[0]
 
 
 def _triple(text: str) -> tuple:

@@ -5,9 +5,9 @@ index lowering negates components.  4x4 matrices have the row index
 contravariant and the column index covariant.
 
 The package computes on plain Python floats and complex numbers.  numpy
-is imported only at the ndarray edge of the API: by the functions that
-return an ndarray (`as_array`, `cross3`, `boost_matrix`, ...), on their
-first call.  Functions that read a vector take any sequence, an ndarray
+is imported only at the ndarray edge of the API, by _ndarray, which every
+function that returns an ndarray (`as_array`, `cross3`, `boost_matrix`,
+...) calls.  Functions that read a vector take any sequence, an ndarray
 included.
 """
 from __future__ import annotations
@@ -108,7 +108,15 @@ DEFAULT_TOL = Tolerance()
 def _require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValueError("components must be finite")
+            raise ValueError(f"not a finite number: {v}")
+
+
+def _ndarray(values, dtype=float) -> np.ndarray:
+    """values as an ndarray: the one place that imports numpy, on its
+    first call."""
+    import numpy as np
+
+    return np.array(values, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -124,14 +132,10 @@ class FourVector:
         _require_finite(self.t, self.x, self.y, self.z)
 
     def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.t, self.x, self.y, self.z], dtype=float)
+        return _ndarray([self.t, self.x, self.y, self.z])
 
     def spatial(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z], dtype=float)
+        return _ndarray([self.x, self.y, self.z])
 
     @classmethod
     def from_array(cls, a) -> "FourVector":
@@ -158,9 +162,7 @@ class UnitVector3:
             raise ValueError(f"not a unit vector: |v|^2 = {nsq}")
 
     def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z], dtype=float)
+        return _ndarray([self.x, self.y, self.z])
 
     def __neg__(self) -> "UnitVector3":
         return UnitVector3(-self.x, -self.y, -self.z)
@@ -191,9 +193,7 @@ class Velocity3:
             raise ValueError("speed must be below 1 (c = 1 units)")
 
     def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.vx, self.vy, self.vz], dtype=float)
+        return _ndarray([self.vx, self.vy, self.vz])
 
     def speed(self) -> float:
         return math.sqrt(self.vx * self.vx + self.vy * self.vy + self.vz * self.vz)
@@ -269,9 +269,7 @@ def dot3(a, b) -> float:
 
 
 def cross3(a, b) -> np.ndarray:
-    import numpy as np
-
-    return np.array(_cross(_t3(a), _t3(b)))
+    return _ndarray(_cross(_t3(a), _t3(b)))
 
 
 def norm3(a) -> float:
@@ -306,17 +304,14 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
     scale = _finite_square(dx.t * dx.t + _dot(sx, sx), dx)
     thr = Tolerance.abs_tol * scale
     if abs(base) <= thr:
-        if abs(num) <= math.sqrt(thr):
-            return 0.0
-        if spec.r < 0:
+        if spec.r < 0 and abs(num) > math.sqrt(thr):
             raise DegenerateRatio(
                 "lightlike displacement off the preferred ray diverges for r < 0"
             )
         return 0.0
     if base < 0 and spec.r != round(spec.r):
         raise SpacelikeInput("spacelike displacement: fractional power of a negative base")
-    r = round(spec.r) if base < 0 else spec.r
-    value = _r_power(spec.r, pow, _finite_square(num * num, dx) / base, r) * base
+    value = _r_power(spec.r, pow, _finite_square(num * num, dx) / base, spec.r) * base
     if not math.isfinite(value):
         raise OutOfRange(
             f"anisotropy r = {spec.r} overflows the interval of event {dx.to_json()}"

@@ -28,6 +28,7 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
+    _ndarray,
     _r_power,
     _t3,
 )
@@ -92,10 +93,8 @@ def _blocks(a: float, p, q) -> tuple:
 
 def _matrix(blocks) -> np.ndarray:
     """The 4x4 matrix [[A, B], [B, A]]."""
-    import numpy as np
-
     (a0, a1), (b0, b1) = blocks
-    return np.array([[*a0, *b0], [*a1, *b1], [*b0, *a0], [*b1, *a1]], dtype=complex)
+    return _ndarray([[*a0, *b0], [*a1, *b1], [*b0, *a0], [*b1, *a1]], complex)
 
 
 def _apply(blocks, psi: tuple) -> tuple:
@@ -170,19 +169,13 @@ def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
 
 def bispinor_transform(spec: AnisotropySpec, v: Velocity3, psi) -> np.ndarray:
     """Apply the generalized bispinor boost to psi."""
-    import numpy as np
-
-    return np.array(_apply(_bispinor_blocks(spec, v), _c4(psi)), dtype=complex)
+    return _ndarray(_apply(_bispinor_blocks(spec, v), _c4(psi)), complex)
 
 
 def dirac_adjoint(psi) -> np.ndarray:
     """Row bispinor psi-dagger gamma^0."""
-    import numpy as np
-
     u0, u1, l0, l1 = _c4(psi)
-    return np.array(
-        [u0.conjugate(), u1.conjugate(), -l0.conjugate(), -l1.conjugate()], dtype=complex
-    )
+    return _ndarray([u0.conjugate(), u1.conjugate(), -l0.conjugate(), -l1.conjugate()], complex)
 
 
 def _density(psi: tuple) -> float:
@@ -210,9 +203,7 @@ def _current(psi: tuple) -> tuple:
 
 def bilinear_current(psi) -> np.ndarray:
     """Vector current j^n = psibar gamma^n psi (4 real components)."""
-    import numpy as np
-
-    return np.array(_current(_c4(psi)))
+    return _ndarray(_current(_c4(psi)))
 
 
 def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:

@@ -23,6 +23,7 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
+    _require_finite,
     _t3,
     dot3,
     minkowski_interval,
@@ -71,8 +72,7 @@ class AbelianParams:
     alpha: float
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        _require_finite(self.alpha)
 
     @classmethod
     def from_tangent(cls, nu: UnitVector3, w) -> "AbelianParams":
@@ -86,9 +86,6 @@ class AbelianParams:
             return cls(perpendicular_to(nu), 0.0)
         return cls(UnitVector3.normalized(w), alpha)
 
-    def to_json(self) -> dict:
-        return {"n": self.n.to_json(), "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class AxialParams:
@@ -97,8 +94,7 @@ class AxialParams:
     alpha: float
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        _require_finite(self.alpha)
 
 
 def _check_orthogonal(nu: UnitVector3, n: UnitVector3) -> None:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from finslerboost import (
     minkowski_interval,
     norm3,
 )
+from finslerboost import boost, core, spinor, subgroups, velocity_space
 from finslerboost.core import bispinor_to_json, matrix_to_json
 
 NU_Z = UnitVector3(0.0, 0.0, 1.0)
@@ -231,3 +234,38 @@ def test_json_helpers_take_rows_and_complex_lists():
     psi = np.array([1 + 2j, -3j, 0.5, -1.0]) / 7.0
     assert bispinor_to_json(psi) == bispinor_to_json(psi.tolist())
     assert bispinor_to_json(tuple(psi.tolist())) == bispinor_to_json(psi)
+
+
+def _numpy_import_sites(module) -> list:
+    """Dotted name of the scope of each run-time numpy import in module: the
+    imports under `if TYPE_CHECKING:` are skipped."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                sites.append(scope)
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(inspect.getsource(module)), module.__name__.rsplit(".", 1)[1])
+    return sites
+
+
+def test_numpy_is_imported_only_at_the_ndarray_edge():
+    """The library computes on floats: numpy is imported by core._ndarray,
+    which builds every returned ndarray, and by spinor.gamma_basis, which
+    builds its constants with kron and diag.  Nowhere else."""
+    modules = (core, boost, spinor, subgroups, velocity_space)
+    sites = [site for m in modules for site in _numpy_import_sites(m)]
+    assert sites == ["core._ndarray", "spinor.gamma_basis"]
