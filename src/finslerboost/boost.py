@@ -130,7 +130,8 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
 def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
     """Boost generator plus the compensating scale generator -r (nu.n) I."""
     rs = spec.r * dot3(spec.nu, n)
-    return generator(spec.nu, n) - _ndarray([[rs * (i == j) for j in range(4)] for i in range(4)])
+    return generator(spec.nu, n) - _ndarray([[rs * (i == j) for j in range(4)]
+                                             for i in range(4)])
 
 
 def _boost_rows(nu: UnitVector3, params: BoostParams, scale: float = 1.0) -> list:
@@ -154,9 +155,18 @@ def _boost_rows(nu: UnitVector3, params: BoostParams, scale: float = 1.0) -> lis
     return [[scale * c for c in row] for row in rows]
 
 
-def _params_dilation(spec: AnisotropySpec, params: BoostParams) -> float:
-    """Scale D = e^{-r (nu.n) alpha} of the generalized boost D * Lambda."""
-    return _r_power(spec.r, math.exp, -spec.r * dot3(spec.nu, params.n) * params.alpha)
+def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
+    """Scale D = e^{-r (nu.n) alpha} and the rows of the generalized boost
+    D * Lambda.  No entry of Lambda exceeds its (0, 0) entry 1 + c0 in size,
+    so OutOfRange when D (1 + c0) overflows."""
+    dilation = _r_power(spec.r, math.exp, -spec.r * dot3(spec.nu, params.n) * params.alpha)
+    rows = _boost_rows(spec.nu, params, dilation)
+    if not rows[0][0] < math.inf:
+        raise OutOfRange(
+            f"anisotropy r = {spec.r} with rapidity alpha = {params.alpha}"
+            " overflows the generalized boost"
+        )
+    return dilation, rows
 
 
 def boost_matrix(nu: UnitVector3, params: BoostParams) -> np.ndarray:
@@ -242,36 +252,42 @@ def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
     3-tuples: [-gamma (1 + s) u_perp + (C - s) nu]/(1 + C) with s = u.nu,
     u_perp = nu x (u x nu) and C = |u x nu|^2/(1 - u^2).  It has the same
     gamma, horosphere level 1/h and perpendicular part -u_perp/h, where
-    h = gamma (1 - s) and 1/h = gamma (1 + s)/(1 + C)."""
+    h = gamma (1 - s) and 1/h = gamma (1 + s)/(1 + C).  Returns that
+    velocity and gamma = 1/sqrt(1 - u^2), read from u: the computed
+    velocity can round onto the edge of the ball."""
     s = _dot(u, nuv)
     u_x_nu = _cross(u, nuv)
     perp = _cross(nuv, u_x_nu)
     w = 1.0 - _dot(u, u)
     c = _dot(u_x_nu, u_x_nu) / w
-    k = (1.0 + s) / math.sqrt(w)
-    return tuple((m * (c - s) - k * p) / (1.0 + c) for p, m in zip(perp, nuv))
+    root = math.sqrt(w)
+    k = (1.0 + s) / root
+    return tuple((m * (c - s) - k * p) / (1.0 + c) for p, m in zip(perp, nuv)), 1.0 / root
 
 
-def _act(nuv: tuple, u: tuple, w: tuple, x: tuple) -> tuple:
-    """Image of velocity x under the boost reaching u, whose inverse reaches w.
+def _act(nuv: tuple, u: tuple, w: tuple, x: tuple, g: float) -> tuple:
+    """Image of velocity x under the boost reaching u, whose inverse reaches
+    w; g = 1/sqrt(1 - u^2) is the gamma of both.
 
-    With g = 1/sqrt(1 - u^2) that boost is
+    That boost is
     Lambda = [[g, -g u^T], [g w, I - (g w - (g - 1) nu) nu^T - g nu u^T]]:
     its time row is the frame's 4-velocity, its time column the inverse
     frame's.  It acts on velocities projectively, x -> the spatial part of
     Lambda (1, x) over its time part g (1 - u.x).
     """
-    g = 1.0 / math.sqrt(1.0 - _dot(u, u))
     nu_x, u_x = _dot(nuv, x), _dot(u, x)
     a = g * (1.0 - nu_x)
     b = (g - 1.0) * nu_x - g * u_x
     den = g * (1.0 - u_x)
+    if not den > 0.0:  # 1 - u.x rounds to 0 or below
+        raise OutOfRange(f"velocity {list(x)} meets the frame {list(u)} at the ball's edge")
     return tuple((a * p + q + m * b) / den for p, q, m in zip(w, x, nuv))
 
 
 def _add_velocities(nuv: tuple, a1: tuple, a2: tuple) -> tuple:
     """add_velocities on 3-tuples: Lambda(a1)^-1 reaches a1's inverse frame."""
-    return _act(nuv, _inverse_frame(nuv, a1), a1, a2)
+    u, g = _inverse_frame(nuv, a1)
+    return _act(nuv, u, a1, a2, g)
 
 
 def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
@@ -291,7 +307,7 @@ def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
 
 def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.ndarray:
     """Generalized boost D * Lambda with D = e^{-r (nu.n) alpha}."""
-    return _ndarray(_boost_rows(spec.nu, params, _params_dilation(spec, params)))
+    return _ndarray(_generalized_rows(spec, params)[1])
 
 
 def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:

@@ -463,7 +463,7 @@ def suite_velocity_space(rng, samples):
 
         # the velocity-side D = h(v)^r against the parameter side e^{-r (nu.n) alpha}
         g = boost.params_from_velocity(nu, va)
-        p_dil.record(abs(boost.dilation_factor(spec, va) - boost._params_dilation(spec, g)))
+        p_dil.record(abs(boost.dilation_factor(spec, va) - boost._generalized_rows(spec, g)[0]))
     return [p_iso, p_horo, p_cyl, p_dil]
 
 

@@ -55,7 +55,7 @@ def _floats(text: str, count: int, what: str) -> tuple:
     try:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad {what}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"{what} has a non-finite component: {text!r}")
     return values
@@ -123,8 +123,7 @@ def cmd_boost(args) -> int:
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     params, vel = _params_or_velocity(args, nu)
-    dilation = boost._params_dilation(spec, params)
-    mat = boost._boost_rows(nu, params, dilation)
+    dilation, mat = boost._generalized_rows(spec, params)
     out = {
         "matrix": matrix_to_json(mat),
         "params": params.to_json(),

@@ -190,7 +190,7 @@ class Velocity3:
     def __post_init__(self):
         _require_finite(self.vx, self.vy, self.vz)
         if self.vx * self.vx + self.vy * self.vy + self.vz * self.vz >= 1.0:
-            raise ValueError("speed must be below 1 (c = 1 units)")
+            raise OutOfRange("speed must be below 1 (c = 1 units)")
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.vx, self.vy, self.vz])

@@ -31,6 +31,7 @@ from .core import (
     _ndarray,
     _r_power,
     _t3,
+    bispinor_to_json,
 )
 
 if TYPE_CHECKING:
@@ -146,7 +147,9 @@ def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
 
 
 def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
-    """Blocks of the closed-form bispinor transformation D^{-3/2} S."""
+    """Blocks of the closed-form bispinor transformation D^{-3/2} S.  Their
+    entries are the seven scalars a, p and q, so OutOfRange when one of them
+    overflows."""
     nuv = _t3(spec.nu)
     vv = _t3(v)
     vnu = _dot(vv, nuv)
@@ -154,12 +157,15 @@ def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
     level = _horosphere(vv, nuv)
     weight = _r_power(spec.r, pow, level, -1.5 * spec.r)
     pref = weight / (2.0 * math.sqrt((1.0 - vnu) * root))
-    w = [p - (1.0 - root) * u for p, u in zip(vv, nuv)]
-    return _blocks(
-        pref * (1.0 - vnu + root),
-        [pref * c for c in _cross(nuv, vv)],
-        [pref * c for c in w],
-    )
+    a = pref * (1.0 - vnu + root)
+    p = [pref * c for c in _cross(nuv, vv)]
+    q = [pref * (c - (1.0 - root) * u) for c, u in zip(vv, nuv)]
+    if not all(map(math.isfinite, (a, *p, *q))):
+        raise OutOfRange(
+            f"anisotropy r = {spec.r} overflows the bispinor transform"
+            f" at velocity {v.to_json()}"
+        )
+    return _blocks(a, p, q)
 
 
 def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
@@ -187,42 +193,49 @@ def _density(psi: tuple) -> float:
     )
 
 
-def _current(psi: tuple) -> tuple:
-    """j^n = psibar gamma^n psi for psi = (u, l): j^0 = |u|^2 + |l|^2 and
+def bilinear_current(psi) -> np.ndarray:
+    """Vector current j^n = psibar gamma^n psi (4 real components).  For
+    psi = (u, l): j^0 = |u|^2 + |l|^2 and
     j^k = u^dagger sigma_k l + l^dagger sigma_k u = 2 Re(u^dagger sigma_k l)."""
-    u0, u1, l0, l1 = psi
+    u0, u1, l0, l1 = psi = _c4(psi)
     c0, c1 = u0.conjugate(), u1.conjugate()
-    j0 = sum(z.real * z.real + z.imag * z.imag for z in psi)
-    return (
-        j0,
+    return _ndarray([
+        sum(z.real * z.real + z.imag * z.imag for z in psi),
         2.0 * (c0 * l1 + c1 * l0).real,
         2.0 * (c0 * l1 - c1 * l0).imag,
         2.0 * (c0 * l0 - c1 * l1).real,
-    )
-
-
-def bilinear_current(psi) -> np.ndarray:
-    """Vector current j^n = psibar gamma^n psi (4 real components)."""
-    return _ndarray(_current(_c4(psi)))
+    ])
 
 
 def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     """Anisotropy-weighted scalar density, invariant under bispinor boosts.
 
     Returns [((nu_n j^n)/rho)^2]^{-3r/2} rho with rho = psibar psi and
-    nu_n = (1, -nu).  Singular at rho = 0 (NullDensity) and, for r > 0,
-    when the current is null along the preferred direction.
+    nu_n = (1, -nu).  For psi = (u, l) the numerator nu_n j^n is
+    |u - (sigma.nu) l|^2, a sum of four squares, so it does not cancel for
+    a current near null along nu.  Singular at rho = 0 (NullDensity) and,
+    for r > 0, when the current is null along nu (DegenerateRatio).
+    OutOfRange when |psi|^2 or the result overflows.
     """
     psi = _c4(psi)
-    j = _current(psi)
+    u0, u1, l0, l1 = psi
+    nx, ny, nz = _t3(spec.nu)
+    d0 = u0 - (nz * l0 + complex(nx, -ny) * l1)
+    d1 = u1 - (complex(nx, ny) * l0 - nz * l1)
+    num = d0.real * d0.real + d0.imag * d0.imag + d1.real * d1.real + d1.imag * d1.imag
+    j0 = sum(z.real * z.real + z.imag * z.imag for z in psi)
+    if not max(j0, num) < math.inf:
+        raise OutOfRange(f"bispinor {bispinor_to_json(psi)} overflows its squared size")
     rho = _density(psi)
-    if abs(rho) <= Tolerance.abs_tol * j[0]:  # j0 >= |rho|; psi = 0 is null
+    if abs(rho) <= Tolerance.abs_tol * j0:  # j0 >= |rho|; psi = 0 is null
         raise NullDensity("psibar psi vanishes; the invariant form is singular")
-    q = (j[0] - _dot(_t3(spec.nu), j[1:])) / rho
-    if q == 0.0:
-        if spec.r > 0:
-            raise DegenerateRatio("current null along the preferred direction")
-        if spec.r < 0:
-            return 0.0
-        return rho
-    return _r_power(spec.r, pow, q * q, -1.5 * spec.r) * rho
+    q = num / rho
+    if q == 0.0 and spec.r > 0:
+        raise DegenerateRatio("current null along the preferred direction")
+    value = _r_power(spec.r, pow, q * q, -1.5 * spec.r) * rho
+    if not math.isfinite(value):
+        raise OutOfRange(
+            f"anisotropy r = {spec.r} overflows the invariant"
+            f" of bispinor {bispinor_to_json(psi)}"
+        )
+    return value

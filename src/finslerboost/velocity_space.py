@@ -68,7 +68,8 @@ def induced_motion(nu: UnitVector3, frame_v: Velocity3, v: Velocity3) -> Velocit
     two velocities; a frame at rest is the identity.
     """
     nuv, u = _t3(nu), _t3(frame_v)
-    return Velocity3(*_act(nuv, u, _inverse_frame(nuv, u), _t3(v)))
+    w, g = _inverse_frame(nuv, u)
+    return Velocity3(*_act(nuv, u, w, _t3(v), g))
 
 
 @dataclass(frozen=True)

@@ -586,10 +586,22 @@ def test_coefficient_overflow_is_out_of_range(call):
     (lambda: finsler_interval_sq(  # (t - z)^2 overflows; for r < 0 its power would be 0.0
         FourVector(1.2e154, 0.0, 0.0, -0.5e154), AnisotropySpec(NU_Z, -0.5)),
      "event [1.2e+154, 0.0, 0.0, -5e+153]"),
+    (lambda: generalized_boost_matrix(  # e^{360} and cosh(400) are finite, their product not
+        AnisotropySpec(NU_Z, -0.9), BoostParams(NU_Z, 400.0)),
+     "anisotropy r = -0.9 with rapidity alpha = 400.0"),
+    (lambda: bispinor_matrix(  # the weight e^{707} over 7.5e-5
+        AnisotropySpec(NU_Z, 65.0), Velocity3(0.0, 0.0, 0.999999)),
+     "anisotropy r = 65.0"),
+    (lambda: finsler_bispinor_invariant(  # the power is finite, the power times rho not
+        AnisotropySpec(NU_Z, -10.0), [1e150, 0, -1e150 * (1 - 1e-6), 0]),
+     "anisotropy r = -10.0"),
+    (lambda: finsler_bispinor_invariant(AnisotropySpec(NU_Z, 0.3), [1e160, 0, 0, 0]),
+     "bispinor [[1e+160, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"),
 ], ids=["generalized-boost", "dilation", "bispinor", "interval", "bispinor-invariant",
         "horosphere-extent", "horosphere-level", "interval-timelike-size",
         "interval-ray-size", "minkowski-size", "interval-product", "interval-band-size",
-        "interval-projection-size"])
+        "interval-projection-size", "generalized-boost-product", "bispinor-product",
+        "bispinor-invariant-product", "bispinor-size"])
 def test_overflow_is_out_of_range_naming_the_input(call, name):
     with pytest.raises(OutOfRange, match=f"{re.escape(name)} overflows"):
         call()

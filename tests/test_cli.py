@@ -359,6 +359,34 @@ def test_non_finite_number_is_usage_error(argv, option, value, capsys):
     assert f"argument {option}: " in err and repr(value) in err
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["boost", "--nu=0,0,1", "--r", "abc", "--v=0,0,0"], "--r", "abc"),
+    (["boost", "--nu=0,0,1", "--r=0", "--v", "1,x,0"], "--v", "1,x,0"),
+])
+def test_non_numeric_value_is_usage_error(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert f"argument {option}: " in err and repr(value) in err
+
+
+@pytest.mark.parametrize("extra", [["--n=1,0,0"], ["--alpha=1"]])
+def test_velocity_with_direction_or_rapidity_is_usage_error(extra, capsys):
+    code, out, err = run(capsys, "boost", "--nu=0,0,1", "--r=0", "--v=0.1,0,0", *extra)
+    assert (code, out) == (1, "")
+    assert err == "finslerboost: error: give either (n, alpha) or v, not both\n"
+
+
+def test_surface_into_a_missing_directory_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, "surface", "--nu=0,0,1", "--family=horosphere",
+                         "--level=1", f"--output={path}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error writing {path}: ")
+    assert not path.parent.exists()
+
+
 def test_overflowing_rapidity_is_domain_error(capsys):
     # (nu.n) alpha beyond the range of expm1 on either side of the axis
     for n in ("0,0,1", "0,0,-1"):
@@ -379,7 +407,13 @@ def test_overflowing_rapidity_is_domain_error(capsys):
      "density is not finite"),
     (["surface", "--nu=0,0,1", "--family=horosphere", "--level=1e-310"],
      "horosphere level = 1e-310 overflows"),
-], ids=["event-size", "ray-size", "density", "horosphere-level"])
+    # D = e^{709.5} and 1 + c0 = cosh(15) are finite, their product is not
+    (["boost", "--nu=0,0,1", "--r=-47.3", "--n=0,0,1", "--alpha=15"],
+     "anisotropy r = -47.3 with rapidity alpha = 15.0 overflows the generalized boost"),
+    (["spinor", "--nu=0,0,1", "--r=65", "--v=0,0,0.999999", "--psi=1,0,0,0,0,0,0,0"],
+     "anisotropy r = 65.0 overflows the bispinor transform at velocity [0.0, 0.0, 0.999999]"),
+], ids=["event-size", "ray-size", "density", "horosphere-level", "generalized-boost",
+        "bispinor-transform"])
 def test_non_finite_result_is_out_of_range(argv, message, capsys, tmp_path):
     path = tmp_path / "out.csv"
     argv = argv + [f"--output={path}"] if argv[0] == "surface" else argv

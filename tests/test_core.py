@@ -236,6 +236,12 @@ def test_json_helpers_take_rows_and_complex_lists():
     assert bispinor_to_json(tuple(psi.tolist())) == bispinor_to_json(psi)
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_bispinor_to_json_needs_four_components(length):
+    with pytest.raises(ValueError, match="expected 4 components"):
+        bispinor_to_json([1j] * length)
+
+
 def _numpy_import_sites(module) -> list:
     """Dotted name of the scope of each run-time numpy import in module: the
     imports under `if TYPE_CHECKING:` are skipped."""

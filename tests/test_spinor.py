@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -266,3 +267,20 @@ def test_velocity_consistency_of_spin_boost():
         spec = AnisotropySpec(nu, 0.0)
         direct = bispinor_matrix(spec, v)
         assert np.max(np.abs(direct - spinor_boost(nu, g))) < 1e-9
+
+
+@pytest.mark.parametrize("r", (0.3, -0.5))
+def test_invariant_near_null_along_nu_against_mpmath(r):
+    """For psi = (1, 0, 1 - 1e-9, 0) the current is within 1e-18 of null
+    along z: j0 - j.z cancels, |u - (sigma.nu) l|^2 does not.  The invariant
+    against the definition at 60 digits, with the float inputs exact; what
+    is left is the rounding of rho = 1 - (1 - 1e-9)^2."""
+    psi = [1.0, 0.0, 1.0 - 1e-9, 0.0]
+    with mpmath.workdps(60):
+        u0, u1, l0, l1 = map(mpmath.mpf, psi)
+        j0 = u0 * u0 + u1 * u1 + l0 * l0 + l1 * l1
+        jz = 2 * (u0 * l0 - u1 * l1)
+        rho = u0 * u0 + u1 * u1 - l0 * l0 - l1 * l1
+        exact = ((j0 - jz) / rho) ** (-3 * mpmath.mpf(r)) * rho
+    got = finsler_bispinor_invariant(AnisotropySpec(NU_Z, r), psi)
+    assert abs(got / float(exact) - 1.0) <= 1e-8, (got, exact)

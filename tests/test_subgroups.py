@@ -288,3 +288,14 @@ def test_axial_scaling_laws():
             math.exp(-2 * r * alpha) * before.interval_sq, rel=1e-10
         )
         assert after.cylinder_ratio == pytest.approx(before.cylinder_ratio, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda alpha: BoostParams(E_X, alpha),
+    lambda alpha: AbelianParams(E_X, alpha),
+    lambda alpha: AxialParams(alpha),
+], ids=["boost", "abelian", "axial"])
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_non_finite_rapidity_is_rejected_naming_it(build, alpha):
+    with pytest.raises(ValueError, match=f"not a finite number: {alpha}"):
+        build(alpha)

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import mpmath
@@ -209,7 +210,7 @@ def test_inverse_frame_against_mpmath():
     rest = Velocity3(0.0, 0.0, 0.0)
     worst = 0.0
     for nu, frame in _frames(rng):
-        back = _inverse_frame(tuple(nu.to_json()), tuple(frame.to_json()))
+        back, _ = _inverse_frame(tuple(nu.to_json()), tuple(frame.to_json()))
         exact = _mp_image(nu, frame, rest, 1)
         worst = max(worst, *(abs(float(p - q)) for p, q in zip(back, exact)))
         back_v = Velocity3(*back)
@@ -317,6 +318,12 @@ def test_sample_surface_errors():
         sample_surface(NU_Z, "paraboloid", 1.0)
 
 
+@pytest.mark.parametrize("resolution", [(0, 3), (3, 0)])
+def test_sample_surface_empty_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution must be at least 1x1"):
+        sample_surface(NU_Z, "horosphere", 1.0, resolution)
+
+
 @pytest.mark.parametrize("family", ["horosphere", "cylinder"])
 @pytest.mark.parametrize("level", [math.inf, math.nan])
 def test_sample_surface_nonfinite_level(family, level):
@@ -338,3 +345,37 @@ def test_surface_serialization(tmp_path):
     assert rows[0] == ["vx", "vy", "vz", "level"]
     assert len(rows) == 13
     assert float(rows[1][3]) == 0.25
+
+
+def _inside(d, s):
+    """The velocity s d, with s lowered until its speed is below 1."""
+    while True:
+        try:
+            return Velocity3.from_array(s * d)
+        except OutOfRange:
+            s = math.nextafter(s, 0.0)
+
+
+def test_velocity_action_near_the_edge_ends_in_a_velocity_or_out_of_range():
+    """At speeds 1 - 10^U(-16, -1) the result can round onto the edge of the
+    ball: add_velocities and induced_motion return a Velocity3 or raise
+    OutOfRange, never a bare ValueError or ZeroDivisionError.  Every third
+    v2 is v1's inverse frame, at speeds within 3e-16 of 1 where 1 - u.x of
+    add_velocities can round to 0."""
+    rng = np.random.default_rng(181)
+    outcomes = collections.Counter()
+    for i in range(300):
+        nu = rand_unit(rng)
+        if i % 3:
+            v1, v2 = (_inside(rand_unit(rng).as_array(), 1 - 10 ** rng.uniform(-16, -1))
+                      for _ in range(2))
+        else:
+            v1 = _inside(rand_unit(rng).as_array(), 1 - 10 ** rng.uniform(-16, -15.5))
+            v2 = _inside(np.array(_inverse_frame(nu.to_json(), v1.to_json())[0]), 1.0)
+        for act in (add_velocities, induced_motion):
+            try:
+                assert type(act(nu, v1, v2)) is Velocity3
+                outcomes["velocity"] += 1
+            except OutOfRange as exc:
+                outcomes["speed" if "speed must be below 1" in str(exc) else "edge"] += 1
+    assert set(outcomes) == {"velocity", "speed", "edge"}, outcomes
