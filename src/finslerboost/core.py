@@ -81,7 +81,7 @@ class NullDensity(DomainError):
 
 class OutOfRange(DomainError):
     """Input outside the float range of an operation: a surface level out of
-    its family's range, a rapidity whose speed rounds to 1, or an overflow."""
+    its family's range, a velocity or rapidity at speed 1, or an overflow."""
 
 
 @dataclass(frozen=True)
