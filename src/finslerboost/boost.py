@@ -134,14 +134,14 @@ def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
                                              for i in range(4)])
 
 
-def _boost_rows(nu: UnitVector3, params: BoostParams, scale: float = 1.0) -> list:
-    """Rows of scale * Lambda as four lists of four floats."""
+def _boost_rows(nu: UnitVector3, params: BoostParams) -> list:
+    """Rows of Lambda as four lists of four floats."""
     (n0, n1, n2), (m0, m1, m2), km, kp, c0 = _coefficients(nu, params)
     r1, r2, r3 = -(km * n0 + c0 * m0), -(km * n1 + c0 * m1), -(km * n2 + c0 * m2)
     # spatial entry (i, j) is delta_ij - kp n_i nu_j + nu_i r_j; starting
     # off the diagonal from delta_ij = 0.0 fixes the sign of a zero entry,
     # which the CLI prints (-0.0 and 0.0 differ)
-    rows = [
+    return [
         [1.0 + c0, r1, r2, r3],
         [kp * n0 + c0 * m0, 1.0 - kp * (n0 * m0) + m0 * r1,
          0.0 - kp * (n0 * m1) + m0 * r2, 0.0 - kp * (n0 * m2) + m0 * r3],
@@ -150,23 +150,21 @@ def _boost_rows(nu: UnitVector3, params: BoostParams, scale: float = 1.0) -> lis
         [kp * n2 + c0 * m2, 0.0 - kp * (n2 * m0) + m2 * r1,
          0.0 - kp * (n2 * m1) + m2 * r2, 1.0 - kp * (n2 * m2) + m2 * r3],
     ]
-    if scale == 1.0:
-        return rows
-    return [[scale * c for c in row] for row in rows]
 
 
 def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
     """Scale D = e^{-r (nu.n) alpha} and the rows of the generalized boost
     D * Lambda.  No entry of Lambda exceeds its (0, 0) entry 1 + c0 in size,
     so OutOfRange when D (1 + c0) overflows."""
-    dilation = _r_power(spec.r, math.exp, -spec.r * dot3(spec.nu, params.n) * params.alpha)
-    rows = _boost_rows(spec.nu, params, dilation)
-    if not rows[0][0] < math.inf:
-        raise OutOfRange(
-            f"anisotropy r = {spec.r} with rapidity alpha = {params.alpha}"
-            " overflows the generalized boost"
-        )
-    return dilation, rows
+    exponent = (-spec.r * dot3(spec.nu, params.n) * params.alpha,)
+    try:
+        rows = _boost_rows(spec.nu, params)
+    except OutOfRange:  # an overflowing D is named first
+        _r_power(spec.r, math.exp, exponent)
+        raise
+    dilation = _r_power(spec.r, math.exp, exponent, rows[0][0], lambda: (
+        f"with rapidity alpha = {params.alpha} overflows the generalized boost"))
+    return dilation, [[dilation * c for c in row] for row in rows]
 
 
 def boost_matrix(nu: UnitVector3, params: BoostParams) -> np.ndarray:
@@ -302,7 +300,7 @@ def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
 
 def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
     """Scale factor D = ((1 - v.nu)/sqrt(1 - v^2))^r; strictly positive."""
-    return _r_power(spec.r, pow, _horosphere(_t3(v), _t3(spec.nu)), spec.r)
+    return _r_power(spec.r, pow, (_horosphere(_t3(v), _t3(spec.nu)), spec.r))
 
 
 def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.ndarray:

@@ -255,13 +255,19 @@ def _horosphere(v: tuple, nu: tuple) -> float:
     return (1.0 - _dot(v, nu)) / math.sqrt(1.0 - _dot(v, v))
 
 
-def _r_power(r: float, power, *args) -> float:
-    """power(*args), math.exp or pow, with an exponent that grows with the
-    anisotropy r: an overflow raises OutOfRange naming r; underflow is 0.0."""
+def _r_power(r: float, power, args: tuple, scaled: float = 1.0, what=None) -> float:
+    """Weight power(*args) (math.exp or pow; the exponent grows with r) of the finite
+    value scaled; underflow is 0.0.  Naming r: OutOfRange when it or weight * scaled
+    overflows (what() ends that message), DegenerateRatio for 0 to a negative power."""
     try:
-        return power(*args)
+        weight = power(*args)
     except OverflowError:
         raise OutOfRange(f"anisotropy r = {r} overflows its scale factor") from None
+    except ZeroDivisionError:
+        raise DegenerateRatio(f"anisotropy r = {r} diverges at a vanishing ratio") from None
+    if not math.isfinite(weight * scaled):
+        raise OutOfRange(f"anisotropy r = {r} {what()}")
+    return weight
 
 
 def dot3(a, b) -> float:
@@ -295,7 +301,8 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
 
     Defined on the timelike region and its lightlike boundary.  On the
     boundary: 0 when dx0 = nu.dx as well (the ray along nu), otherwise 0
-    for r >= 0 and DegenerateRatio for r < 0 (the ratio diverges).
+    for r >= 0 and DegenerateRatio for r < 0 (the ratio diverges; so does its
+    power at dx0 = nu.dx off the boundary, where the ratio vanishes).
     OutOfRange when dx0^2 + dx^2, (dx0 - nu.dx)^2 or the result overflows.
     """
     base = minkowski_interval(dx)
@@ -311,12 +318,8 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
         return 0.0
     if base < 0 and spec.r != round(spec.r):
         raise SpacelikeInput("spacelike displacement: fractional power of a negative base")
-    value = _r_power(spec.r, pow, _finite_square(num * num, dx) / base, spec.r) * base
-    if not math.isfinite(value):
-        raise OutOfRange(
-            f"anisotropy r = {spec.r} overflows the interval of event {dx.to_json()}"
-        )
-    return value
+    return _r_power(spec.r, pow, (_finite_square(num * num, dx) / base, spec.r), base,
+                    lambda: f"overflows the interval of event {dx.to_json()}") * base
 
 
 def matrix_to_json(m) -> list:

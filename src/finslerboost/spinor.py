@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from .boost import BoostParams, _exprel
 from .core import (
     AnisotropySpec,
-    DegenerateRatio,
     NullDensity,
     OutOfRange,
     Tolerance,
@@ -60,26 +59,19 @@ class GammaBasis:
 
 @lru_cache(maxsize=1)
 def gamma_basis() -> GammaBasis:
-    """Standard Dirac representation: gamma^0 diagonal, Sigma = diag(sigma, sigma)."""
-    import numpy as np
-
-    pauli = (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    )
-    g0 = np.diag([1, 1, -1, -1]).astype(complex)
-    gammas = [g0]
-    sigmas = []
-    for sk in pauli:
-        gk = np.zeros((4, 4), dtype=complex)
-        gk[:2, 2:] = sk
-        gk[2:, :2] = -sk
-        gammas.append(gk)
-        sigmas.append(np.kron(np.eye(2), sk))
-    for m in gammas + sigmas:
+    """Standard Dirac representation: gamma^0 = diag(1, 1, -1, -1),
+    gamma^k = [[0, sigma_k], [-sigma_k, 0]] and Sigma^k = kron(I, sigma_k),
+    entry by entry, so that the signed zeros are those numpy's kron gives."""
+    pauli = (((0j, 1 + 0j), (1 + 0j, 0j)), ((0j, -1j), (1j, 0j)), ((1 + 0j, 0j), (0j, -1 + 0j)))
+    gammas = [[[complex(d * (i == j)) for j in range(4)] for i, d in enumerate((1, 1, -1, -1))]]
+    gammas += [[[0j, 0j, *u], [0j, 0j, *l], [-u[0], -u[1], 0j, 0j], [-l[0], -l[1], 0j, 0j]]
+               for u, l in pauli]
+    sigmas = [[[complex(i == j) * c for j in range(2) for c in row] for i in range(2) for row in s]
+              for s in pauli]
+    matrices = [_ndarray(m, complex) for m in gammas + sigmas]
+    for m in matrices:
         m.setflags(write=False)
-    return GammaBasis(tuple(gammas), tuple(sigmas))
+    return GammaBasis(tuple(matrices[:4]), tuple(matrices[4:]))
 
 
 def _blocks(a: float, p, q) -> tuple:
@@ -155,7 +147,7 @@ def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
     vnu = _dot(vv, nuv)
     root = math.sqrt(1.0 - _dot(vv, vv))
     level = _horosphere(vv, nuv)
-    weight = _r_power(spec.r, pow, level, -1.5 * spec.r)
+    weight = _r_power(spec.r, pow, (level, -1.5 * spec.r))
     pref = weight / (2.0 * math.sqrt((1.0 - vnu) * root))
     a = pref * (1.0 - vnu + root)
     p = [pref * c for c in _cross(nuv, vv)]
@@ -217,8 +209,7 @@ def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     for r > 0, when the current is null along nu (DegenerateRatio).
     OutOfRange when |psi|^2 or the result overflows.
     """
-    psi = _c4(psi)
-    u0, u1, l0, l1 = psi
+    u0, u1, l0, l1 = psi = _c4(psi)
     nx, ny, nz = _t3(spec.nu)
     d0 = u0 - (nz * l0 + complex(nx, -ny) * l1)
     d1 = u1 - (complex(nx, ny) * l0 - nz * l1)
@@ -230,12 +221,5 @@ def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     if abs(rho) <= Tolerance.abs_tol * j0:  # j0 >= |rho|; psi = 0 is null
         raise NullDensity("psibar psi vanishes; the invariant form is singular")
     q = num / rho
-    if q == 0.0 and spec.r > 0:
-        raise DegenerateRatio("current null along the preferred direction")
-    value = _r_power(spec.r, pow, q * q, -1.5 * spec.r) * rho
-    if not math.isfinite(value):
-        raise OutOfRange(
-            f"anisotropy r = {spec.r} overflows the invariant"
-            f" of bispinor {bispinor_to_json(psi)}"
-        )
-    return value
+    return _r_power(spec.r, pow, (q * q, -1.5 * spec.r), rho,
+                    lambda: f"overflows the invariant of bispinor {bispinor_to_json(psi)}") * rho

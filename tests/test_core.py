@@ -270,8 +270,8 @@ def _numpy_import_sites(module) -> list:
 
 def test_numpy_is_imported_only_at_the_ndarray_edge():
     """The library computes on floats: numpy is imported by core._ndarray,
-    which builds every returned ndarray, and by spinor.gamma_basis, which
-    builds its constants with kron and diag.  Nowhere else."""
+    which builds every returned ndarray, spinor.gamma_basis's constants
+    included.  Nowhere else."""
     modules = (core, boost, spinor, subgroups, velocity_space)
     sites = [site for m in modules for site in _numpy_import_sites(m)]
-    assert sites == ["core._ndarray", "spinor.gamma_basis"]
+    assert sites == ["core._ndarray"]
