@@ -20,6 +20,7 @@ from .core import (
     Velocity3,
     _cross,
     _dot,
+    _edge_gap,
     _horosphere,
     _ndarray,
     _r_power,
@@ -228,14 +229,14 @@ def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     direction; it gives the identity element (n = nu, alpha = 0).  The
     rapidity is evaluated in a cancellation-free form, log1p(t)/t covering
     the degenerate (horosphere) case t = 0 where the textbook quotient is
-    0/0.
+    0/0.  OutOfRange where 1 - v.nu rounds to 0 or below.
     """
     vv = _t3(v)
     vsq = _dot(vv, vv)
     if vsq < sys.float_info.min:
         return BoostParams.identity(nu)
     nuv = _t3(nu)
-    w = 1.0 - _dot(vv, nuv)
+    w = _edge_gap(vv, nuv)
     gamma_inv = math.sqrt(1.0 - vsq)
     u = vsq / (1.0 + gamma_inv)  # 1 - sqrt(1 - v^2), cancellation-free
     t = (gamma_inv - w) / w
@@ -299,7 +300,8 @@ def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
 
 
 def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
-    """Scale factor D = ((1 - v.nu)/sqrt(1 - v^2))^r; strictly positive."""
+    """Scale factor D = ((1 - v.nu)/sqrt(1 - v^2))^r; strictly positive unless
+    it underflows.  OutOfRange where 1 - v.nu rounds to 0 or below."""
     return _r_power(spec.r, pow, (_horosphere(_t3(v), _t3(spec.nu)), spec.r))
 
 

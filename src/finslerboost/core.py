@@ -12,7 +12,9 @@ included.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
@@ -108,7 +110,15 @@ DEFAULT_TOL = Tolerance()
 def _require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"not a finite number: {v}")
+            raise OutOfRange(f"not a finite number: {v}")
+
+
+def _finite_result(call: str, inputs: tuple, *values) -> tuple:
+    """values, the result of call(*inputs), if each (a float or a complex
+    number) is finite; else OutOfRange naming the call and its inputs."""
+    if not all(map(cmath.isfinite, values)):
+        raise OutOfRange(f"{call}({', '.join(map(str, inputs))}) is not finite")
+    return values
 
 
 def _ndarray(values, dtype=float) -> np.ndarray:
@@ -169,10 +179,17 @@ class UnitVector3:
 
     @classmethod
     def normalized(cls, v) -> "UnitVector3":
+        """v / |v|; v is first divided by its largest component where a
+        square overflows, or underflows to 0 or a subnormal."""
         x, y, z = _t3(v)
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        nsq = x * x + y * y + z * z
+        if not sys.float_info.min <= nsq < math.inf:
+            m = max(abs(x), abs(y), abs(z))
+            if m == 0.0:
+                raise ValueError("cannot normalize the zero vector")
+            x, y, z = x / m, y / m, z / m
+            nsq = x * x + y * y + z * z
+        n = math.sqrt(nsq)
         return cls(x / n, y / n, z / n)
 
     def to_json(self) -> list:
@@ -250,9 +267,18 @@ def _cross(a: tuple, b: tuple) -> tuple:
     )
 
 
+def _edge_gap(v: tuple, nu: tuple) -> float:
+    """1 - v.nu of a velocity 3-tuple; OutOfRange where it rounds to 0 or
+    below, at the ball's edge along nu."""
+    gap = 1.0 - _dot(v, nu)
+    if not gap > 0.0:
+        raise OutOfRange(f"velocity {list(v)} meets the ball's edge along nu: 1 - v.nu = {gap}")
+    return gap
+
+
 def _horosphere(v: tuple, nu: tuple) -> float:
     """Horosphere level (1 - v.nu)/sqrt(1 - v^2) of a velocity 3-tuple."""
-    return (1.0 - _dot(v, nu)) / math.sqrt(1.0 - _dot(v, v))
+    return _edge_gap(v, nu) / math.sqrt(1.0 - _dot(v, v))
 
 
 def _r_power(r: float, power, args: tuple, scaled: float = 1.0, what=None) -> float:
@@ -271,16 +297,18 @@ def _r_power(r: float, power, args: tuple, scaled: float = 1.0, what=None) -> fl
 
 
 def dot3(a, b) -> float:
-    return _dot(_t3(a), _t3(b))
+    a, b = _t3(a), _t3(b)
+    return _finite_result("dot3", (a, b), _dot(a, b))[0]
 
 
 def cross3(a, b) -> np.ndarray:
-    return _ndarray(_cross(_t3(a), _t3(b)))
+    a, b = _t3(a), _t3(b)
+    return _ndarray(_finite_result("cross3", (a, b), *_cross(a, b)))
 
 
 def norm3(a) -> float:
     a = _t3(a)
-    return math.sqrt(_dot(a, a))
+    return _finite_result("norm3", (a,), math.sqrt(_dot(a, a)))[0]
 
 
 def _finite_square(value: float, dx: FourVector) -> float:

@@ -11,6 +11,7 @@ numbers; a 4x4 ndarray is assembled only when a function returns one.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +27,7 @@ from .core import (
     Velocity3,
     _cross,
     _dot,
+    _finite_result,
     _horosphere,
     _ndarray,
     _r_power,
@@ -103,9 +105,13 @@ def _apply(blocks, psi: tuple) -> tuple:
 
 
 def _c4(psi) -> tuple:
-    """Four complex numbers of a bispinor given as any 4-sequence."""
+    """Four complex numbers of a bispinor given as any 4-sequence;
+    OutOfRange naming psi when one is not finite."""
     u0, u1, l0, l1 = psi.tolist() if hasattr(psi, "tolist") else psi
-    return complex(u0), complex(u1), complex(l0), complex(l1)
+    psi = complex(u0), complex(u1), complex(l0), complex(l1)
+    if not all(map(cmath.isfinite, psi)):
+        raise OutOfRange(f"bispinor {bispinor_to_json(psi)} is not finite")
+    return psi
 
 
 def spinor_generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
@@ -166,8 +172,11 @@ def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
 
 
 def bispinor_transform(spec: AnisotropySpec, v: Velocity3, psi) -> np.ndarray:
-    """Apply the generalized bispinor boost to psi."""
-    return _ndarray(_apply(_bispinor_blocks(spec, v), _c4(psi)), complex)
+    """Apply the generalized bispinor boost to psi; OutOfRange naming the
+    inputs where the image overflows."""
+    psi = _c4(psi)
+    image = _apply(_bispinor_blocks(spec, v), psi)
+    return _ndarray(_finite_result("bispinor_transform", (spec, v, psi), *image), complex)
 
 
 def dirac_adjoint(psi) -> np.ndarray:
@@ -188,15 +197,17 @@ def _density(psi: tuple) -> float:
 def bilinear_current(psi) -> np.ndarray:
     """Vector current j^n = psibar gamma^n psi (4 real components).  For
     psi = (u, l): j^0 = |u|^2 + |l|^2 and
-    j^k = u^dagger sigma_k l + l^dagger sigma_k u = 2 Re(u^dagger sigma_k l)."""
+    j^k = u^dagger sigma_k l + l^dagger sigma_k u = 2 Re(u^dagger sigma_k l).
+    OutOfRange naming psi where a component overflows."""
     u0, u1, l0, l1 = psi = _c4(psi)
     c0, c1 = u0.conjugate(), u1.conjugate()
-    return _ndarray([
+    return _ndarray(_finite_result(
+        "bilinear_current", (psi,),
         sum(z.real * z.real + z.imag * z.imag for z in psi),
         2.0 * (c0 * l1 + c1 * l0).real,
         2.0 * (c0 * l1 - c1 * l0).imag,
         2.0 * (c0 * l0 - c1 * l1).real,
-    ])
+    ))
 
 
 def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:

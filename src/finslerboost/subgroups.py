@@ -126,16 +126,25 @@ def _tangent(nuv: tuple, v: tuple) -> tuple:
 
 
 def abelian_transform(nu: UnitVector3, p: AbelianParams, x: FourVector) -> FourVector:
-    """Finite Abelian boost applied to event coordinates."""
+    """Finite Abelian boost applied to event coordinates; OutOfRange naming
+    alpha where the image overflows."""
     _check_orthogonal(nu, p.n)
     n, a = p.n, p.alpha
-    return _abelian(_t3(nu), (n.x * a, n.y * a, n.z * a), x)
+    try:
+        return _abelian(_t3(nu), (n.x * a, n.y * a, n.z * a), x)
+    except OutOfRange:  # an image component is not finite
+        raise OutOfRange(
+            f"rapidity alpha = {a} overflows the Abelian transform of event {x.to_json()}"
+        ) from None
 
 
 def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
-    """Primed-frame velocity; always on the unit-level horosphere."""
+    """Primed-frame velocity; always on the unit-level horosphere.
+    OutOfRange where the speed rounds to 1."""
     _check_orthogonal(nu, p.n)
     half = p.alpha * p.alpha / 2.0
+    if half == math.inf:  # the components would be inf / inf
+        raise OutOfRange(f"rapidity alpha = {p.alpha} overflows the Abelian velocity")
     return Velocity3(
         *[(m * p.alpha + u * half) / (1.0 + half) for m, u in zip(_t3(p.n), _t3(nu))]
     )

@@ -47,7 +47,8 @@ def lobachevsky_distance(v1: Velocity3, v2: Velocity3) -> float:
 
 
 def horosphere_level(nu: UnitVector3, v: Velocity3) -> float:
-    """(1 - v.nu)/sqrt(1 - v^2); strictly positive."""
+    """(1 - v.nu)/sqrt(1 - v^2); strictly positive.  OutOfRange where
+    1 - v.nu rounds to 0 or below, at the ball's edge along nu."""
     return _horosphere(_t3(v), _t3(nu))
 
 

@@ -533,3 +533,24 @@ def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, *shlex.split(command)[1:])
         assert (code, err) == (0, ""), command
         strict_json(out)
+
+
+def test_vanishing_ratio_at_negative_r_is_a_json_error_entry(capsys):
+    """t = nu.x off the light cone at r = -1: a bare ZeroDivisionError before."""
+    code, out, err = run(capsys, "invariants", "--nu", "0,0,1", "--r", "-1", "--x", "1,5,0,1")
+    assert (code, err) == (2, "")
+    assert strict_json(out)["finsler_interval_sq"] == {
+        "error": "DegenerateRatio", "message": "anisotropy r = -1.0 diverges at a vanishing ratio"
+    }
+
+
+def test_velocity_at_the_edge_along_nu_is_out_of_range(capsys):
+    """1 - v.nu rounds below 0 for this v inside the ball: the dilation was a
+    complex number that json could not print (exit 1)."""
+    code, out, err = run(
+        capsys, "invariants", "--nu=1.9522509436867783,-0.19672840206571665,-0.5930057969416156",
+        "--r=0.3", "--v=0.9524147984923186,-0.0959748755748056,-0.28930066517593184",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("finslerboost: OutOfRange: velocity [0.9524147984923186, ")
+    assert "meets the ball's edge along nu" in err

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from finslerboost import (
     AnisotropySpec,
     DegenerateRatio,
     FourVector,
+    OutOfRange,
     SpacelikeInput,
     Tolerance,
     UnitVector3,
@@ -275,3 +277,31 @@ def test_numpy_is_imported_only_at_the_ndarray_edge():
     modules = (core, boost, spinor, subgroups, velocity_space)
     sites = [site for m in modules for site in _numpy_import_sites(m)]
     assert sites == ["core._ndarray"]
+
+
+@pytest.mark.parametrize("r", [-1.0, -2.0])
+def test_interval_vanishing_ratio_at_negative_r_is_degenerate(r):
+    """dx0 = nu.dx off the light cone: the ratio is 0, and its power r < 0
+    diverges (a bare ZeroDivisionError before)."""
+    with pytest.raises(DegenerateRatio, match=f"anisotropy r = {r} diverges"):
+        finsler_interval_sq(FourVector(1.0, 5.0, 0.0, 1.0), AnisotropySpec(NU_Z, r))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: dot3([1e200, 0, 0], [1e200, 0, 0]), "dot3"),
+    (lambda: cross3([1e200, 0, 0], [0, 1e200, 0]), "cross3"),
+    (lambda: norm3([1e200, 0, 0]), "norm3"),
+])
+def test_vector_helpers_refuse_a_result_that_overflows(call, name):
+    with pytest.raises(OutOfRange, match=re.escape(f"{name}((1e+200, 0.0, 0.0)")):
+        call()
+
+
+@pytest.mark.parametrize("v, want", [
+    ([1e200, 0.0, 0.0], (1.0, 0.0, 0.0)),
+    ([0.0, -3e-320, 0.0], (0.0, -1.0, 0.0)),
+    ([1e-170, 1e-170, 0.0], (0.7071067811865475, 0.7071067811865475, 0.0)),
+])
+def test_normalized_rescales_squares_out_of_range(v, want):
+    """A square that overflows or underflows is taken of v / max|v_i|."""
+    assert UnitVector3.normalized(v) == UnitVector3(*want)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from finslerboost import (
     AnisotropySpec,
     BoostParams,
     NullDensity,
+    OutOfRange,
     UnitVector3,
     Velocity3,
     bispinor_matrix,
@@ -284,3 +286,28 @@ def test_invariant_near_null_along_nu_against_mpmath(r):
         exact = ((j0 - jz) / rho) ** (-3 * mpmath.mpf(r)) * rho
     got = finsler_bispinor_invariant(AnisotropySpec(NU_Z, r), psi)
     assert abs(got / float(exact) - 1.0) <= 1e-8, (got, exact)
+
+
+@pytest.mark.parametrize("call", [
+    dirac_adjoint,
+    bilinear_current,
+    lambda psi: bispinor_transform(AnisotropySpec(NU_Z, 0.3), Velocity3(0.0, 0.0, 0.5), psi),
+    lambda psi: finsler_bispinor_invariant(AnisotropySpec(NU_Z, 0.3), psi),
+], ids=["adjoint", "current", "transform", "invariant"])
+def test_non_finite_bispinor_is_out_of_range_naming_it(call):
+    """A NaN component used to pass through to four NaNs, or to read as an
+    overflowing squared size."""
+    message = "bispinor [[nan, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]] is not finite"
+    with pytest.raises(OutOfRange, match=re.escape(message)):
+        call([math.nan, 0, 0, 0])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: bilinear_current([1e200, 0, 0, 0]), "bilinear_current(((1e+200+0j), 0j, 0j, 0j))"),
+    # the (0, 0) entry of the transform is 1.33
+    (lambda: bispinor_transform(AnisotropySpec(NU_Z, 0.3), Velocity3(0.0, 0.0, 0.5),
+                                [1.5e308, 0, 0, 0]), "bispinor_transform(AnisotropySpec("),
+])
+def test_bispinor_result_that_overflows_is_out_of_range(call, name):
+    with pytest.raises(OutOfRange, match=re.escape(name)):
+        call()

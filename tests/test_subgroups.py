@@ -13,6 +13,7 @@ from finslerboost import (
     NonOrthogonal,
     NonTimelike,
     OffHorosphere,
+    OutOfRange,
     UnitVector3,
     Velocity3,
     ZeroVelocity,
@@ -299,3 +300,13 @@ def test_axial_scaling_laws():
 def test_non_finite_rapidity_is_rejected_naming_it(build, alpha):
     with pytest.raises(ValueError, match=f"not a finite number: {alpha}"):
         build(alpha)
+
+
+def test_abelian_overflow_is_out_of_range_naming_alpha():
+    """alpha^2 overflows: the image event and the velocity (inf / inf) are
+    not finite, which was a bare ValueError."""
+    p = AbelianParams(E_X, 1e160)
+    with pytest.raises(OutOfRange, match=r"rapidity alpha = 1e\+160 overflows the Abelian"):
+        abelian_transform(NU_Z, p, FourVector(1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(OutOfRange, match=r"rapidity alpha = 1e\+160 overflows the Abelian"):
+        abelian_velocity(NU_Z, p)

@@ -13,6 +13,7 @@ from finslerboost import (
     Velocity3,
     abelian_velocity,
     add_velocities,
+    bispinor_matrix,
     cylinder_level,
     dilation_factor,
     dot3,
@@ -379,3 +380,38 @@ def test_velocity_action_near_the_edge_ends_in_a_velocity_or_out_of_range():
             except OutOfRange as exc:
                 outcomes["speed" if "speed must be below 1" in str(exc) else "edge"] += 1
     assert set(outcomes) == {"velocity", "speed", "edge"}, outcomes
+
+
+def test_velocities_at_the_edge_along_nu_end_in_a_value_or_out_of_range():
+    """v = s nu with s = 1 - 2^-k, k = 50..53, and nu normalized from normal
+    draws: inside the ball, 1 - v.nu can still round to 0 or below.  The
+    level, the dilation at r = +-0.3, the bispinor matrix and the boost
+    parameters end in a finite value or OutOfRange: never a complex number,
+    a level or dilation of 0.0, or a bare error."""
+    rng = np.random.default_rng(401)
+    outcomes = collections.Counter()
+    for _ in range(100):
+        nu = UnitVector3.normalized(rng.normal(size=3))
+        for k in range(50, 54):
+            try:  # |nu| can exceed 1 by an ulp
+                v = Velocity3(*[(1.0 - 2.0 ** -k) * c for c in nu.to_json()])
+            except OutOfRange:
+                continue
+            for call in (
+                lambda: horosphere_level(nu, v),
+                lambda: dilation_factor(AnisotropySpec(nu, 0.3), v),
+                lambda: dilation_factor(AnisotropySpec(nu, -0.3), v),
+                lambda: bispinor_matrix(AnisotropySpec(nu, 0.3), v),
+                lambda: params_from_velocity(nu, v).alpha,
+            ):
+                try:
+                    value = call()
+                except OutOfRange:
+                    outcomes["edge"] += 1
+                    continue
+                if isinstance(value, np.ndarray):
+                    assert np.isfinite(value).all()
+                else:
+                    assert type(value) is float and 0.0 < value < math.inf, value
+                outcomes["value"] += 1
+    assert set(outcomes) == {"value", "edge"}, outcomes
