@@ -26,7 +26,6 @@ from .core import (
     _r_power,
     _require_finite,
     _t3,
-    dot3,
 )
 
 if TYPE_CHECKING:
@@ -129,8 +128,11 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
 
 
 def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
-    """Boost generator plus the compensating scale generator -r (nu.n) I."""
-    rs = spec.r * dot3(spec.nu, n)
+    """Boost generator plus the compensating scale generator -r (nu.n) I.
+    OutOfRange naming r where r (nu.n) overflows."""
+    rs = spec.r * _dot(_t3(spec.nu), _t3(n))
+    if not math.isfinite(rs):  # |nu.n| may exceed 1 by the 1e-12 of UnitVector3
+        raise OutOfRange(f"anisotropy r = {spec.r} overflows the generalized generator")
     return generator(spec.nu, n) - _ndarray([[rs * (i == j) for j in range(4)]
                                              for i in range(4)])
 
@@ -157,14 +159,12 @@ def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
     """Scale D = e^{-r (nu.n) alpha} and the rows of the generalized boost
     D * Lambda.  No entry of Lambda exceeds its (0, 0) entry 1 + c0 in size,
     so OutOfRange when D (1 + c0) overflows."""
-    exponent = (-spec.r * dot3(spec.nu, params.n) * params.alpha,)
-    try:
-        rows = _boost_rows(spec.nu, params)
-    except OutOfRange:  # an overflowing D is named first
-        _r_power(spec.r, math.exp, exponent)
-        raise
-    dilation = _r_power(spec.r, math.exp, exponent, rows[0][0], lambda: (
-        f"with rapidity alpha = {params.alpha} overflows the generalized boost"))
+    exponent = -spec.r * _dot(_t3(spec.nu), _t3(params.n)) * params.alpha
+    dilation = _r_power(spec.r, math.exp, (exponent,))
+    rows = _boost_rows(spec.nu, params)
+    if not dilation * rows[0][0] < math.inf:
+        raise OutOfRange(f"anisotropy r = {spec.r} with rapidity alpha = {params.alpha}"
+                         " overflows the generalized boost")
     return dilation, [[dilation * c for c in row] for row in rows]
 
 
@@ -195,7 +195,7 @@ def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
         c1 = -a1 * _exprel(s1a)
         c2 = -math.exp(s1a) * a2 * _exprel(s2a)
         pref = -1.0 / _exprel(x)  # x / (1 - e^x)
-    except OverflowError:  # an axis part beyond 709.78
+    except (OverflowError, ZeroDivisionError):  # an axis part beyond 709.78, or x = -inf
         c1 = c2 = pref = math.nan
     vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
     asq = _dot(vec, vec)

@@ -28,6 +28,7 @@ from .core import (
     UnitVector3,
     Velocity3,
     _t3,
+    dot3,
     finsler_interval_sq,
     minkowski_interval,
     norm3,
@@ -195,9 +196,9 @@ def suite_closure(rng, samples):
         l1 = boost.boost_matrix(nu, g1)
         l2 = boost.boost_matrix(nu, g2)
         p_close.record(_maxdiff(boost.boost_matrix(nu, g12), l2 @ l1))
-        s12 = boost.dot3(nu, g12.n) * g12.alpha
-        s1 = boost.dot3(nu, g1.n) * g1.alpha
-        s2 = boost.dot3(nu, g2.n) * g2.alpha
+        s12 = dot3(nu, g12.n) * g12.alpha
+        s1 = dot3(nu, g1.n) * g1.alpha
+        s2 = dot3(nu, g2.n) * g2.alpha
         p_add.record(abs(s12 - (s1 + s2)))
         left = boost.compose(nu, boost.compose(nu, g1, g2), g3)
         right = boost.compose(nu, g1, boost.compose(nu, g2, g3))
@@ -227,7 +228,7 @@ def suite_metric(rng, samples):
         p_mink.record(
             _reldiff(minkowski_interval(boost.apply_matrix(lam, x)), minkowski_interval(x))
         )
-        s = boost.dot3(nu, g.n)
+        s = dot3(nu, g.n)
         p_det.record(
             _reldiff(float(np.linalg.det(dl)), math.exp(-4.0 * r * s * g.alpha))
         )
@@ -280,7 +281,7 @@ def suite_spinor(rng, samples):
     for _ in range(samples):
         nu, n = _unit(rng), _unit(rng)
         alpha = _alpha(rng)
-        s = boost.dot3(nu, n)
+        s = dot3(nu, n)
         k = spinor.spinor_generator(nu, n)
         p_pow.record(_maxdiff(k @ k, s * s * eye))
         p_pow.record(_maxdiff(k @ k @ k, s * s * k))
@@ -388,7 +389,7 @@ def suite_subgroups(rng, samples):
         p_ab_inv.record(_reldiff(minkowski_interval(xp), minkowski_interval(x)))
         p_ab_inv.record(
             _reldiff(
-                xp.t - boost.dot3(nu, xp.spatial()), x.t - boost.dot3(nu, x.spatial())
+                xp.t - dot3(nu, xp.spatial()), x.t - dot3(nu, x.spatial())
             )
         )
 
@@ -474,7 +475,7 @@ def _taylor_near_zero(nu: UnitVector3, g: boost.BoostParams) -> tuple:
     (G^3 = (nu.n)^2 G), v = -Lambda[0, 1:] / Lambda[0, 0] and
     S = cosh(a/2) I + (alpha/2) sinhc(a/2) K.  The truncation error is
     below a^6 / 5040, so 2e-28 in the band |a| <= 1e-4."""
-    a = boost.dot3(nu, g.n) * g.alpha
+    a = dot3(nu, g.n) * g.alpha
     h = 0.5 * a
     gen = boost.generator(nu, g.n)
     sinhc = 1.0 + a * a / 6.0 + a**4 / 120.0

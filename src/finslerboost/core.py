@@ -283,14 +283,17 @@ def _horosphere(v: tuple, nu: tuple) -> float:
 
 def _r_power(r: float, power, args: tuple, scaled: float = 1.0, what=None) -> float:
     """Weight power(*args) (math.exp or pow; the exponent grows with r) of the finite
-    value scaled; underflow is 0.0.  Naming r: OutOfRange when it or weight * scaled
-    overflows (what() ends that message), DegenerateRatio for 0 to a negative power."""
+    value scaled; underflow is 0.0.  Naming r: DegenerateRatio for 0 to a negative
+    power, OutOfRange when the weight overflows or when weight * scaled does (what(),
+    given with scaled, ends that message)."""
     try:
         weight = power(*args)
-    except OverflowError:
-        raise OutOfRange(f"anisotropy r = {r} overflows its scale factor") from None
-    except ZeroDivisionError:
-        raise DegenerateRatio(f"anisotropy r = {r} diverges at a vanishing ratio") from None
+    except (OverflowError, ZeroDivisionError):
+        weight = math.inf
+    if not math.isfinite(weight):  # an infinite exponent gives inf with no error
+        if args[0] == 0.0:  # only pow's base can be 0 here
+            raise DegenerateRatio(f"anisotropy r = {r} diverges at a vanishing ratio")
+        raise OutOfRange(f"anisotropy r = {r} overflows its scale factor")
     if not math.isfinite(weight * scaled):
         raise OutOfRange(f"anisotropy r = {r} {what()}")
     return weight

@@ -25,7 +25,6 @@ from .core import (
     _horosphere,
     _require_finite,
     _t3,
-    dot3,
     minkowski_interval,
     norm3,
 )
@@ -98,19 +97,27 @@ class AxialParams:
 
 
 def _check_orthogonal(nu: UnitVector3, n: UnitVector3) -> None:
-    if abs(dot3(nu, n)) > ORTHO_TOL:
-        raise NonOrthogonal(f"boost direction not orthogonal to axis: nu.n = {dot3(nu, n)}")
+    d = _dot(_t3(nu), _t3(n))
+    if abs(d) > ORTHO_TOL:
+        raise NonOrthogonal(f"boost direction not orthogonal to axis: nu.n = {d}")
 
 
 def _abelian(nuv: tuple, w: tuple, x: FourVector) -> FourVector:
     """Transverse boost by the tangent vector w (orthogonal to nu) of an
     event: with d = x0 - nu.x, which it keeps, and c = (w.w / 2) d - w.x,
-    the image is (x0 + c, x - d w + c nu)."""
+    the image is (x0 + c, x - d w + c nu).  OutOfRange naming x and w where
+    the image overflows."""
     (m0, m1, m2), (w0, w1, w2) = nuv, w
     t, a, b, e = x.t, x.x, x.y, x.z
     d = t - (m0 * a + m1 * b + m2 * e)
     c = 0.5 * (w0 * w0 + w1 * w1 + w2 * w2) * d - (w0 * a + w1 * b + w2 * e)
-    return FourVector(t + c, a - w0 * d + m0 * c, b - w1 * d + m1 * c, e - w2 * d + m2 * c)
+    try:
+        return FourVector(t + c, a - w0 * d + m0 * c, b - w1 * d + m1 * c, e - w2 * d + m2 * c)
+    except OutOfRange:  # an image component is not finite
+        raise OutOfRange(
+            f"the Abelian transform of event {x.to_json()} by the tangent vector {list(w)}"
+            " overflows"
+        ) from None
 
 
 def _tangent(nuv: tuple, v: tuple) -> tuple:
@@ -127,15 +134,10 @@ def _tangent(nuv: tuple, v: tuple) -> tuple:
 
 def abelian_transform(nu: UnitVector3, p: AbelianParams, x: FourVector) -> FourVector:
     """Finite Abelian boost applied to event coordinates; OutOfRange naming
-    alpha where the image overflows."""
+    x and the tangent vector n alpha where the image overflows."""
     _check_orthogonal(nu, p.n)
     n, a = p.n, p.alpha
-    try:
-        return _abelian(_t3(nu), (n.x * a, n.y * a, n.z * a), x)
-    except OutOfRange:  # an image component is not finite
-        raise OutOfRange(
-            f"rapidity alpha = {a} overflows the Abelian transform of event {x.to_json()}"
-        ) from None
+    return _abelian(_t3(nu), (n.x * a, n.y * a, n.z * a), x)
 
 
 def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
@@ -167,7 +169,8 @@ def abelian_transform_v(nu: UnitVector3, v: Velocity3, x: FourVector) -> FourVec
     """Abelian boost reparametrized by the frame velocity v.
 
     Preserves both (x0^2 - x^2) and (x0 - nu.x), hence the anisotropic
-    interval for every r.
+    interval for every r.  OutOfRange naming x and the tangent vector where
+    the image overflows.
     """
     nuv = _t3(nu)
     return _abelian(nuv, _tangent(nuv, _t3(v)), x)

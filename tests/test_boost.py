@@ -544,6 +544,9 @@ def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
 @pytest.mark.parametrize("call", [
     lambda: compose(NU_Z, BoostParams(NU_Z, 710.0), BoostParams(E_X, 0.1)),
     lambda: compose(NU_Z, BoostParams(NU_Z, 400.0), BoostParams(NU_Z, 400.0)),
+    lambda: compose(  # the axis part is -inf, where x / (1 - e^x) was 1 / 0
+        NU_Z, BoostParams(UnitVector3(0.0, 0.0, -1 - 4e-13), sys.float_info.max),
+        BoostParams(E_X, 1.0)),
     lambda: spinor_boost(NU_Z, BoostParams(NU_Z, 1500.0)),
     lambda: axial_transform(
         AnisotropySpec(NU_Z, 0.0), AxialParams(800.0), FourVector(1.0, 0.0, 0.0, 0.0)
@@ -551,7 +554,8 @@ def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
     lambda: axial_transform(  # e^{-r alpha} and cosh alpha are finite, their product is not
         AnisotropySpec(NU_Z, -1.0), AxialParams(400.0), FourVector(1.0, 0.0, 0.0, 0.0)
     ),
-], ids=["compose-axis-710", "compose-400-400", "spinor-1500", "axial-800", "axial-r-400"])
+], ids=["compose-axis-710", "compose-400-400", "compose-infinite-axis-part", "spinor-1500",
+        "axial-800", "axial-r-400"])
 def test_coefficient_overflow_is_out_of_range(call):
     with pytest.raises(OutOfRange, match=r"rapidit(y|ies) alpha = .* overflows?"):
         call()
@@ -597,11 +601,25 @@ def test_coefficient_overflow_is_out_of_range(call):
      "anisotropy r = -10.0"),
     (lambda: finsler_bispinor_invariant(AnisotropySpec(NU_Z, 0.3), [1e160, 0, 0, 0]),
      "bispinor [[1e+160, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"),
+    # r (nu.n) alpha overflows to inf, where exp returns inf with no error;
+    # the boost coefficients overflow as well, and D is named first
+    (lambda: generalized_boost_matrix(AnisotropySpec(NU_Z, -1e300), BoostParams(NU_Z, 1e10)),
+     "anisotropy r = -1e+300"),
+    (lambda: bispinor_matrix(  # -1.5 r overflows to -inf, and pow returns inf with no error
+        AnisotropySpec(NU_Z, 1.5e308), Velocity3(0.0, 0.0, 0.5)),
+     "anisotropy r = 1.5e+308"),
+    (lambda: finsler_bispinor_invariant(AnisotropySpec(NU_Z, -1.5e308), [1, 0, -0.5, 0]),
+     "anisotropy r = -1.5e+308"),
+    (lambda: generalized_generator(  # nu.n exceeds 1 by 4e-13, r (nu.n) overflows
+        AnisotropySpec(NU_Z, sys.float_info.max), UnitVector3(0.0, 0.0, 1 + 4e-13)),
+     "anisotropy r = 1.7976931348623157e+308"),
 ], ids=["generalized-boost", "dilation", "bispinor", "interval", "bispinor-invariant",
         "horosphere-extent", "horosphere-level", "interval-timelike-size",
         "interval-ray-size", "minkowski-size", "interval-product", "interval-band-size",
         "interval-projection-size", "generalized-boost-product", "bispinor-product",
-        "bispinor-invariant-product", "bispinor-size"])
+        "bispinor-invariant-product", "bispinor-size", "generalized-boost-infinite-exponent",
+        "bispinor-infinite-exponent", "bispinor-invariant-infinite-exponent",
+        "generalized-generator"])
 def test_overflow_is_out_of_range_naming_the_input(call, name):
     with pytest.raises(OutOfRange, match=f"{re.escape(name)} overflows"):
         call()

@@ -412,8 +412,14 @@ def test_overflowing_rapidity_is_domain_error(capsys):
      "anisotropy r = -47.3 with rapidity alpha = 15.0 overflows the generalized boost"),
     (["spinor", "--nu=0,0,1", "--r=65", "--v=0,0,0.999999", "--psi=1,0,0,0,0,0,0,0"],
      "anisotropy r = 65.0 overflows the bispinor transform at velocity [0.0, 0.0, 0.999999]"),
+    # -r (nu.n) alpha and -1.5 r overflow to inf: exp and pow return inf with no error
+    (["boost", "--nu=0,0,1", "--r=-1.5e308", "--n=0,0,1", "--alpha=2"],
+     "anisotropy r = -1.5e+308 overflows its scale factor"),
+    (["spinor", "--nu=0,0,1", "--r=1.5e308", "--v=0,0,0.5", "--psi=1,0,0,0,0,0,0,0"],
+     "anisotropy r = 1.5e+308 overflows its scale factor"),
 ], ids=["event-size", "ray-size", "density", "horosphere-level", "generalized-boost",
-        "bispinor-transform"])
+        "bispinor-transform", "generalized-boost-infinite-exponent",
+        "bispinor-infinite-exponent"])
 def test_non_finite_result_is_out_of_range(argv, message, capsys, tmp_path):
     path = tmp_path / "out.csv"
     argv = argv + [f"--output={path}"] if argv[0] == "surface" else argv

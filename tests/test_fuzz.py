@@ -1,8 +1,10 @@
 """Seeded domain fuzz: every public function, and the CLI, on inputs that
 span the float range.
 
-Magnitudes are 10^U(-300, 300), speeds 1 - 10^U(-16, -0.01), and nu is off
-unit length by up to the 1e-12 that UnitVector3 accepts.  Every outcome must
+Magnitudes are 10^U(-300, 308.2), or one of EDGES, the float range's edges
+and the sizes whose squares or products overflow; speeds are
+1 - 10^U(-16, -0.01), and nu is off unit length by up to the 1e-12 that
+UnitVector3 accepts.  Every outcome must
 be a finite float, a finite ndarray, a value type with finite fields, or a
 DomainError: never a bare exception, a complex number, inf or NaN.  The CLI
 must exit 0 or 2 and print strict JSON or nothing.
@@ -11,6 +13,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -33,10 +36,12 @@ from finslerboost import (
 from finslerboost.cli import main
 
 DRAWS = 200
+EDGES = (sys.float_info.max, 1.5e308, 1e300, 1.3e154, 1e10, 1e-300, 5e-324)
 
 
 def _mag(rng) -> float:
-    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+    size = rng.choice(EDGES) if rng.random() < 0.1 else 10.0 ** rng.uniform(-300, 308.2)
+    return rng.choice((-1.0, 1.0)) * size
 
 
 def _unit(rng) -> UnitVector3:
@@ -79,7 +84,7 @@ def _event(rng, nu: UnitVector3) -> FourVector:
     k = rng.random()
     if k < 0.4:
         return FourVector(*[_mag(rng) for _ in range(4)])
-    scale = 10.0 ** rng.uniform(-300, 300)
+    scale = 10.0 ** rng.uniform(-300, 307)  # the event must be finite
     sx = [rng.gauss(0, 1) * scale for _ in range(3)]
     if k < 0.8:
         return FourVector(rng.gauss(0, 2) * scale, *sx)
@@ -87,7 +92,7 @@ def _event(rng, nu: UnitVector3) -> FourVector:
 
 
 def _psi(rng) -> list:
-    scale = 10.0 ** rng.uniform(-300, 300)
+    scale = 10.0 ** rng.uniform(-300, 308.2)
     return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * scale for _ in range(4)]
 
 
