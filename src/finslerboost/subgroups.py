@@ -142,14 +142,15 @@ def abelian_transform(nu: UnitVector3, p: AbelianParams, x: FourVector) -> FourV
 
 def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
     """Primed-frame velocity; always on the unit-level horosphere.
-    OutOfRange where the speed rounds to 1."""
+    OutOfRange naming alpha where the speed rounds to 1."""
     _check_orthogonal(nu, p.n)
     half = p.alpha * p.alpha / 2.0
-    if half == math.inf:  # the components would be inf / inf
-        raise OutOfRange(f"rapidity alpha = {p.alpha} overflows the Abelian velocity")
-    return Velocity3(
-        *[(m * p.alpha + u * half) / (1.0 + half) for m, u in zip(_t3(p.n), _t3(nu))]
-    )
+    try:  # where alpha^2 overflows, the components are inf / inf
+        return Velocity3(
+            *[(m * p.alpha + u * half) / (1.0 + half) for m, u in zip(_t3(p.n), _t3(nu))]
+        )
+    except OutOfRange:
+        raise OutOfRange(f"rapidity alpha = {p.alpha} gives a speed that rounds to 1") from None
 
 
 def abelian_params_from_velocity(nu: UnitVector3, v: Velocity3) -> AbelianParams:

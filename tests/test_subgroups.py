@@ -306,14 +306,16 @@ def test_non_finite_rapidity_is_rejected_naming_it(build, alpha):
 def test_abelian_overflow_is_out_of_range_naming_the_inputs():
     """alpha^2 overflows: the image event and the velocity (inf / inf) are
     not finite, which was a bare ValueError.  Both Abelian transforms name
-    the event and the tangent vector, as an event can overflow by itself."""
+    the event and the tangent vector, as an event can overflow by itself;
+    the velocity names alpha wherever its speed rounds to 1."""
     p = AbelianParams(E_X, 1e160)
     with pytest.raises(OutOfRange, match=re.escape(
             "Abelian transform of event [1.0, 0.0, 0.0, 0.0] by the tangent vector"
             " [1e+160, 0.0, 0.0] overflows")):
         abelian_transform(NU_Z, p, FourVector(1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(OutOfRange, match=r"rapidity alpha = 1e\+160 overflows the Abelian"):
-        abelian_velocity(NU_Z, p)
+    for alpha in (1e160, 2e4):  # alpha^2 overflows; the speed rounds to 1
+        with pytest.raises(OutOfRange, match=re.escape(f"rapidity alpha = {alpha} gives a speed")):
+            abelian_velocity(NU_Z, AbelianParams(E_X, alpha))
     x = FourVector(1.5e308, 0.0, 0.0, -1.5e308)  # x0 - nu.x overflows at any alpha
     with pytest.raises(OutOfRange, match=re.escape(
             "Abelian transform of event [1.5e+308, 0.0, 0.0, -1.5e+308] by the tangent vector"
