@@ -1,7 +1,7 @@
 """Seeded randomized conformance suites.
 
 Each suite draws from an isolated PCG64 generator derived from the master
-seed.  Draws are normalized with plain float arithmetic (`norm3`), not a
+seed.  Draws are normalized with plain float arithmetic (`core._dot`), not a
 BLAS dot, so the same seed gives the same inputs whichever OpenBLAS kernel
 the CPU selects; deviations measured through the 4x4 and spinor matrix
 algebra may still differ in their last digits.  Sampling: directions
@@ -27,11 +27,11 @@ from .core import (
     FourVector,
     UnitVector3,
     Velocity3,
+    _dot,
     _t3,
     dot3,
     finsler_interval_sq,
     minkowski_interval,
-    norm3,
 )
 
 __all__ = ["PropertyResult", "CheckReport", "SUITES", "run_suite", "run_all"]
@@ -123,8 +123,8 @@ def _record_vs_expm(props, closed, generators) -> None:
 
 def _unit(rng) -> UnitVector3:
     while True:
-        v = rng.normal(size=3)
-        if norm3(v) > 1e-8:
+        v = _t3(rng.normal(size=3))
+        if math.sqrt(_dot(v, v)) > 1e-8:
             return UnitVector3.normalized(v)
 
 
@@ -157,8 +157,8 @@ def _near_band_params(rng, nu: UnitVector3) -> boost.BoostParams:
 
 
 def _timelike(rng) -> FourVector:
-    x = rng.uniform(-1.0, 1.0, size=3)
-    t = norm3(x) + rng.uniform(0.1, 2.0)
+    x = _t3(rng.uniform(-1.0, 1.0, size=3))
+    t = math.sqrt(_dot(x, x)) + rng.uniform(0.1, 2.0)
     return FourVector(t, *x)
 
 
@@ -196,9 +196,9 @@ def suite_closure(rng, samples):
         l1 = boost.boost_matrix(nu, g1)
         l2 = boost.boost_matrix(nu, g2)
         p_close.record(_maxdiff(boost.boost_matrix(nu, g12), l2 @ l1))
-        s12 = dot3(nu, g12.n) * g12.alpha
-        s1 = dot3(nu, g1.n) * g1.alpha
-        s2 = dot3(nu, g2.n) * g2.alpha
+        s12 = _dot(_t3(nu), _t3(g12.n)) * g12.alpha
+        s1 = _dot(_t3(nu), _t3(g1.n)) * g1.alpha
+        s2 = _dot(_t3(nu), _t3(g2.n)) * g2.alpha
         p_add.record(abs(s12 - (s1 + s2)))
         left = boost.compose(nu, boost.compose(nu, g1, g2), g3)
         right = boost.compose(nu, g1, boost.compose(nu, g2, g3))
@@ -228,7 +228,7 @@ def suite_metric(rng, samples):
         p_mink.record(
             _reldiff(minkowski_interval(boost.apply_matrix(lam, x)), minkowski_interval(x))
         )
-        s = dot3(nu, g.n)
+        s = _dot(_t3(nu), _t3(g.n))
         p_det.record(
             _reldiff(float(np.linalg.det(dl)), math.exp(-4.0 * r * s * g.alpha))
         )
@@ -281,7 +281,7 @@ def suite_spinor(rng, samples):
     for _ in range(samples):
         nu, n = _unit(rng), _unit(rng)
         alpha = _alpha(rng)
-        s = dot3(nu, n)
+        s = _dot(_t3(nu), _t3(n))
         k = spinor.spinor_generator(nu, n)
         p_pow.record(_maxdiff(k @ k, s * s * eye))
         p_pow.record(_maxdiff(k @ k @ k, s * s * k))
@@ -475,7 +475,7 @@ def _taylor_near_zero(nu: UnitVector3, g: boost.BoostParams) -> tuple:
     (G^3 = (nu.n)^2 G), v = -Lambda[0, 1:] / Lambda[0, 0] and
     S = cosh(a/2) I + (alpha/2) sinhc(a/2) K.  The truncation error is
     below a^6 / 5040, so 2e-28 in the band |a| <= 1e-4."""
-    a = dot3(nu, g.n) * g.alpha
+    a = _dot(_t3(nu), _t3(g.n)) * g.alpha
     h = 0.5 * a
     gen = boost.generator(nu, g.n)
     sinhc = 1.0 + a * a / 6.0 + a**4 / 120.0
