@@ -4,12 +4,8 @@ Each test drives one randomized conformance suite at full sample count and
 prints a single pass/fail line on the terminal, bypassing capture, so a
 plain pytest run still shows the scoreboard.
 """
-import subprocess
-import sys
-
-import pytest
-
 from finslerboost import checks
+from support import spawn
 
 SAMPLES = 1000
 SEED = 2024
@@ -81,10 +77,9 @@ def test_acceptance_11_branch_continuity(capsys):
 
 
 def test_acceptance_12_cli_determinism(capsys):
-    argv = [sys.executable, "-m", "finslerboost.cli",
-            "check", "--seed", "7", "--samples", "50"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    argv = ["-m", "finslerboost.cli", "check", "--seed", "7", "--samples", "50"]
+    first, second = spawn(*argv), spawn(*argv)
+    assert first.returncode == second.returncode == 0, (first.stderr, second.stderr)
     same = first.stdout == second.stdout
     status = "pass" if same else "FAIL"
     with capsys.disabled():

@@ -6,14 +6,11 @@ kernels differ in the last bit on length-3 dot products.  The same seeded
 script runs in two fresh interpreters, one forced onto an old kernel by
 OPENBLAS_CORETYPE, and must print the same bytes.
 """
-import os
 import platform
-import subprocess
-import sys
 
 import pytest
 
-import finslerboost
+from support import spawn
 
 SCRIPT = r"""
 import contextlib
@@ -100,17 +97,9 @@ for item in out:
 
 
 def _run(coretype):
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(finslerboost.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("OPENBLAS_CORETYPE", None)
-    if coretype:
-        env["OPENBLAS_CORETYPE"] = coretype
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    proc = spawn("-c", SCRIPT, OPENBLAS_CORETYPE=coretype)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 @pytest.mark.skipif(

@@ -37,21 +37,13 @@ from finslerboost import (
     velocity_from_params,
 )
 from finslerboost.boost import (
-    _add_velocities,
     _boost_rows,
     _coefficients,
     _exprel,
     _log1p_over,
 )
 from finslerboost.checks import expm
-
-NU_Z = UnitVector3(0.0, 0.0, 1.0)
-E_X = UnitVector3(1.0, 0.0, 0.0)
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-def rand_unit(rng):
-    return UnitVector3.normalized(rng.normal(size=3))
+from support import E_X, ETA, NU_Z, _mp_dot, _mp_params, _mp_unit, rand_unit
 
 
 def rand_params(rng):
@@ -95,13 +87,8 @@ def test_boost_standard_along_axis():
 
 
 def test_boost_matches_exponential():
-    rng = np.random.default_rng(5)
     lam = boost_matrix(NU_Z, BoostParams(E_X, 0.7))
     assert np.max(np.abs(lam - expm(0.7 * generator(NU_Z, E_X)))) < 1e-10
-    for _ in range(1000):
-        nu, g = rand_unit(rng), rand_params(rng)
-        lam = boost_matrix(nu, g)
-        assert np.max(np.abs(lam - expm(g.alpha * generator(nu, g.n)))) < 1e-10
 
 
 def test_boost_unimodular_and_interval_preserving():
@@ -141,19 +128,6 @@ def test_compose_parallel_rapidities_add():
     assert np.allclose(g.n.as_array(), NU_Z.as_array(), atol=1e-12)
 
 
-def test_compose_matches_matrix_product_and_additivity():
-    rng = np.random.default_rng(19)
-    for _ in range(1000):
-        nu = rand_unit(rng)
-        g1, g2 = rand_params(rng), rand_params(rng)
-        g = compose(nu, g1, g2)
-        prod = boost_matrix(nu, g2) @ boost_matrix(nu, g1)
-        assert np.max(np.abs(boost_matrix(nu, g) - prod)) < 1e-10
-        s = dot3(nu, g.n) * g.alpha
-        s12 = dot3(nu, g1.n) * g1.alpha + dot3(nu, g2.n) * g2.alpha
-        assert abs(s - s12) < 1e-12
-
-
 def test_velocity_examples():
     assert velocity_from_params(NU_Z, BoostParams(NU_Z, 0.0)).speed() == 0.0
     v = velocity_from_params(NU_Z, BoostParams(NU_Z, 0.8))
@@ -173,40 +147,11 @@ def test_params_from_velocity_examples():
     assert ident.alpha == 0.0 and ident.n == NU_Z
 
 
-def test_parametrization_round_trip():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        nu = rand_unit(rng)
-        g = BoostParams(rand_unit(rng), float(rng.uniform(1e-3, 3.0)))
-        back = params_from_velocity(nu, velocity_from_params(nu, g))
-        assert abs(back.alpha - g.alpha) < 1e-9
-        assert np.max(np.abs(back.n.as_array() - g.n.as_array())) < 1e-9
-
-
 def test_add_velocities_identity_and_fixed_point():
-    rng = np.random.default_rng(29)
     v1 = Velocity3(0.3, -0.2, 0.1)
     assert np.allclose(
         add_velocities(NU_Z, v1, Velocity3(0, 0, 0)).as_array(), v1.as_array(), atol=1e-15
     )
-    for _ in range(200):
-        nu = rand_unit(rng)
-        v = velocity_from_params(nu, rand_params(rng))
-        out = _add_velocities(nu.to_json(), v.to_json(), nu.to_json())
-        assert np.max(np.abs(np.array(out) - nu.as_array())) < 1e-12
-
-
-def test_add_velocities_matches_composition():
-    rng = np.random.default_rng(31)
-    for _ in range(1000):
-        nu = rand_unit(rng)
-        g1, g2 = rand_params(rng), rand_params(rng)
-        v1 = velocity_from_params(nu, g1)
-        v2 = velocity_from_params(nu, g2)
-        direct = add_velocities(nu, v1, v2)
-        via = velocity_from_params(nu, compose(nu, g1, g2))
-        assert np.max(np.abs(direct.as_array() - via.as_array())) < 1e-10
-        assert direct.speed() < 1.0
 
 
 def test_dilation_examples():
@@ -236,29 +181,6 @@ def test_generalized_boost():
     assert np.max(
         np.abs(generalized_boost_matrix(spec, gp) - boost_matrix(nu, gp))
     ) < 1e-14
-    for _ in range(1000):
-        nu, g = rand_unit(rng), rand_params(rng)
-        spec = AnisotropySpec(nu, float(rng.uniform(-0.9, 0.9)))
-        dl = generalized_boost_matrix(spec, g)
-        assert np.max(
-            np.abs(dl - expm(g.alpha * generalized_generator(spec, g.n)))
-        ) < 1e-10
-        s = dot3(nu, g.n)
-        d4 = math.exp(-4.0 * spec.r * s * g.alpha)
-        assert np.linalg.det(dl) == pytest.approx(d4, rel=1e-10)
-
-
-def test_generalized_boost_preserves_finsler_interval():
-    rng = np.random.default_rng(41)
-    for _ in range(500):
-        nu, g = rand_unit(rng), rand_params(rng)
-        spec = AnisotropySpec(nu, float(rng.uniform(-0.9, 0.9)))
-        x3 = rng.uniform(-1, 1, size=3)
-        x = FourVector(float(np.linalg.norm(x3)) + rng.uniform(0.1, 2.0), *x3)
-        xp = apply_matrix(generalized_boost_matrix(spec, g), x)
-        assert finsler_interval_sq(xp, spec) == pytest.approx(
-            finsler_interval_sq(x, spec), rel=1e-10
-        )
 
 
 def test_axial_rotation():
@@ -395,16 +317,6 @@ def _mp_exprel(x):
     return mpmath.expm1(x) / x if x != 0 else mpmath.mpf(1)
 
 
-def _mp_dot(a, b):
-    return mpmath.fsum(mpmath.mpf(p) * q for p, q in zip(a, b))
-
-
-def _mp_unit(u):
-    """u / |u|: a float unit vector is unit only to about 1e-16."""
-    norm = mpmath.sqrt(_mp_dot(u, u))
-    return [mpmath.mpf(c) / norm for c in u]
-
-
 def _mp_velocity(nu, n, alpha):
     """(km n + c0 nu) / (1 + c0) with a = (nu.n) alpha."""
     nu, n = _mp_unit(nu), _mp_unit(n)
@@ -412,18 +324,6 @@ def _mp_velocity(nu, n, alpha):
     km = alpha * _mp_exprel(-a)
     c0 = -km * (-alpha * _mp_exprel(a)) / 2
     return [(km * p + c0 * q) / (1 + c0) for p, q in zip(n, nu)]
-
-
-def _mp_params(nu, v):
-    """(n, alpha) of velocity v, written without cancellation."""
-    nu = _mp_unit(nu)
-    vsq, vnu = _mp_dot(v, v), _mp_dot(v, nu)
-    w = 1 - vnu
-    u = vsq / (1 + mpmath.sqrt(1 - vsq))  # 1 - sqrt(1 - v^2)
-    t = (vnu - u) / w
-    alpha = mpmath.sqrt(2 * u / w) * (mpmath.log1p(t) / t if t != 0 else 1)
-    p, q = mpmath.sqrt(2 * w * u), mpmath.sqrt(u / (2 * w))
-    return [mpmath.mpf(c) / p - q * m for c, m in zip(v, nu)], alpha
 
 
 def _mp_compose(nu, g1, g2):
@@ -474,7 +374,7 @@ def test_params_from_velocity_near_zero_against_mpmath():
             for d in _near_zero_directions(rng, nu):
                 v = Velocity3(*(mag * d.as_array()).tolist())
                 got = params_from_velocity(nu, v)
-                n, alpha = _mp_params(nu.to_json(), v.to_json())
+                n, alpha = _mp_params(_mp_unit(nu.to_json()), v.to_json())
                 # the reference reaches v again
                 back = _mp_velocity(nu.to_json(), n, alpha)
                 assert max(abs(b - c) for b, c in zip(back, v.to_json())) <= 1e-40 * mag

@@ -1,7 +1,6 @@
 import json
 import math
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
@@ -10,20 +9,13 @@ import pytest
 
 from finslerboost import UnitVector3, checks
 from finslerboost.cli import main
+from support import spawn, strict_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def strict_json(text):
-    """json.loads that rejects NaN and Infinity, which JSON does not have."""
-    def reject(token):
-        raise ValueError(f"not JSON: {token}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 def test_boost_standard_matrix(capsys):
@@ -151,45 +143,27 @@ def test_check_negative_samples_is_usage_error(capsys):
     assert "non-negative" in err
 
 
-def _imported_packages(*argv):
-    """Exit code and top-level packages a fresh interpreter imports."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
-    )
+def _cli_with_imports(*argv):
+    """A fresh `python -m finslerboost.cli *argv` under -X importtime, and
+    the top-level packages it imported."""
+    proc = spawn("-X", "importtime", "-m", "finslerboost.cli", *argv)
     names = {
         line.rsplit("|", 1)[-1].strip().split(".")[0]
-        for line in proc.stderr.splitlines()
+        for line in proc.stderr.decode().splitlines()
         if line.startswith("import time:")
     }
-    return proc.returncode, names
+    assert "finslerboost" in names, proc.stderr
+    return proc, names
 
 
-FIVE_COMMANDS = (
-    ["boost", "--nu=0,0,1", "--r=0.3", "--v=0.1,0.2,0.3"],
-    ["compose", "--nu=0,0,1", "--n1=1,0,0", "--alpha1=0.8", "--v2=0.1,0.2,0.3"],
-    ["invariants", "--nu=0,0,1", "--r=0.3", "--x=2,1,0,0", "--v=0.5,0,0",
-     "--psi=1,0,0,0.5,0,0,0,0"],
-    ["spinor", "--nu=0,0,1", "--r=0.3", "--v=0.5,0,0", "--psi=1,0,0,0,0,0,0,0"],
-    ["surface", "--nu=0,0,1", "--family=horosphere", "--level=1", "--resolution=3x3"],
-)
-
-
-def test_no_command_imports_scipy(tmp_path):
+def test_no_command_imports_scipy():
+    """The suites' oracle is checks.expm; every other command is started in
+    test_cli_bytes_do_not_depend_on_numpy_being_loaded."""
     assert callable(checks.expm)
-    code, names = _imported_packages("-c", "import finslerboost.cli")
-    assert code == 0 and "finslerboost" in names
-    assert "scipy" not in names
-    for argv in FIVE_COMMANDS:
-        if argv[0] == "surface":
-            argv = argv + [f"--output={tmp_path / 'x.csv'}"]
-        code, names = _imported_packages("-m", "finslerboost.cli", *argv)
-        assert code == 0 and "numpy" not in names, argv[0]
-        assert "scipy" not in names
-    code, names = _imported_packages(
-        "-m", "finslerboost.cli", "check", "--suite", "oracle", "--suite", "spinor",
-        "--samples", "5",
+    proc, names = _cli_with_imports(
+        "check", "--suite", "oracle", "--suite", "spinor", "--samples", "5"
     )
-    assert code == 0
+    assert proc.returncode == 0
     assert "scipy" not in names
 
 
@@ -233,7 +207,8 @@ REPLAY = (
 
 def test_cli_bytes_do_not_depend_on_numpy_being_loaded(tmp_path, capsys):
     """In process, numpy is loaded; a fresh `python -m finslerboost.cli`
-    never imports it.  Both must print and write the same bytes."""
+    imports neither numpy nor scipy.  Both must exit with the same code and
+    print and write the same bytes."""
     assert "numpy" in sys.modules
     for i, argv in enumerate(REPLAY):
         path = tmp_path / f"out-{i}"
@@ -244,10 +219,9 @@ def test_cli_bytes_do_not_depend_on_numpy_being_loaded(tmp_path, capsys):
         written = path.read_bytes() if argv[0] == "surface" else None
         if written is not None:
             path.unlink()
-        proc = subprocess.run(
-            [sys.executable, "-m", "finslerboost.cli", *argv], capture_output=True
-        )
+        proc, names = _cli_with_imports(*argv)
         assert (proc.returncode, proc.stdout) == (code, out), argv
+        assert not {"numpy", "scipy"} & names, (argv, names)
         if written is not None:
             assert path.read_bytes() == written, argv
     # the fifth boost is in the near-zero band
@@ -477,7 +451,9 @@ def test_boost_prints_the_dilation_of_its_matrix(capsys):
     assert np.array(doc["matrix"]).reshape(4, 4)[1, 1] == math.exp(-0.2)
 
 
-SIX_COMMANDS = FIVE_COMMANDS + (["check", "--suite=closure", "--samples=1"],)
+SIX_COMMANDS = tuple(REPLAY[i] for i in (0, 5, 7, 9, 10)) + (
+    ["check", "--suite=closure", "--samples=1"],
+)
 
 
 @pytest.mark.parametrize("argv", SIX_COMMANDS, ids=lambda argv: argv[0])

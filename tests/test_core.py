@@ -23,8 +23,7 @@ from finslerboost import (
 )
 from finslerboost import boost, core, spinor, subgroups, velocity_space
 from finslerboost.core import bispinor_to_json, matrix_to_json
-
-NU_Z = UnitVector3(0.0, 0.0, 1.0)
+from support import NU_Z, rand_unit
 
 
 def test_minkowski_interval_examples():
@@ -85,7 +84,7 @@ def test_finsler_reduces_to_minkowski_at_r0():
         x = rng.uniform(-1, 1, size=3)
         t = float(np.linalg.norm(x)) + rng.uniform(0.05, 2.0)
         dx = FourVector(t, *x)
-        spec = AnisotropySpec(UnitVector3.normalized(rng.normal(size=3)), 0.0)
+        spec = AnisotropySpec(rand_unit(rng), 0.0)
         assert abs(finsler_interval_sq(dx, spec) - minkowski_interval(dx)) < 1e-12 * max(
             1.0, abs(minkowski_interval(dx))
         )
@@ -114,8 +113,7 @@ def test_finsler_degree_two_down_to_tiny_scales(lam):
     for _ in range(200):
         x = rng.uniform(-1, 1, size=3)
         t = float(np.linalg.norm(x)) + rng.uniform(0.05, 2.0)
-        spec = AnisotropySpec(UnitVector3.normalized(rng.normal(size=3)),
-                              float(rng.uniform(-0.9, 0.9)))
+        spec = AnisotropySpec(rand_unit(rng), float(rng.uniform(-0.9, 0.9)))
         scaled = FourVector(lam * t, *(lam * x))
         assert finsler_interval_sq(scaled, spec) == pytest.approx(
             lam * lam * finsler_interval_sq(FourVector(t, *x), spec), rel=1e-12, abs=0
@@ -153,7 +151,7 @@ def test_finsler_joint_rotation_invariance():
     rng = np.random.default_rng(11)
     for _ in range(300):
         rot = _rotation(rng)
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         x = rng.uniform(-1, 1, size=3)
         t = float(np.linalg.norm(x)) + rng.uniform(0.05, 2.0)
         spec = AnisotropySpec(nu, rng.uniform(-0.9, 0.9))

@@ -10,7 +10,6 @@ DomainError: never a bare exception, a complex number, inf or NaN.  The CLI
 must exit 0 or 2 and print strict JSON or nothing.
 """
 import dataclasses
-import json
 import math
 import random
 import sys
@@ -34,6 +33,7 @@ from finslerboost import (
     velocity_space,
 )
 from finslerboost.cli import main
+from support import strict_json
 
 DRAWS = 200
 EDGES = (sys.float_info.max, 1.5e308, 1e300, 1.3e154, 1e10, 1e-300, 5e-324)
@@ -237,13 +237,6 @@ def _argv(rng, command: str) -> list:
     return args
 
 
-def _strict_json(text):
-    def reject(token):
-        raise ValueError(f"not JSON: {token}")
-
-    return json.loads(text, parse_constant=reject)
-
-
 @pytest.mark.parametrize("command", ["boost", "compose", "invariants", "spinor", "surface"])
 def test_cli_exits_0_or_2_with_strict_json_or_nothing(command, capsys, tmp_path):
     rng = random.Random(f"cli-{command}")
@@ -256,7 +249,7 @@ def test_cli_exits_0_or_2_with_strict_json_or_nothing(command, capsys, tmp_path)
         out = capsys.readouterr().out
         assert code in (0, 2), argv
         if out:
-            _strict_json(out)
+            strict_json(out)
         else:
             assert code == 2, argv
         codes.add(code)

@@ -22,19 +22,14 @@ from finslerboost import (
     abelian_transform,
     abelian_transform_v,
     abelian_velocity,
-    apply_matrix,
     axial_invariants,
     axial_transform,
     compose,
     dot3,
     finsler_interval_sq,
-    generalized_boost_matrix,
-    minkowski_interval,
 )
 from finslerboost.subgroups import perpendicular_to
-
-NU_Z = UnitVector3(0.0, 0.0, 1.0)
-E_X = UnitVector3(1.0, 0.0, 0.0)
+from support import E_X, NU_Z, _mp_dot, rand_unit
 
 
 def rand_event(rng):
@@ -66,7 +61,7 @@ def test_abelian_hand_value():
 def test_abelian_inverse_is_negated_rapidity():
     rng = np.random.default_rng(47)
     for _ in range(300):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         p = rand_abelian(rng, nu)
         x = rand_event(rng)
         back = abelian_transform(
@@ -93,7 +88,7 @@ def test_abelian_velocity_example_and_horosphere_condition():
     assert np.allclose(v.as_array(), (2 / 3, 0.0, 1 / 3), atol=1e-15)
     rng = np.random.default_rng(53)
     for _ in range(300):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         v = abelian_velocity(nu, rand_abelian(rng, nu))
         level = (1.0 - dot3(v, nu)) / math.sqrt(1.0 - v.speed() ** 2)
         assert abs(level - 1.0) < 1e-12
@@ -105,7 +100,7 @@ def test_abelian_params_inversion():
     assert np.allclose(p.n.as_array(), E_X.as_array(), atol=1e-12)
     rng = np.random.default_rng(59)
     for _ in range(300):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         p = rand_abelian(rng, nu)
         if abs(p.alpha) < 1e-3:
             continue
@@ -135,17 +130,16 @@ def test_abelian_params_near_zero_against_mpmath():
     worst_alpha = worst_n = 0.0
     with mpmath.workdps(50):
         for mag in np.geomspace(1e-150, 3.0, 60).tolist():
-            nu = UnitVector3.normalized(rng.normal(size=3))
+            nu = rand_unit(rng)
             p = AbelianParams(AbelianParams.from_tangent(nu, rng.normal(size=3)).n, mag)
             v = abelian_velocity(nu, p)
             back = abelian_params_from_velocity(nu, v)
             assert back.alpha == pytest.approx(mag, rel=1e-15 * (1.0 + mag * mag))
             off_plane = abs(dot3(p.n, nu))
             assert np.max(np.abs(back.n.as_array() - p.n.as_array())) <= 1e-15 + off_plane
-            vm, num = [mpmath.mpf(c) for c in v.to_json()], [mpmath.mpf(c) for c in nu.to_json()]
-            s = mpmath.fsum(a * b for a, b in zip(vm, num))
-            perp = [a - s * b for a, b in zip(vm, num)]
-            size = mpmath.sqrt(mpmath.fsum(c * c for c in perp))
+            s = _mp_dot(v.to_json(), nu.to_json())
+            perp = [a - s * b for a, b in zip(v.to_json(), nu.to_json())]
+            size = mpmath.sqrt(_mp_dot(perp, perp))
             exact = size / (1 - s)
             worst_alpha = max(worst_alpha, float(abs(back.alpha - exact) / exact))
             worst_n = max(worst_n, max(
@@ -174,16 +168,14 @@ def test_abelian_transform_v():
 
 
 def test_abelian_transform_v_invariants():
+    """The anisotropic interval at three values of r; the Minkowski interval
+    and x0 - nu.x are the subgroups suite's abelian-invariants."""
     rng = np.random.default_rng(61)
     for _ in range(500):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         v = abelian_velocity(nu, rand_abelian(rng, nu))
         x = rand_event(rng)
         xp = abelian_transform_v(nu, v, x)
-        assert minkowski_interval(xp) == pytest.approx(minkowski_interval(x), rel=1e-10)
-        assert xp.t - dot3(nu, xp.spatial()) == pytest.approx(
-            x.t - dot3(nu, x.spatial()), rel=1e-10
-        )
         for r in (-0.6, 0.0, 0.8):
             spec = AnisotropySpec(nu, r)
             assert finsler_interval_sq(xp, spec) == pytest.approx(
@@ -192,31 +184,28 @@ def test_abelian_transform_v_invariants():
 
 
 def test_abelian_matches_boost_matrix_and_parameter_map():
+    """The map through the velocity; the match with the generalized boost
+    is the subgroups suite's abelian-vs-orthogonal-boost."""
     rng = np.random.default_rng(67)
     for _ in range(300):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         p = rand_abelian(rng, nu)
         x = rand_event(rng)
+        rng.uniform(-0.9, 0.9)  # an unused r, drawn to keep this seed's samples
         direct = abelian_transform(nu, p, x)
-        lam = generalized_boost_matrix(
-            AnisotropySpec(nu, float(rng.uniform(-0.9, 0.9))), BoostParams(p.n, p.alpha)
-        )
-        assert np.max(np.abs(direct.as_array() - apply_matrix(lam, x).as_array())) < 1e-10
         if abs(p.alpha) > 1e-3:
             via = abelian_transform_v(nu, abelian_velocity(nu, p), x)
             assert np.max(np.abs(direct.as_array() - via.as_array())) < 1e-10
 
 
 def test_abelian_commutativity_and_closure():
+    """Closure: the full composition law restricted to the plane.  The
+    commutativity is the subgroups suite's abelian-commutativity."""
     rng = np.random.default_rng(71)
     for _ in range(300):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         p1, p2 = rand_abelian(rng, nu), rand_abelian(rng, nu)
-        x = rand_event(rng)
-        ab = abelian_transform(nu, p2, abelian_transform(nu, p1, x))
-        ba = abelian_transform(nu, p1, abelian_transform(nu, p2, x))
-        assert np.max(np.abs(ab.as_array() - ba.as_array())) < 1e-10
-        # closure matches the full composition law restricted to the plane
+        rand_event(rng)  # an unused event, drawn to keep this seed's samples
         g = compose(nu, BoostParams(p1.n, p1.alpha), BoostParams(p2.n, p2.alpha))
         w = p1.n.as_array() * p1.alpha + p2.n.as_array() * p2.alpha
         assert np.max(np.abs(g.n.as_array() * g.alpha - w)) < 1e-10
@@ -234,21 +223,18 @@ def test_axial_identity_and_hand_value():
 
 
 def test_axial_inverse_pair_and_flow():
+    """-alpha inverts alpha; the flow's additivity is the subgroups suite's
+    axial-flow-additivity."""
     rng = np.random.default_rng(73)
     for _ in range(300):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         spec = AnisotropySpec(nu, float(rng.uniform(-0.9, 0.9)))
-        a1, a2 = rng.uniform(-2, 2, size=2)
+        a1, _ = rng.uniform(-2, 2, size=2)
         x = rand_event(rng)
         back = axial_transform(
             spec, AxialParams(-a1), axial_transform(spec, AxialParams(a1), x)
         )
         assert np.max(np.abs(back.as_array() - x.as_array())) < 1e-12
-        chained = axial_transform(
-            spec, AxialParams(a2), axial_transform(spec, AxialParams(a1), x)
-        )
-        joint = axial_transform(spec, AxialParams(a1 + a2), x)
-        assert np.max(np.abs(chained.as_array() - joint.as_array())) < 1e-10
 
 
 def test_axial_preserves_finsler_only_for_own_r():
@@ -276,19 +262,15 @@ def test_axial_invariants_examples():
 
 
 def test_axial_scaling_laws():
+    """The cylinder ratio is kept, down to ratios of 0 that the subgroups
+    suite skips below 1e-6; the scaling of the projection and the interval
+    is the suite's axial-scaling-laws."""
     rng = np.random.default_rng(79)
-    r, alpha = 0.5, math.log(2.0)
-    spec = AnisotropySpec(NU_Z, r)
+    spec = AnisotropySpec(NU_Z, 0.5)
     for _ in range(300):
         x = rand_event(rng)
         before = axial_invariants(spec, x)
-        after = axial_invariants(spec, axial_transform(spec, AxialParams(alpha), x))
-        assert after.nu_projection == pytest.approx(
-            math.exp((1 - r) * alpha) * before.nu_projection, rel=1e-10
-        )
-        assert after.interval_sq == pytest.approx(
-            math.exp(-2 * r * alpha) * before.interval_sq, rel=1e-10
-        )
+        after = axial_invariants(spec, axial_transform(spec, AxialParams(math.log(2.0)), x))
         assert after.cylinder_ratio == pytest.approx(before.cylinder_ratio, rel=1e-9, abs=1e-12)
 
 

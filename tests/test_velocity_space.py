@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from finslerboost import (
-    AbelianParams,
     AnisotropySpec,
     OutOfRange,
     UnitVector3,
     Velocity3,
-    abelian_velocity,
     add_velocities,
     bispinor_matrix,
     cylinder_level,
@@ -25,18 +23,7 @@ from finslerboost import (
 )
 from finslerboost.subgroups import perpendicular_to
 from finslerboost.velocity_space import _inverse_frame
-
-NU_Z = UnitVector3(0.0, 0.0, 1.0)
-
-
-def rand_unit(rng):
-    return UnitVector3.normalized(rng.normal(size=3))
-
-
-def rand_speed(rng, lo=0, hi=3):
-    return Velocity3.from_array(
-        math.tanh(rng.uniform(lo, hi)) * rand_unit(rng).as_array()
-    )
+from support import NU_Z, _mp_dot, _mp_params, _mp_unit, rand_speed, rand_unit
 
 
 def test_distance_examples():
@@ -95,14 +82,10 @@ def test_induced_motion_is_isometry():
         assert d1 == pytest.approx(d0, rel=1e-9, abs=1e-12)
 
 
-def _mp_dot(a, b):
-    return sum(p * q for p, q in zip(a, b))
-
-
 def _mp_distance(v1, v2):
     """acosh(g1 g2 (1 - v1.v2)) at 60 digits, the float inputs taken as exact."""
     with mpmath.workdps(60):
-        a, b = [mpmath.mpf(c) for c in v1.to_json()], [mpmath.mpf(c) for c in v2.to_json()]
+        a, b = v1.to_json(), v2.to_json()
         return mpmath.acosh(
             (1 - _mp_dot(a, b)) / mpmath.sqrt((1 - _mp_dot(a, a)) * (1 - _mp_dot(b, b)))
         )
@@ -150,17 +133,6 @@ def _frames(rng):
         yield nu, Velocity3.from_array(math.tanh(rng.uniform(0.01, 3)) * e.as_array())
 
 
-def _mp_params(nu, u):
-    """(n, alpha) of the element reaching u at 50 digits, for a unit nu."""
-    usq, w = _mp_dot(u, u), 1 - _mp_dot(u, nu)
-    gamma_inv = mpmath.sqrt(1 - usq)
-    t = (gamma_inv - w) / w
-    alpha = mpmath.sqrt(2 * (1 - gamma_inv) / w) * (mpmath.log1p(t) / t if t else 1)
-    p, q = mpmath.sqrt(2 * w * (1 - gamma_inv)), mpmath.sqrt((1 - gamma_inv) / (2 * w))
-    n = [c / p - q * m for c, m in zip(u, nu)]
-    return [c / mpmath.sqrt(_mp_dot(n, n)) for c in n], alpha
-
-
 def _mp_boost_image(nu, n, alpha, x):
     """Lambda (1, x) of the boost (n, alpha) as a velocity, from the rows of
     boost_matrix at 50 digits: with a = (nu.n) alpha, km = alpha (1 - e^-a)/a,
@@ -175,12 +147,6 @@ def _mp_boost_image(nu, n, alpha, x):
     nu_x, r_x = _mp_dot(nu, x), _mp_dot(r, x)
     t = 1 + c0 + r_x
     return [(kp * p * (1 - nu_x) + c0 * m + q + m * r_x) / t for p, q, m in zip(n, x, nu)]
-
-
-def _mp_unit(u):
-    """u / |u| at 50 digits: a float unit vector is unit only to about 1e-16."""
-    u = [mpmath.mpf(c) for c in u]
-    return [c / mpmath.sqrt(_mp_dot(u, u)) for c in u]
 
 
 def _fast_frames_near_rest(rng):
@@ -199,7 +165,7 @@ def _mp_image(nu, frame, x, sign):
     """Lambda(frame)^sign (1, x) as a velocity at 50 digits, nu normalized first."""
     with mpmath.workdps(50):
         nuv = _mp_unit(nu.to_json())
-        n, alpha = _mp_params(nuv, [mpmath.mpf(c) for c in frame.to_json()])
+        n, alpha = _mp_params(nuv, frame.to_json())
         return _mp_boost_image(nuv, n, sign * alpha, [mpmath.mpf(c) for c in x.to_json()])
 
 
@@ -240,19 +206,6 @@ def test_velocity_action_against_mpmath():
         assert worst <= bound, (act.__name__, worst)
 
 
-def test_horosphere_levels_invariant_under_abelian_motions():
-    rng = np.random.default_rng(149)
-    for _ in range(500):
-        nu = rand_unit(rng)
-        frame = abelian_velocity(
-            nu, AbelianParams(perpendicular_to(nu), float(rng.uniform(-2, 2)))
-        )
-        v = rand_speed(rng)
-        assert horosphere_level(nu, induced_motion(nu, frame, v)) == pytest.approx(
-            horosphere_level(nu, v), rel=1e-9
-        )
-
-
 def test_cylinder_levels_invariant_under_axial_motions():
     rng = np.random.default_rng(151)
     for _ in range(500):
@@ -262,21 +215,6 @@ def test_cylinder_levels_invariant_under_axial_motions():
         c0 = cylinder_level(nu, v)
         c1 = cylinder_level(nu, induced_motion(nu, frame, v))
         assert c1 == pytest.approx(c0, rel=1e-9, abs=1e-12)
-
-
-def test_dilation_is_level_power():
-    """D = h(v)^r from the velocity equals e^{-r (nu.n) alpha} from the
-    group parameters of the boost reaching v."""
-    rng = np.random.default_rng(157)
-    for _ in range(1000):
-        nu = rand_unit(rng)
-        r = float(rng.uniform(-0.9, 0.9))
-        v = rand_speed(rng)
-        g = params_from_velocity(nu, v)
-        assert abs(
-            dilation_factor(AnisotropySpec(nu, r), v)
-            - math.exp(-r * dot3(nu, g.n) * g.alpha)
-        ) < 1e-12
 
 
 def test_sample_horosphere():
@@ -391,7 +329,7 @@ def test_velocities_at_the_edge_along_nu_end_in_a_value_or_out_of_range():
     rng = np.random.default_rng(401)
     outcomes = collections.Counter()
     for _ in range(100):
-        nu = UnitVector3.normalized(rng.normal(size=3))
+        nu = rand_unit(rng)
         for k in range(50, 54):
             try:  # |nu| can exceed 1 by an ulp
                 v = Velocity3(*[(1.0 - 2.0 ** -k) * c for c in nu.to_json()])
