@@ -29,7 +29,6 @@ from .core import (
     Velocity3,
     _dot,
     _t3,
-    dot3,
     finsler_interval_sq,
     minkowski_interval,
 )
@@ -387,10 +386,9 @@ def suite_subgroups(rng, samples):
         v1 = subgroups.abelian_velocity(nu, pa1)
         xp = subgroups.abelian_transform_v(nu, v1, x)
         p_ab_inv.record(_reldiff(minkowski_interval(xp), minkowski_interval(x)))
+        nuv = _t3(nu)
         p_ab_inv.record(
-            _reldiff(
-                xp.t - dot3(nu, xp.spatial()), x.t - dot3(nu, x.spatial())
-            )
+            _reldiff(xp.t - _dot(nuv, (xp.x, xp.y, xp.z)), x.t - _dot(nuv, (x.x, x.y, x.z)))
         )
 
         one = subgroups.abelian_transform(nu, pa2, subgroups.abelian_transform(nu, pa1, x))
@@ -518,6 +516,13 @@ SUITES = {
 }
 
 
+def _suite_index(name: str) -> int:
+    """Position of a suite in SUITES; ValueError naming it and the valid ones."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}")
+    return list(SUITES).index(name)
+
+
 def run_suite(name: str, seed: int = 0, samples: int = 1000) -> CheckReport:
     """Run one named suite with a generator derived from (seed, suite index).
 
@@ -525,8 +530,7 @@ def run_suite(name: str, seed: int = 0, samples: int = 1000) -> CheckReport:
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    index = list(SUITES).index(name)
-    rng = np.random.default_rng([seed, index])
+    rng = np.random.default_rng([seed, _suite_index(name)])
     if samples == 0:
         props = [PropertyResult(f"{name} (vacuous)", math.inf)]
     else:

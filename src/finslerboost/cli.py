@@ -102,27 +102,30 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
-def _params_or_velocity(args, nu, suffix=""):
+def _params(args, nu, suffix=""):
+    """The boost given as (--n, --alpha) or as --v."""
     n = getattr(args, "n" + suffix, None)
     alpha = getattr(args, "alpha" + suffix, None)
     v = getattr(args, "v" + suffix, None)
     if v is not None:
         if n is not None or alpha is not None:
             raise argparse.ArgumentTypeError("give either (n, alpha) or v, not both")
-        vel = Velocity3.from_array(v)
-        return boost.params_from_velocity(nu, vel), vel
+        return boost.params_from_velocity(nu, Velocity3.from_array(v))
     if n is None or alpha is None:
         raise argparse.ArgumentTypeError(
             f"need --n{suffix} and --alpha{suffix}, or --v{suffix}"
         )
-    params = boost.BoostParams(UnitVector3.normalized(n), alpha)
-    return params, boost.velocity_from_params(nu, params)
+    return boost.BoostParams(UnitVector3.normalized(n), alpha)
 
 
 def cmd_boost(args) -> int:
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
-    params, vel = _params_or_velocity(args, nu)
+    params = _params(args, nu)
+    if args.v is not None:
+        vel = Velocity3.from_array(args.v)
+    else:
+        vel = boost.velocity_from_params(nu, params)
     dilation, mat = boost._generalized_rows(spec, params)
     out = {
         "matrix": matrix_to_json(mat),
@@ -138,8 +141,8 @@ def cmd_boost(args) -> int:
 
 def cmd_compose(args) -> int:
     nu = UnitVector3.normalized(args.nu)
-    g1, _ = _params_or_velocity(args, nu, "1")
-    g2, _ = _params_or_velocity(args, nu, "2")
+    g1 = _params(args, nu, "1")
+    g2 = _params(args, nu, "2")
     g = boost.compose(nu, g1, g2)
     l1 = boost._boost_rows(nu, g1)
     l2 = boost._boost_rows(nu, g2)
@@ -171,6 +174,8 @@ def _guarded(out: dict, key: str, fn) -> bool:
 
 
 def cmd_invariants(args) -> int:
+    if args.x is None and args.v is None and args.psi is None:
+        raise argparse.ArgumentTypeError("nothing to compute: give --x, --v or --psi")
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     out = {}
@@ -222,11 +227,11 @@ def cmd_check(args) -> int:
         )
     from . import checks
 
-    unknown = [name for name in args.suite or () if name not in checks.SUITES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown suite {unknown[0]!r}; valid suites: {', '.join(checks.SUITES)}"
-        )
+    for name in args.suite or ():
+        try:
+            checks._suite_index(name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     names = args.suite if args.suite else list(checks.SUITES)
     reports = checks.run_all(names, seed=args.seed, samples=args.samples)
     passed = all(r.passed for r in reports)

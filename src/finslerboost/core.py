@@ -70,7 +70,8 @@ class OffHorosphere(DomainError):
 
 
 class ZeroVelocity(DomainError):
-    """Vanishing velocity where a direction cannot be recovered."""
+    """A vector whose direction cannot be recovered: the zero vector, or a
+    velocity whose squared norm is zero or subnormal."""
 
 
 class NonTimelike(DomainError):
@@ -179,17 +180,11 @@ class UnitVector3:
 
     @classmethod
     def normalized(cls, v) -> "UnitVector3":
-        """v / |v|; v is first divided by its largest component where a
-        square overflows, or underflows to 0 or a subnormal."""
-        x, y, z = _t3(v)
-        nsq = x * x + y * y + z * z
-        if not sys.float_info.min <= nsq < math.inf:
-            m = max(abs(x), abs(y), abs(z))
-            if m == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            x, y, z = x / m, y / m, z / m
-            nsq = x * x + y * y + z * z
-        n = math.sqrt(nsq)
+        """v / |v|, rescaled where v.v is out of range; ZeroVelocity for
+        the zero vector."""
+        _, (x, y, z), n = _rescaled(_t3(v))
+        if n == 0.0:
+            raise ZeroVelocity("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)
 
     def to_json(self) -> list:
@@ -257,6 +252,20 @@ def _t3(a) -> tuple:
 
 def _dot(a: tuple, b: tuple) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _rescaled(v: tuple) -> tuple:
+    """(s, v / s, |v / s|), so that |v| = s |v / s|: s is 1, or max|v_i|
+    where v.v overflows, or underflows to 0 or a subnormal.  The zero
+    vector gives (0.0, v, 0.0)."""
+    nsq = _dot(v, v)
+    if sys.float_info.min <= nsq < math.inf:
+        return 1.0, v, math.sqrt(nsq)
+    s = max(map(abs, v))
+    if s == 0.0:
+        return 0.0, v, 0.0
+    v = (v[0] / s, v[1] / s, v[2] / s)
+    return s, v, math.sqrt(_dot(v, v))
 
 
 def _cross(a: tuple, b: tuple) -> tuple:

@@ -23,6 +23,7 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
+    _rescaled,
     _require_finite,
     _t3,
     minkowski_interval,
@@ -76,14 +77,14 @@ class AbelianParams:
     @classmethod
     def from_tangent(cls, nu: UnitVector3, w) -> "AbelianParams":
         """Build from the plane vector w = n * alpha (w is projected onto
-        the plane orthogonal to nu)."""
+        the plane orthogonal to nu, then rescaled where w.w is out of
+        range: a tiny or huge w keeps its direction, and alpha is |w|)."""
         nuv, w = _t3(nu), _t3(w)
         d = _dot(nuv, w)
-        w = [c - d * m for c, m in zip(w, nuv)]
-        alpha = math.sqrt(_dot(w, w))
-        if alpha == 0.0:
+        scale, (x, y, z), size = _rescaled(tuple(c - d * m for c, m in zip(w, nuv)))
+        if size == 0.0:
             return cls(perpendicular_to(nu), 0.0)
-        return cls(UnitVector3.normalized(w), alpha)
+        return cls(UnitVector3(x / size, y / size, z / size), scale * size)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -39,6 +40,12 @@ def test_non_finite_deviation_is_null_in_json(dev):
 def test_negative_samples_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         checks.run_suite("closure", samples=-5)
+
+
+def test_unknown_suite_names_the_valid_ones():
+    valid = ", ".join(checks.SUITES)
+    with pytest.raises(ValueError, match=re.escape(f"unknown suite 'nope'; valid suites: {valid}")):
+        checks.run_suite("nope")
 
 
 def _oracle_generators(rng, count, nilpotent):

@@ -74,6 +74,15 @@ def test_compose_identity_and_parallel(capsys):
     assert doc["params"]["alpha"] == pytest.approx(1.0, abs=1e-12)
     assert doc["residual"] < 1e-10
 
+    # each operand's speed rounds to 1; their composite is the identity
+    code, out, _ = run(
+        capsys, "compose", "--nu", "0,0,1",
+        "--n1", "0,0,1", "--alpha1", "20", "--n2=0,0,-1", "--alpha2", "20",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["params"], doc["velocity"]) == ({"n": [0.0, 0.0, 1.0], "alpha": 0.0}, [0.0] * 3)
+
 
 def test_invariants_trivial_event(capsys):
     code, out, _ = run(
@@ -275,6 +284,9 @@ def test_surface_out_of_range(tmp_path, capsys):
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "boost", "--nu", "0,0,1", "--r", "0")
     assert code == 1
+    code, out, err = run(capsys, "invariants", "--nu", "0,0,1", "--r", "0.3")
+    assert (code, out) == (1, "")
+    assert err == "finslerboost: error: nothing to compute: give --x, --v or --psi\n"
     with pytest.raises(SystemExit) as exc:
         main(["surface", "--nu", "0,0,1", "--family", "horosphere", "--level", "1",
               "--output", "/tmp/x", "--format", "xml"])
@@ -359,6 +371,16 @@ def test_surface_into_a_missing_directory_is_domain_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"error writing {path}: ")
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["boost", "--nu=0,0,0", "--r=0.2", "--n=1,0,0", "--alpha=1"],
+    ["boost", "--nu=0,0,1", "--r=0.2", "--n=0,0,0", "--alpha=1"],
+], ids=["nu", "n"])
+def test_zero_direction_is_zero_velocity(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "finslerboost: ZeroVelocity: cannot normalize the zero vector\n"
 
 
 def test_overflowing_rapidity_is_domain_error(capsys):

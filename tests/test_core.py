@@ -15,6 +15,7 @@ from finslerboost import (
     Tolerance,
     UnitVector3,
     Velocity3,
+    ZeroVelocity,
     cross3,
     dot3,
     finsler_interval_sq,
@@ -176,6 +177,8 @@ def test_type_validation():
         FourVector(float("nan"), 0, 0, 0)
     with pytest.raises(ValueError):
         UnitVector3.normalized((0, 0, 0))
+    with pytest.raises(ZeroVelocity, match="cannot normalize the zero vector"):
+        UnitVector3.normalized(np.zeros(3))
 
 
 def test_json_round_trips():

@@ -80,6 +80,9 @@ def test_abelian_from_tangent():
     assert p.n == E_X and p.alpha == 2.0
     zero = AbelianParams.from_tangent(NU_Z, (0.0, 0.0, 0.0))
     assert zero.alpha == 0.0 and abs(dot3(NU_Z, zero.n)) < 1e-12
+    # w.w underflows to 0 or overflows: w is rescaled before its norm
+    for size in (1e-170, 1e160):
+        assert AbelianParams.from_tangent(NU_Z, (size, 0.0, 0.0)) == AbelianParams(E_X, size)
 
 
 def test_abelian_velocity_example_and_horosphere_condition():
