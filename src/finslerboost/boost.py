@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import (
     AnisotropySpec,
@@ -26,10 +24,8 @@ from .core import (
     _r_power,
     _require_finite,
     _t3,
+    _Value,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "BoostParams",
@@ -49,22 +45,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoostParams:
+class BoostParams(_Value):
     """Boost direction n and rapidity alpha, canonicalized to alpha >= 0.
 
     The sign ambiguity (n, alpha) <-> (-n, -alpha) leaves the transformation
     unchanged, so negative rapidities are absorbed into the direction.
     """
 
-    n: UnitVector3
-    alpha: float
+    __slots__ = ("n", "alpha")
 
-    def __post_init__(self):
-        _require_finite(self.alpha)
-        if self.alpha < 0:
-            object.__setattr__(self, "alpha", -self.alpha)
-            object.__setattr__(self, "n", -self.n)
+    def __init__(self, n: UnitVector3, alpha: float):
+        _require_finite(alpha)
+        if alpha < 0:
+            n, alpha = -n, -alpha
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
 
     @classmethod
     def identity(cls, nu: UnitVector3) -> "BoostParams":

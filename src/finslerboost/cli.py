@@ -152,8 +152,13 @@ def cmd_compose(args) -> int:
         for row, prow in zip(boost._boost_rows(nu, g), product)
         for p, q in zip(row, prow)
     ]
-    # a NaN entry makes the residual NaN, whatever its position
-    residual = math.nan if any(map(math.isnan, diffs)) else max(diffs)
+    # relative to the largest term that the product sums, at least 1 (the product
+    # of the time-time entries, two gammas): the product itself may cancel to 0
+    # where the composite is near the identity.  A term that overflows makes its
+    # entry, and then the residual, not finite; so does a NaN entry, whatever its
+    # position.
+    size = max(abs(r[k] * l1[k][j]) for r in l2 for k in range(4) for j in range(4))
+    residual = math.nan if any(map(math.isnan, diffs)) else max(diffs) / size
     _emit(
         {
             "params": g.to_json(),

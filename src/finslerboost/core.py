@@ -15,11 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "DomainError",
@@ -87,8 +82,45 @@ class OutOfRange(DomainError):
     its family's range, a velocity or rapidity at speed 1, or an overflow."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Value:
+    """Base of the immutable value types.  A subclass lists its fields in
+    __slots__ and stores them once, with object.__setattr__, in __init__;
+    values are compared and hashed by their fields, in slot order, and
+    printed as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__: by default they would
+        # restore the slots with setattr, which raises
+        return type(self), self._values()
+
+
+class Tolerance(_Value):
     """Numerical tolerances: read-only class constants, not settings.
 
     The light-cone band of finsler_interval_sq and the null-density band of
@@ -101,8 +133,9 @@ class Tolerance:
     function branches on it.
     """
 
-    abs_tol: ClassVar[float] = 1e-10
-    limit_switch: ClassVar[float] = 1e-4
+    __slots__ = ()
+    abs_tol = 1e-10
+    limit_switch = 1e-4
 
 
 DEFAULT_TOL = Tolerance()
@@ -130,17 +163,17 @@ def _ndarray(values, dtype=float) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class FourVector:
+class FourVector(_Value):
     """Contravariant event or displacement coordinates (x0, x1, x2, x3)."""
 
-    t: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ("t", "x", "y", "z")
 
-    def __post_init__(self):
-        _require_finite(self.t, self.x, self.y, self.z)
+    def __init__(self, t: float, x: float, y: float, z: float):
+        _require_finite(t, x, y, z)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.t, self.x, self.y, self.z])
@@ -158,19 +191,19 @@ class FourVector:
         return [self.t, self.x, self.y, self.z]
 
 
-@dataclass(frozen=True)
-class UnitVector3:
+class UnitVector3(_Value):
     """Unit 3-vector; validated to unit norm on construction."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        _require_finite(self.x, self.y, self.z)
-        nsq = self.x * self.x + self.y * self.y + self.z * self.z
+    def __init__(self, x: float, y: float, z: float):
+        _require_finite(x, y, z)
+        nsq = x * x + y * y + z * z
         if abs(nsq - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"not a unit vector: |v|^2 = {nsq}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.x, self.y, self.z])
@@ -191,18 +224,18 @@ class UnitVector3:
         return [self.x, self.y, self.z]
 
 
-@dataclass(frozen=True)
-class Velocity3:
+class Velocity3(_Value):
     """3-velocity of the primed frame; |v| < 1."""
 
-    vx: float
-    vy: float
-    vz: float
+    __slots__ = ("vx", "vy", "vz")
 
-    def __post_init__(self):
-        _require_finite(self.vx, self.vy, self.vz)
-        if self.vx * self.vx + self.vy * self.vy + self.vz * self.vz >= 1.0:
+    def __init__(self, vx: float, vy: float, vz: float):
+        _require_finite(vx, vy, vz)
+        if vx * vx + vy * vy + vz * vz >= 1.0:
             raise OutOfRange("speed must be below 1 (c = 1 units)")
+        object.__setattr__(self, "vx", vx)
+        object.__setattr__(self, "vy", vy)
+        object.__setattr__(self, "vz", vz)
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.vx, self.vy, self.vz])
@@ -218,19 +251,19 @@ class Velocity3:
         return [self.vx, self.vy, self.vz]
 
 
-@dataclass(frozen=True)
-class AnisotropySpec:
+class AnisotropySpec(_Value):
     """Preferred direction nu and dimensionless anisotropy parameter r.
 
     Any finite r is accepted; restricting to a physical range is left to
     callers.
     """
 
-    nu: UnitVector3
-    r: float
+    __slots__ = ("nu", "r")
 
-    def __post_init__(self):
-        _require_finite(self.r)
+    def __init__(self, nu: UnitVector3, r: float):
+        _require_finite(r)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "r", r)
 
     def to_json(self) -> dict:
         return {"nu": self.nu.to_json(), "r": self.r}

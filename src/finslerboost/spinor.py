@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .boost import BoostParams, _exprel
 from .core import (
@@ -32,11 +30,9 @@ from .core import (
     _ndarray,
     _r_power,
     _t3,
+    _Value,
     bispinor_to_json,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GammaBasis",
@@ -51,12 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaBasis:
+class GammaBasis(_Value):
     """Dirac matrices gamma^0..gamma^3 and the spin matrices Sigma^1..Sigma^3."""
 
-    gamma: tuple
-    sigma: tuple
+    __slots__ = ("gamma", "sigma")
+
+    def __init__(self, gamma: tuple, sigma: tuple):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "sigma", sigma)
 
 
 @lru_cache(maxsize=1)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import (
     AnisotropySpec,
@@ -26,6 +25,7 @@ from .core import (
     _rescaled,
     _require_finite,
     _t3,
+    _Value,
     minkowski_interval,
     norm3,
 )
@@ -59,8 +59,7 @@ def perpendicular_to(nu: UnitVector3) -> UnitVector3:
     return UnitVector3.normalized(_cross(nuv, pivot))
 
 
-@dataclass(frozen=True)
-class AbelianParams:
+class AbelianParams(_Value):
     """Direction n orthogonal to the preferred axis, and rapidity alpha.
 
     Equivalent to the free 2-vector n * alpha in the plane orthogonal to
@@ -68,33 +67,38 @@ class AbelianParams:
     against a concrete nu is validated by the operations.
     """
 
-    n: UnitVector3
-    alpha: float
+    __slots__ = ("n", "alpha")
 
-    def __post_init__(self):
-        _require_finite(self.alpha)
+    def __init__(self, n: UnitVector3, alpha: float):
+        _require_finite(alpha)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
 
     @classmethod
     def from_tangent(cls, nu: UnitVector3, w) -> "AbelianParams":
         """Build from the plane vector w = n * alpha (w is projected onto
         the plane orthogonal to nu, then rescaled where w.w is out of
-        range: a tiny or huge w keeps its direction, and alpha is |w|)."""
+        range: a tiny or huge w keeps its direction, and alpha is |w|).
+        OutOfRange naming w where |w| overflows."""
         nuv, w = _t3(nu), _t3(w)
         d = _dot(nuv, w)
         scale, (x, y, z), size = _rescaled(tuple(c - d * m for c, m in zip(w, nuv)))
         if size == 0.0:
             return cls(perpendicular_to(nu), 0.0)
-        return cls(UnitVector3(x / size, y / size, z / size), scale * size)
+        alpha = scale * size  # not finite also where the projection overflows
+        if not math.isfinite(alpha):
+            raise OutOfRange(f"the norm |w| of the tangent vector w = {list(w)} overflows")
+        return cls(UnitVector3(x / size, y / size, z / size), alpha)
 
 
-@dataclass(frozen=True)
-class AxialParams:
+class AxialParams(_Value):
     """Rapidity of a boost along the preferred axis."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        _require_finite(self.alpha)
+    def __init__(self, alpha: float):
+        _require_finite(alpha)
+        object.__setattr__(self, "alpha", alpha)
 
 
 def _check_orthogonal(nu: UnitVector3, n: UnitVector3) -> None:
@@ -198,17 +202,20 @@ def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> Four
         ) from None
 
 
-@dataclass(frozen=True)
-class AxialInvariants:
+class AxialInvariants(_Value):
     """Quantities with definite scaling under the axial subgroup.
 
-    nu_projection scales by e^{(1-r) alpha}, interval_sq by e^{-2 r alpha},
-    and cylinder_ratio is exactly invariant.
+    nu_projection = x0 - nu.x scales by e^{(1-r) alpha}, interval_sq =
+    x0^2 - x^2 by e^{-2 r alpha}, and cylinder_ratio = |x cross nu| /
+    sqrt(x0^2 - x^2) is exactly invariant.
     """
 
-    nu_projection: float  # x0 - nu.x
-    interval_sq: float  # x0^2 - x^2
-    cylinder_ratio: float  # |x cross nu| / sqrt(x0^2 - x^2)
+    __slots__ = ("nu_projection", "interval_sq", "cylinder_ratio")
+
+    def __init__(self, nu_projection: float, interval_sq: float, cylinder_ratio: float):
+        object.__setattr__(self, "nu_projection", nu_projection)
+        object.__setattr__(self, "interval_sq", interval_sq)
+        object.__setattr__(self, "cylinder_ratio", cylinder_ratio)
 
     def to_json(self) -> dict:
         return {

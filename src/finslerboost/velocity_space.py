@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 
 from .boost import _act, _inverse_frame
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     _dot,
     _horosphere,
     _t3,
+    _Value,
 )
 from .subgroups import _abelian, perpendicular_to
 
@@ -73,13 +73,16 @@ def induced_motion(nu: UnitVector3, frame_v: Velocity3, v: Velocity3) -> Velocit
     return Velocity3(*_act(nuv, u, w, _t3(v), g))
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    """Deterministic grid of velocity points on one invariant level set."""
+class SurfaceSample(_Value):
+    """Deterministic grid of velocity points on one invariant level set of
+    the family "horosphere" or "cylinder"."""
 
-    family: str  # "horosphere" | "cylinder"
-    level: float
-    points: tuple = field(default_factory=tuple)
+    __slots__ = ("family", "level", "points")
+
+    def __init__(self, family: str, level: float, points: tuple = ()):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "points", points)
 
     def to_json(self) -> dict:
         return {

@@ -74,7 +74,8 @@ def test_compose_identity_and_parallel(capsys):
     assert doc["params"]["alpha"] == pytest.approx(1.0, abs=1e-12)
     assert doc["residual"] < 1e-10
 
-    # each operand's speed rounds to 1; their composite is the identity
+    # each operand's speed rounds to 1; their composite is the identity, and
+    # the float product's entries cancel: the residual is relative to its terms
     code, out, _ = run(
         capsys, "compose", "--nu", "0,0,1",
         "--n1", "0,0,1", "--alpha1", "20", "--n2=0,0,-1", "--alpha2", "20",
@@ -82,6 +83,7 @@ def test_compose_identity_and_parallel(capsys):
     doc = json.loads(out)
     assert code == 0
     assert (doc["params"], doc["velocity"]) == ({"n": [0.0, 0.0, 1.0], "alpha": 0.0}, [0.0] * 3)
+    assert doc["residual"] <= 1e-15
 
 
 def test_invariants_trivial_event(capsys):
@@ -216,8 +218,9 @@ REPLAY = (
 
 def test_cli_bytes_do_not_depend_on_numpy_being_loaded(tmp_path, capsys):
     """In process, numpy is loaded; a fresh `python -m finslerboost.cli`
-    imports neither numpy nor scipy.  Both must exit with the same code and
-    print and write the same bytes."""
+    imports neither numpy nor scipy, nor dataclasses and inspect, which the
+    value types do without.  Both must exit with the same code and print and
+    write the same bytes."""
     assert "numpy" in sys.modules
     for i, argv in enumerate(REPLAY):
         path = tmp_path / f"out-{i}"
@@ -230,7 +233,7 @@ def test_cli_bytes_do_not_depend_on_numpy_being_loaded(tmp_path, capsys):
             path.unlink()
         proc, names = _cli_with_imports(*argv)
         assert (proc.returncode, proc.stdout) == (code, out), argv
-        assert not {"numpy", "scipy"} & names, (argv, names)
+        assert not {"numpy", "scipy", "dataclasses", "inspect"} & names, (argv, names)
         if written is not None:
             assert path.read_bytes() == written, argv
     # the fifth boost is in the near-zero band

@@ -1,6 +1,8 @@
 import ast
+import copy
 import inspect
 import math
+import pickle
 import re
 
 import numpy as np
@@ -198,6 +200,87 @@ def test_json_round_trips():
     assert np.array_equal([complex(*p) for p in bispinor_to_json(psi)], psi)
 
 
+# Each value type: a builder of one value, its fields, and its pinned repr.
+VALUES = (
+    (lambda: FourVector(2.0, 0.3, -0.1, 0.4), ("t", "x", "y", "z"),
+     "FourVector(t=2.0, x=0.3, y=-0.1, z=0.4)"),
+    (lambda: UnitVector3(0.0, 0.6, 0.8), ("x", "y", "z"), "UnitVector3(x=0.0, y=0.6, z=0.8)"),
+    (lambda: Velocity3(0.3, -0.2, 0.5), ("vx", "vy", "vz"),
+     "Velocity3(vx=0.3, vy=-0.2, vz=0.5)"),
+    (lambda: AnisotropySpec(UnitVector3(0.0, 0.0, 1.0), -0.4), ("nu", "r"),
+     "AnisotropySpec(nu=UnitVector3(x=0.0, y=0.0, z=1.0), r=-0.4)"),
+    (Tolerance, (), "Tolerance()"),
+    (lambda: boost.BoostParams(UnitVector3(0.0, 0.6, 0.8), -0.5), ("n", "alpha"),
+     "BoostParams(n=UnitVector3(x=-0.0, y=-0.6, z=-0.8), alpha=0.5)"),
+    # the fields of the BoostParams above: the types alone tell them apart
+    (lambda: subgroups.AbelianParams(UnitVector3(-0.0, -0.6, -0.8), 0.5), ("n", "alpha"),
+     "AbelianParams(n=UnitVector3(x=-0.0, y=-0.6, z=-0.8), alpha=0.5)"),
+    (lambda: spinor.GammaBasis(((1.0, 0.0), (0.0, -1.0)), ((0j, 1j),)), ("gamma", "sigma"),
+     "GammaBasis(gamma=((1.0, 0.0), (0.0, -1.0)), sigma=((0j, 1j),))"),
+    (lambda: subgroups.AxialParams(-1.25), ("alpha",), "AxialParams(alpha=-1.25)"),
+    (lambda: subgroups.AxialInvariants(1.5, 2.0, 0.25),
+     ("nu_projection", "interval_sq", "cylinder_ratio"),
+     "AxialInvariants(nu_projection=1.5, interval_sq=2.0, cylinder_ratio=0.25)"),
+    (lambda: velocity_space.SurfaceSample("cylinder", 0.8, (Velocity3(0.1, 0.0, 0.0),)),
+     ("family", "level", "points"),
+     "SurfaceSample(family='cylinder', level=0.8, points=(Velocity3(vx=0.1, vy=0.0, vz=0.0),))"),
+)
+
+
+def _positional(value) -> tuple:
+    """The fields of value, read by a positional class pattern."""
+    match value:
+        case FourVector(t, x, y, z):
+            return t, x, y, z
+        case UnitVector3(x, y, z) | Velocity3(x, y, z):
+            return x, y, z
+        case AnisotropySpec(nu, r):
+            return nu, r
+        case Tolerance():
+            return ()
+        case boost.BoostParams(n, alpha) | subgroups.AbelianParams(n, alpha):
+            return n, alpha
+        case spinor.GammaBasis(gamma, sigma):
+            return gamma, sigma
+        case subgroups.AxialParams(alpha):
+            return (alpha,)
+        case subgroups.AxialInvariants(p, q, c) | velocity_space.SurfaceSample(p, q, c):
+            return p, q, c
+
+
+@pytest.mark.parametrize("k", range(len(VALUES)), ids=[r.split("(")[0] for _, _, r in VALUES])
+def test_value_type_contract(k):
+    """Every value type is compared and hashed by its fields, printed as
+    Name(field=value, ...), immutable, picklable, built by keyword and
+    matched by position."""
+    build, fields, text = VALUES[k]
+    value, twin = build(), build()
+    assert value is not twin
+    assert value == twin and hash(value) == hash(twin)
+    other = VALUES[(k + 1) % len(VALUES)][0]()
+    assert value != other and value.__eq__(other) is NotImplemented
+    assert repr(value) == text
+    name = fields[0] if fields else "abs_tol"
+    with pytest.raises(AttributeError):
+        setattr(value, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1.0
+    assert repr(value) == text
+    values = tuple(getattr(value, f) for f in fields)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value) and copied == value
+    assert type(value)(**dict(zip(fields, values))) == value
+    assert type(value).__match_args__ == fields
+    assert _positional(value) == values
+
+
+def test_surface_sample_points_default_to_empty():
+    assert velocity_space.SurfaceSample("horosphere", 1.0) == velocity_space.SurfaceSample(
+        family="horosphere", level=1.0, points=())
+
+
 def _same_floats(a, b):
     return [x.hex() for x in a] == [x.hex() for x in b]
 
@@ -246,14 +329,11 @@ def test_bispinor_to_json_needs_four_components(length):
 
 
 def _numpy_import_sites(module) -> list:
-    """Dotted name of the scope of each run-time numpy import in module: the
-    imports under `if TYPE_CHECKING:` are skipped."""
+    """Dotted name of the scope of each numpy import in module."""
     sites = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
-                continue
             if isinstance(child, ast.Import):
                 names = [a.name for a in child.names]
             elif isinstance(child, ast.ImportFrom):

@@ -9,7 +9,6 @@ be a finite float, a finite ndarray, a value type with finite fields, or a
 DomainError: never a bare exception, a complex number, inf or NaN.  The CLI
 must exit 0 or 2 and print strict JSON or nothing.
 """
-import dataclasses
 import math
 import random
 import sys
@@ -179,8 +178,8 @@ def _finite(value) -> bool:
         return bool(np.isfinite(value).all())
     if isinstance(value, (tuple, list)):
         return all(_finite(v) for v in value)
-    if dataclasses.is_dataclass(value):
-        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, core._Value):
+        return all(_finite(getattr(value, f)) for f in value.__slots__)
     return isinstance(value, str)
 
 

@@ -85,6 +85,13 @@ def test_abelian_from_tangent():
         assert AbelianParams.from_tangent(NU_Z, (size, 0.0, 0.0)) == AbelianParams(E_X, size)
 
 
+def test_abelian_from_tangent_refuses_a_norm_that_overflows():
+    """Each component is finite, |w| is not: the error names w and |w|."""
+    with pytest.raises(OutOfRange, match=re.escape(
+            "the norm |w| of the tangent vector w = [1.7e+308, 1.7e+308, 0.0] overflows")):
+        AbelianParams.from_tangent(NU_Z, [1.7e308, 1.7e308, 0.0])
+
+
 def test_abelian_velocity_example_and_horosphere_condition():
     assert abelian_velocity(NU_Z, AbelianParams(E_X, 0.0)).speed() == 0.0
     v = abelian_velocity(NU_Z, AbelianParams(E_X, 1.0))
