@@ -91,6 +91,8 @@ for _ in range(5):
 draws = np.random.default_rng(5)
 out += [checks._unit(draws) for _ in range(20000)]
 out += [checks._timelike(draws) for _ in range(20000)]
+out += [checks._speed_vec(draws) for _ in range(5000)]
+out += [checks._near_band_params(draws, checks._unit(draws)) for _ in range(5000)]
 for item in out:
     print(repr(item))
 """
@@ -109,5 +111,5 @@ def _run(coretype):
 def test_scalar_results_independent_of_blas_kernel():
     default = _run(None)
     prescott = _run("Prescott")
-    assert default.count("\n") == 200 * 18 + 5 * 3 + 2 * 20000
+    assert default.count("\n") == 200 * 18 + 5 * 3 + 2 * 20000 + 2 * 5000
     assert prescott == default
