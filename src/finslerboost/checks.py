@@ -16,8 +16,10 @@ on (N, 4, 4) stacks, and records their maximum (a NaN among them is kept).
 
 The oracle and spinor suites compare closed forms with `expm`, which uses
 nothing about the generators' spectrum; production transforms never route
-through it.  Each suite calls it once per block, through the module global,
-on the stack of the block's generators.
+through it.  Each suite calls it once per block, on the stack of the block's
+generators, and looks it up as the module global `expm` at each call:
+`perfbench/layers.py` replaces that global to count and time the calls, and
+`test_exponential_paired_with_its_own_sample` to scramble their order.
 """
 from __future__ import annotations
 
@@ -396,9 +398,9 @@ def suite_bispinor(rng, samples):
         return (direct, via, rho_p, d3 * rho, d3, lam,
                 spinor.bilinear_current(psi), spinor.bilinear_current(psi_p))
 
-    def reduce(direct, via, rho_p, rho, d3, lam, j, j_p):
+    def reduce(direct, via, rho_p, weighted_rho, d3, lam, j, j_p):
         _record(p_two, _sample_max(direct - via) / np.maximum(_sample_max(direct), 1e-300))
-        _record(p_rho, _reldiff(rho_p, rho))
+        _record(p_rho, _reldiff(rho_p, weighted_rho))
         expect = d3[:, None] * (lam @ j[:, :, None])[:, :, 0]
         _record(p_cur, _sample_max(j_p - expect) / np.maximum(_sample_max(expect), 1.0))
 
