@@ -115,11 +115,14 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     block is the rotation generator about nu x n that keeps the preferred
     axis fixed in the moving frame.
     """
-    nv = _t3(n)
-    rows = [[0.0, *[-c for c in nv]]]
-    for c, row in zip(nv, _cross_rows(_cross(_t3(nu), nv))):
-        rows.append([-c, *row])
-    return _ndarray(rows)
+    nv = n0, n1, n2 = _t3(n)
+    m0, m1, m2 = _cross(_t3(nu), nv)
+    return _ndarray([
+        [0.0, -n0, -n1, -n2],
+        [-n0, 0.0, -m2, m1],
+        [-n1, m2, 0.0, -m0],
+        [-n2, -m1, m0, 0.0],
+    ])
 
 
 def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
@@ -155,12 +158,18 @@ def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
     D * Lambda.  No entry of Lambda exceeds its (0, 0) entry 1 + c0 in size,
     so OutOfRange when D (1 + c0) overflows."""
     exponent = -spec.r * _dot(_t3(spec.nu), _t3(params.n)) * params.alpha
-    dilation = _r_power(spec.r, math.exp, (exponent,))
-    rows = _boost_rows(spec.nu, params)
-    if not dilation * rows[0][0] < math.inf:
+    d = _r_power(spec.r, math.exp, (exponent,))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = _boost_rows(
+        spec.nu, params)
+    if not d * a0 < math.inf:
         raise OutOfRange(f"anisotropy r = {spec.r} with rapidity alpha = {params.alpha}"
                          " overflows the generalized boost")
-    return dilation, [[dilation * c for c in row] for row in rows]
+    return d, [
+        [d * a0, d * a1, d * a2, d * a3],
+        [d * b0, d * b1, d * b2, d * b3],
+        [d * c0, d * c1, d * c2, d * c3],
+        [d * e0, d * e1, d * e2, d * e3],
+    ]
 
 
 def boost_matrix(nu: UnitVector3, params: BoostParams) -> np.ndarray:
@@ -181,18 +190,19 @@ def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
     (n = nu, alpha = 0).  Coefficients that overflow raise OutOfRange.
     """
     nuv = _t3(nu)
-    n1, a1 = _t3(g1.n), g1.alpha
-    n2, a2 = _t3(g2.n), g2.alpha
+    n1 = p0, p1, p2 = _t3(g1.n)
+    n2 = q0, q1, q2 = _t3(g2.n)
+    a1, a2 = g1.alpha, g2.alpha
     s1a = _dot(nuv, n1) * a1
     s2a = _dot(nuv, n2) * a2
-    x = _dot(nuv, [p * a1 + q * a2 for p, q in zip(n1, n2)])
+    x = _dot(nuv, (p0 * a1 + q0 * a2, p1 * a1 + q1 * a2, p2 * a1 + q2 * a2))
     try:
         c1 = -a1 * _exprel(s1a)
         c2 = -math.exp(s1a) * a2 * _exprel(s2a)
         pref = -1.0 / _exprel(x)  # x / (1 - e^x)
     except (OverflowError, ZeroDivisionError):  # an axis part beyond 709.78, or x = -inf
         c1 = c2 = pref = math.nan
-    vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
+    vec = (pref * (c1 * p0 + c2 * q0), pref * (c1 * p1 + c2 * q1), pref * (c1 * p2 + c2 * q2))
     asq = _dot(vec, vec)
     if not asq < math.inf:
         raise OutOfRange(f"rapidities alpha = {a1}, {a2} overflow the composition coefficients")
@@ -208,8 +218,11 @@ def velocity_from_params(nu: UnitVector3, params: BoostParams) -> Velocity3:
     to 1 (from (nu.n) alpha ~ 19 along the axis, alpha ~ 1e4 across it).
     """
     n, nuv, km, _, c0 = _coefficients(nu, params)
+    (n0, n1, n2), (m0, m1, m2) = n, nuv
+    den = 1.0 + c0
     try:  # the components are finite, so only the speed check can fail
-        return Velocity3(*[(km * p + c0 * q) / (1.0 + c0) for p, q in zip(n, nuv)])
+        return Velocity3((km * n0 + c0 * m0) / den, (km * n1 + c0 * m1) / den,
+                         (km * n2 + c0 * m2) / den)
     except ValueError:
         raise OutOfRange(
             f"rapidity alpha = {params.alpha} with axis part (nu.n) alpha ="
@@ -226,18 +239,18 @@ def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     the degenerate (horosphere) case t = 0 where the textbook quotient is
     0/0.  OutOfRange where 1 - v.nu rounds to 0 or below.
     """
-    vv = _t3(v)
+    vv = v0, v1, v2 = _t3(v)
     vsq = _dot(vv, vv)
     if vsq < sys.float_info.min:
         return BoostParams.identity(nu)
-    nuv = _t3(nu)
+    nuv = m0, m1, m2 = _t3(nu)
     w = _edge_gap(vv, nuv)
     gamma_inv = math.sqrt(1.0 - vsq)
     u = vsq / (1.0 + gamma_inv)  # 1 - sqrt(1 - v^2), cancellation-free
     t = (gamma_inv - w) / w
     alpha = math.sqrt(2.0 * u / w) * _log1p_over(t)
     p, q = math.sqrt(2.0 * w * u), math.sqrt(u / (2.0 * w))
-    n_vec = [c / p - q * m for c, m in zip(vv, nuv)]
+    n_vec = (v0 / p - q * m0, v1 / p - q * m1, v2 / p - q * m2)
     return BoostParams(UnitVector3.normalized(n_vec), alpha)
 
 
@@ -251,12 +264,15 @@ def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
     velocity can round onto the edge of the ball."""
     s = _dot(u, nuv)
     u_x_nu = _cross(u, nuv)
-    perp = _cross(nuv, u_x_nu)
+    p0, p1, p2 = _cross(nuv, u_x_nu)
+    m0, m1, m2 = nuv
     w = 1.0 - _dot(u, u)
     c = _dot(u_x_nu, u_x_nu) / w
     root = math.sqrt(w)
     k = (1.0 + s) / root
-    return tuple((m * (c - s) - k * p) / (1.0 + c) for p, m in zip(perp, nuv)), 1.0 / root
+    cs, den = c - s, 1.0 + c
+    return ((m0 * cs - k * p0) / den, (m1 * cs - k * p1) / den,
+            (m2 * cs - k * p2) / den), 1.0 / root
 
 
 def _act(nuv: tuple, u: tuple, w: tuple, x: tuple, g: float) -> tuple:
@@ -275,7 +291,9 @@ def _act(nuv: tuple, u: tuple, w: tuple, x: tuple, g: float) -> tuple:
     den = g * (1.0 - u_x)
     if not den > 0.0:  # 1 - u.x rounds to 0 or below
         raise OutOfRange(f"velocity {list(x)} meets the frame {list(u)} at the ball's edge")
-    return tuple((a * p + q + m * b) / den for p, q, m in zip(w, x, nuv))
+    (p0, p1, p2), (q0, q1, q2), (m0, m1, m2) = w, x, nuv
+    return ((a * p0 + q0 + m0 * b) / den, (a * p1 + q1 + m1 * b) / den,
+            (a * p2 + q2 + m2 * b) / den)
 
 
 def _add_velocities(nuv: tuple, a1: tuple, a2: tuple) -> tuple:
@@ -324,7 +342,13 @@ def translate(x: FourVector, a: FourVector) -> FourVector:
 
 
 def apply_matrix(m, x: FourVector) -> FourVector:
-    """m x for a 4x4 ndarray or four rows of four floats."""
-    t, a, b, c = x.t, x.x, x.y, x.z
+    """m x for a 4x4 ndarray or four rows of four floats; ValueError for
+    any other shape."""
     rows = m.tolist() if hasattr(m, "tolist") else m
-    return FourVector(*[r0 * t + r1 * a + r2 * b + r3 * c for r0, r1, r2, r3 in rows])
+    try:
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (s0, s1, s2, s3), (u0, u1, u2, u3) = rows
+    except (TypeError, ValueError):  # a row count or a row length other than 4
+        raise ValueError("expected a 4x4 matrix") from None
+    t, a, b, c = x.t, x.x, x.y, x.z
+    return FourVector(p0 * t + p1 * a + p2 * b + p3 * c, q0 * t + q1 * a + q2 * b + q3 * c,
+                      s0 * t + s1 * a + s2 * b + s3 * c, u0 * t + u1 * a + u2 * b + u3 * c)

@@ -271,6 +271,12 @@ class AnisotropySpec(_Value):
 
 # Kernels on 3-tuples of floats.  numpy would send these dots through BLAS,
 # whose kernel is chosen per CPU and rounds differently from one to another.
+# These kernels, and the scalar formulas of boost, subgroups, velocity_space
+# and spinor built on them, are written out one component at a time, with no
+# comprehension, generator expression or *-unpacked list: on CPython 3.11
+# each of those runs in a frame of its own, about 1 us a call, more than the
+# arithmetic of a 3- or 4-component formula.  Each component keeps its
+# operations and their order, so a rewrite keeps the bits.
 def _t3(a) -> tuple:
     """(x, y, z) floats of a UnitVector3, a Velocity3 or a 3-sequence.
     An ndarray goes through tolist(): unpacking it element by element is

@@ -137,25 +137,26 @@ def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     f = 0.5 * params.alpha * sinhc
     if not f < math.inf:
         raise OutOfRange(f"rapidity alpha = {params.alpha} overflows the spin coefficients")
-    return _matrix(
-        _blocks(math.cosh(half), [f * c for c in _cross(nuv, nv)], [f * c for c in nv])
-    )
+    (p0, p1, p2), (n0, n1, n2) = _cross(nuv, nv), nv
+    return _matrix(_blocks(math.cosh(half), (f * p0, f * p1, f * p2), (f * n0, f * n1, f * n2)))
 
 
 def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
     """Blocks of the closed-form bispinor transformation D^{-3/2} S.  Their
     entries are the seven scalars a, p and q, so OutOfRange when one of them
     overflows."""
-    nuv = _t3(spec.nu)
-    vv = _t3(v)
+    nuv = m0, m1, m2 = _t3(spec.nu)
+    vv = v0, v1, v2 = _t3(v)
     vnu = _dot(vv, nuv)
     root = math.sqrt(1.0 - _dot(vv, vv))
     level = _horosphere(vv, nuv)
     weight = _r_power(spec.r, pow, (level, -1.5 * spec.r))
     pref = weight / (2.0 * math.sqrt((1.0 - vnu) * root))
     a = pref * (1.0 - vnu + root)
-    p = [pref * c for c in _cross(nuv, vv)]
-    q = [pref * (c - (1.0 - root) * u) for c, u in zip(vv, nuv)]
+    c0, c1, c2 = _cross(nuv, vv)
+    lag = 1.0 - root
+    p = pref * c0, pref * c1, pref * c2
+    q = pref * (v0 - lag * m0), pref * (v1 - lag * m1), pref * (v2 - lag * m2)
     if not all(map(math.isfinite, (a, *p, *q))):
         raise OutOfRange(
             f"anisotropy r = {spec.r} overflows the bispinor transform"
@@ -192,6 +193,16 @@ def _density(psi: tuple) -> float:
     )
 
 
+def _norm_sq(psi: tuple) -> float:
+    """psi^dagger psi = |u|^2 + |l|^2 for psi = (u, l), summed one
+    component at a time."""
+    u0, u1, l0, l1 = psi
+    return (
+        u0.real * u0.real + u0.imag * u0.imag + (u1.real * u1.real + u1.imag * u1.imag)
+        + (l0.real * l0.real + l0.imag * l0.imag) + (l1.real * l1.real + l1.imag * l1.imag)
+    )
+
+
 def bilinear_current(psi) -> np.ndarray:
     """Vector current j^n = psibar gamma^n psi (4 real components).  For
     psi = (u, l): j^0 = |u|^2 + |l|^2 and
@@ -201,7 +212,7 @@ def bilinear_current(psi) -> np.ndarray:
     c0, c1 = u0.conjugate(), u1.conjugate()
     return _ndarray(_finite_result(
         "bilinear_current", (psi,),
-        sum(z.real * z.real + z.imag * z.imag for z in psi),
+        _norm_sq(psi),
         2.0 * (c0 * l1 + c1 * l0).real,
         2.0 * (c0 * l1 - c1 * l0).imag,
         2.0 * (c0 * l0 - c1 * l1).real,
@@ -223,7 +234,7 @@ def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     d0 = u0 - (nz * l0 + complex(nx, -ny) * l1)
     d1 = u1 - (complex(nx, ny) * l0 - nz * l1)
     num = d0.real * d0.real + d0.imag * d0.imag + d1.real * d1.real + d1.imag * d1.imag
-    j0 = sum(z.real * z.real + z.imag * z.imag for z in psi)
+    j0 = _norm_sq(psi)
     if not max(j0, num) < math.inf:
         raise OutOfRange(f"bispinor {bispinor_to_json(psi)} overflows its squared size")
     rho = _density(psi)

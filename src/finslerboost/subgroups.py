@@ -82,7 +82,8 @@ class AbelianParams(_Value):
         OutOfRange naming w where |w| overflows."""
         nuv, w = _t3(nu), _t3(w)
         d = _dot(nuv, w)
-        scale, (x, y, z), size = _rescaled(tuple(c - d * m for c, m in zip(w, nuv)))
+        scale, (x, y, z), size = _rescaled(
+            (w[0] - d * nuv[0], w[1] - d * nuv[1], w[2] - d * nuv[2]))
         if size == 0.0:
             return cls(perpendicular_to(nu), 0.0)
         alpha = scale * size  # not finite also where the projection overflows
@@ -134,7 +135,8 @@ def _tangent(nuv: tuple, v: tuple) -> tuple:
     if abs(level - 1.0) > HOROSPHERE_TOL:
         raise OffHorosphere(f"velocity is off the horosphere: level = {level}")
     s = _dot(v, nuv)
-    return tuple((c - s * m) / (1.0 - s) for c, m in zip(v, nuv))
+    gap = 1.0 - s
+    return (v[0] - s * nuv[0]) / gap, (v[1] - s * nuv[1]) / gap, (v[2] - s * nuv[2]) / gap
 
 
 def abelian_transform(nu: UnitVector3, p: AbelianParams, x: FourVector) -> FourVector:
@@ -149,11 +151,12 @@ def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
     """Primed-frame velocity; always on the unit-level horosphere.
     OutOfRange naming alpha where the speed rounds to 1."""
     _check_orthogonal(nu, p.n)
-    half = p.alpha * p.alpha / 2.0
+    (n0, n1, n2), (m0, m1, m2), a = _t3(p.n), _t3(nu), p.alpha
+    half = a * a / 2.0
+    den = 1.0 + half
     try:  # where alpha^2 overflows, the components are inf / inf
-        return Velocity3(
-            *[(m * p.alpha + u * half) / (1.0 + half) for m, u in zip(_t3(p.n), _t3(nu))]
-        )
+        return Velocity3((n0 * a + m0 * half) / den, (n1 * a + m1 * half) / den,
+                         (n2 * a + m2 * half) / den)
     except OutOfRange:
         raise OutOfRange(f"rapidity alpha = {p.alpha} gives a speed that rounds to 1") from None
 
@@ -187,15 +190,16 @@ def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> Four
 
     The flow is additive in alpha; the inverse is the transform at -alpha.
     """
-    nuv = _t3(spec.nu)
-    sx = (x.x, x.y, x.z)
-    nux = _dot(nuv, sx)
+    m0, m1, m2 = _t3(spec.nu)
+    a, b, c = x.x, x.y, x.z
+    nux = m0 * a + m1 * b + m2 * c
     try:
         d = math.exp(-spec.r * p.alpha)
         ch, sh = math.cosh(p.alpha), math.sinh(p.alpha)
         t = d * (x.t * ch - nux * sh)
         along = -x.t * sh + nux * ch
-        return FourVector(t, *[d * (q - u * nux + u * along) for q, u in zip(sx, nuv)])
+        return FourVector(t, d * (a - m0 * nux + m0 * along), d * (b - m1 * nux + m1 * along),
+                          d * (c - m2 * nux + m2 * along))
     except (OverflowError, ValueError):  # a coefficient or the image is beyond float range
         raise OutOfRange(
             f"rapidity alpha = {p.alpha} with r = {spec.r} overflows the axial transform"

@@ -40,7 +40,7 @@ def lobachevsky_distance(v1: Velocity3, v2: Velocity3) -> float:
     wi = 1 - vi^2 = 1/gi^2.  With D = v1 - v2 the radicand is
     w1 |D|^2 + (v1.D)^2, two non-negative terms, so nothing cancels."""
     a1, a2 = _t3(v1), _t3(v2)
-    diff = tuple(p - q for p, q in zip(a1, a2))
+    diff = (a1[0] - a2[0], a1[1] - a2[1], a1[2] - a2[2])
     w1, w2 = 1.0 - _dot(a1, a1), 1.0 - _dot(a2, a2)
     proj = _dot(a1, diff)
     return math.asinh(math.sqrt(w1 * _dot(diff, diff) + proj * proj) / math.sqrt(w1 * w2))

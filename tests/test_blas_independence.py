@@ -54,6 +54,7 @@ for _ in range(200):
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     v1 = boost.velocity_from_params(nu, g1)
     m = boost.generalized_boost_matrix(spec, g1)
+    vab = subgroups.abelian_velocity(nu, subgroups.AbelianParams(e1, g2.alpha))
     out += [
         v1,
         boost.params_from_velocity(nu, va),
@@ -68,8 +69,11 @@ for _ in range(200):
         vs.horosphere_level(nu, va),
         vs.cylinder_level(nu, va),
         subgroups.abelian_transform(nu, subgroups.AbelianParams(e1, g2.alpha), x),
+        vab,
+        subgroups.abelian_params_from_velocity(nu, vab),
         subgroups.axial_transform(spec, subgroups.AxialParams(g1.alpha), x),
         spinor.spinor_boost(nu, g1).tolist(),
+        spinor.bispinor_matrix(spec, va).tolist(),
         spinor.bispinor_transform(spec, va, psi).tolist(),
         spinor.bilinear_current(psi).tolist(),
         spinor.finsler_bispinor_invariant(spec, psi),
@@ -111,5 +115,5 @@ def _run(coretype):
 def test_scalar_results_independent_of_blas_kernel():
     default = _run(None)
     prescott = _run("Prescott")
-    assert default.count("\n") == 200 * 18 + 5 * 3 + 2 * 20000 + 2 * 5000
+    assert default.count("\n") == 200 * 21 + 5 * 3 + 2 * 20000 + 2 * 5000
     assert prescott == default

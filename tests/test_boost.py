@@ -216,6 +216,23 @@ def test_translate():
     assert np.array_equal(dx, x.as_array() - y.as_array())
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0, 0.0, 0.0]] * 3,
+    [[1.0, 0.0, 0.0, 0.0]] * 5,
+    [[1.0, 0.0, 0.0]] * 4,
+    [[1.0, 0.0, 0.0, 0.0, 0.0]] * 4,
+    [[1.0, 0.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1.0]],
+    np.eye(3),
+    np.eye(5),
+    np.zeros(16),
+])
+def test_apply_matrix_refuses_a_matrix_that_is_not_4x4(rows):
+    """The shape is named, as matrix_to_json names it; not a TypeError about
+    FourVector's arguments or a ValueError about unpacking."""
+    with pytest.raises(ValueError, match=r"^expected a 4x4 matrix$"):
+        apply_matrix(rows, FourVector(1.0, 0.5, -0.25, 0.125))
+
+
 def test_canonical_boost_params():
     g = BoostParams(E_X, -1.5)
     assert g.alpha == 1.5

@@ -4,6 +4,7 @@ import inspect
 import math
 import pickle
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -358,6 +359,52 @@ def test_numpy_is_imported_only_at_the_ndarray_edge():
     modules = (core, boost, spinor, subgroups, velocity_space)
     sites = [site for m in modules for site in _numpy_import_sites(m)]
     assert sites == ["core._ndarray"]
+
+
+# The scalar kernels, written out one component at a time (see the comment
+# on the kernels in core): on CPython 3.11 each comprehension or generator
+# expression runs in a frame of its own, about 1 us a call.
+STRAIGHT_LINE_KERNELS = (
+    (boost, "generator"),
+    (boost, "_generalized_rows"),
+    (boost, "compose"),
+    (boost, "velocity_from_params"),
+    (boost, "params_from_velocity"),
+    (boost, "_inverse_frame"),
+    (boost, "_act"),
+    (boost, "apply_matrix"),
+    (velocity_space, "lobachevsky_distance"),
+    (subgroups, "AbelianParams.from_tangent"),
+    (subgroups, "_tangent"),
+    (subgroups, "abelian_velocity"),
+    (subgroups, "axial_transform"),
+    (spinor, "spinor_boost"),
+    (spinor, "_bispinor_blocks"),
+    (spinor, "_norm_sq"),
+    (spinor, "bilinear_current"),
+    (spinor, "finsler_bispinor_invariant"),
+)
+
+
+def _frame_sites(func) -> list:
+    """Line and kind of each comprehension, generator expression and
+    starred call argument in func's source."""
+    sites = []
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            sites.append((node.lineno, type(node).__name__))
+        elif isinstance(node, ast.Call):
+            sites += [(a.lineno, "Starred") for a in node.args if isinstance(a, ast.Starred)]
+    return sites
+
+
+@pytest.mark.parametrize("module, name", STRAIGHT_LINE_KERNELS,
+                         ids=[f"{m.__name__.rsplit('.', 1)[1]}.{n}" for m, n in STRAIGHT_LINE_KERNELS])
+def test_scalar_kernels_are_straight_line(module, name):
+    func = module
+    for part in name.split("."):
+        func = getattr(func, part)
+    assert _frame_sites(func) == []
 
 
 @pytest.mark.parametrize("r", [-1.0, -2.0])
