@@ -18,13 +18,14 @@ from .core import (
     Velocity3,
     _cross,
     _dot,
-    _edge_gap,
+    _frame_scalars,
     _horosphere,
     _ndarray,
     _r_power,
     _require_finite,
     _t3,
     _Value,
+    matrix_to_json,
 )
 
 __all__ = [
@@ -240,13 +241,10 @@ def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     0/0.  OutOfRange where 1 - v.nu rounds to 0 or below.
     """
     vv = v0, v1, v2 = _t3(v)
-    vsq = _dot(vv, vv)
-    if vsq < sys.float_info.min:
+    if _dot(vv, vv) < sys.float_info.min:
         return BoostParams.identity(nu)
     nuv = m0, m1, m2 = _t3(nu)
-    w = _edge_gap(vv, nuv)
-    gamma_inv = math.sqrt(1.0 - vsq)
-    u = vsq / (1.0 + gamma_inv)  # 1 - sqrt(1 - v^2), cancellation-free
+    w, gamma_inv, u = _frame_scalars(vv, nuv)  # u = 1 - sqrt(1 - v^2)
     t = (gamma_inv - w) / w
     alpha = math.sqrt(2.0 * u / w) * _log1p_over(t)
     p, q = math.sqrt(2.0 * w * u), math.sqrt(u / (2.0 * w))
@@ -337,18 +335,28 @@ def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:
 
 
 def translate(x: FourVector, a: FourVector) -> FourVector:
-    """Space-time translation; intervals of differences are unchanged."""
-    return FourVector(x.t + a.t, x.x + a.x, x.y + a.y, x.z + a.z)
+    """Space-time translation; intervals of differences are unchanged.
+    OutOfRange naming x and a where the image overflows."""
+    try:
+        return FourVector(x.t + a.t, x.x + a.x, x.y + a.y, x.z + a.z)
+    except OutOfRange:  # an image component is not finite
+        raise OutOfRange(f"translate of event {x.to_json()} by {a.to_json()} overflows") from None
 
 
 def apply_matrix(m, x: FourVector) -> FourVector:
     """m x for a 4x4 ndarray or four rows of four floats; ValueError for
-    any other shape."""
+    any other shape, OutOfRange naming m and x where the image overflows."""
     rows = m.tolist() if hasattr(m, "tolist") else m
     try:
         (p0, p1, p2, p3), (q0, q1, q2, q3), (s0, s1, s2, s3), (u0, u1, u2, u3) = rows
     except (TypeError, ValueError):  # a row count or a row length other than 4
         raise ValueError("expected a 4x4 matrix") from None
     t, a, b, c = x.t, x.x, x.y, x.z
-    return FourVector(p0 * t + p1 * a + p2 * b + p3 * c, q0 * t + q1 * a + q2 * b + q3 * c,
-                      s0 * t + s1 * a + s2 * b + s3 * c, u0 * t + u1 * a + u2 * b + u3 * c)
+    try:
+        return FourVector(p0 * t + p1 * a + p2 * b + p3 * c, q0 * t + q1 * a + q2 * b + q3 * c,
+                          s0 * t + s1 * a + s2 * b + s3 * c, u0 * t + u1 * a + u2 * b + u3 * c)
+    except OutOfRange:  # an image component is not finite
+        raise OutOfRange(
+            f"apply_matrix of the matrix {matrix_to_json(rows)} (row-major) to event"
+            f" {x.to_json()} overflows"
+        ) from None

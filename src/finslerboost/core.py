@@ -85,8 +85,8 @@ class OutOfRange(DomainError):
 class _Value:
     """Base of the immutable value types.  A subclass lists its fields in
     __slots__ and stores them once, with object.__setattr__, in __init__;
-    values are compared and hashed by their fields, in slot order, and
-    printed as Name(field=value, ...)."""
+    values are compared and hashed by _key, their fields in slot order unless
+    the subclass says otherwise, and printed as Name(field=value, ...)."""
 
     __slots__ = ()
 
@@ -102,13 +102,17 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _key(self) -> tuple:
+        """What == and hash read: the fields."""
+        return self._values()
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -177,9 +181,6 @@ class FourVector(_Value):
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.t, self.x, self.y, self.z])
-
-    def spatial(self) -> np.ndarray:
-        return _ndarray([self.x, self.y, self.z])
 
     @classmethod
     def from_array(cls, a) -> "FourVector":
@@ -315,18 +316,23 @@ def _cross(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _edge_gap(v: tuple, nu: tuple) -> float:
-    """1 - v.nu of a velocity 3-tuple; OutOfRange where it rounds to 0 or
-    below, at the ball's edge along nu."""
+def _frame_scalars(v: tuple, nu: tuple) -> tuple:
+    """(1 - v.nu, sqrt(1 - v^2), 1 - sqrt(1 - v^2)) of a velocity 3-tuple, the
+    scalars of the frame moving at v; the lag 1 - sqrt(1 - v^2) is written
+    v^2/(1 + sqrt(1 - v^2)), which does not cancel near rest.  OutOfRange
+    where 1 - v.nu rounds to 0 or below, at the ball's edge along nu."""
     gap = 1.0 - _dot(v, nu)
     if not gap > 0.0:
         raise OutOfRange(f"velocity {list(v)} meets the ball's edge along nu: 1 - v.nu = {gap}")
-    return gap
+    vsq = _dot(v, v)
+    root = math.sqrt(1.0 - vsq)
+    return gap, root, vsq / (1.0 + root)
 
 
 def _horosphere(v: tuple, nu: tuple) -> float:
     """Horosphere level (1 - v.nu)/sqrt(1 - v^2) of a velocity 3-tuple."""
-    return _edge_gap(v, nu) / math.sqrt(1.0 - _dot(v, v))
+    gap, root, _ = _frame_scalars(v, nu)
+    return gap / root
 
 
 def _r_power(r: float, power, args: tuple, scaled: float = 1.0, what=None) -> float:

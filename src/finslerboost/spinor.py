@@ -26,7 +26,7 @@ from .core import (
     _cross,
     _dot,
     _finite_result,
-    _horosphere,
+    _frame_scalars,
     _ndarray,
     _r_power,
     _t3,
@@ -55,6 +55,16 @@ class GammaBasis(_Value):
     def __init__(self, gamma: tuple, sigma: tuple):
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "sigma", sigma)
+
+    def _key(self) -> tuple:
+        # an ndarray compares elementwise and does not hash: read its entries
+        return _entries(self._values())
+
+
+def _entries(x):
+    """x, an ndarray or nested sequences of them, as nested tuples of entries."""
+    x = x.tolist() if hasattr(x, "tolist") else x
+    return tuple(map(_entries, x)) if isinstance(x, (list, tuple)) else x
 
 
 @lru_cache(maxsize=1)
@@ -147,14 +157,11 @@ def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
     overflows."""
     nuv = m0, m1, m2 = _t3(spec.nu)
     vv = v0, v1, v2 = _t3(v)
-    vnu = _dot(vv, nuv)
-    root = math.sqrt(1.0 - _dot(vv, vv))
-    level = _horosphere(vv, nuv)
-    weight = _r_power(spec.r, pow, (level, -1.5 * spec.r))
-    pref = weight / (2.0 * math.sqrt((1.0 - vnu) * root))
-    a = pref * (1.0 - vnu + root)
+    gap, root, lag = _frame_scalars(vv, nuv)
+    weight = _r_power(spec.r, pow, (gap / root, -1.5 * spec.r))
+    pref = weight / (2.0 * math.sqrt(gap * root))
+    a = pref * (gap + root)
     c0, c1, c2 = _cross(nuv, vv)
-    lag = 1.0 - root
     p = pref * c0, pref * c1, pref * c2
     q = pref * (v0 - lag * m0), pref * (v1 - lag * m1), pref * (v2 - lag * m2)
     if not all(map(math.isfinite, (a, *p, *q))):

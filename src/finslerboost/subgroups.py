@@ -21,7 +21,7 @@ from .core import (
     ZeroVelocity,
     _cross,
     _dot,
-    _horosphere,
+    _frame_scalars,
     _rescaled,
     _require_finite,
     _t3,
@@ -131,11 +131,11 @@ def _tangent(nuv: tuple, v: tuple) -> tuple:
     reaching the velocity v.  Its norm alpha is read from the transverse part
     of v, so it does not cancel.  Raises OffHorosphere for v off the unit
     horosphere; v = 0 is on it."""
-    level = _horosphere(v, nuv)
+    gap, root, _ = _frame_scalars(v, nuv)
+    level = gap / root
     if abs(level - 1.0) > HOROSPHERE_TOL:
         raise OffHorosphere(f"velocity is off the horosphere: level = {level}")
     s = _dot(v, nuv)
-    gap = 1.0 - s
     return (v[0] - s * nuv[0]) / gap, (v[1] - s * nuv[1]) / gap, (v[2] - s * nuv[2]) / gap
 
 

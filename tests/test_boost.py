@@ -530,13 +530,19 @@ def test_coefficient_overflow_is_out_of_range(call):
     (lambda: generalized_generator(  # nu.n exceeds 1 by 4e-13, r (nu.n) overflows
         AnisotropySpec(NU_Z, sys.float_info.max), UnitVector3(0.0, 0.0, 1 + 4e-13)),
      "anisotropy r = 1.7976931348623157e+308"),
+    (lambda: apply_matrix(  # cosh 20 times 1e300
+        boost_matrix(NU_Z, BoostParams(NU_Z, 20.0)), FourVector(1e300, 0.0, 0.0, 0.0)),
+     f"apply_matrix of the matrix {boost_matrix(NU_Z, BoostParams(NU_Z, 20.0)).ravel().tolist()}"
+     " (row-major) to event [1e+300, 0.0, 0.0, 0.0]"),
+    (lambda: translate(FourVector(1.7e308, 0.0, 0.0, 0.0), FourVector(1.7e308, 0.0, 0.0, 0.0)),
+     "translate of event [1.7e+308, 0.0, 0.0, 0.0] by [1.7e+308, 0.0, 0.0, 0.0]"),
 ], ids=["generalized-boost", "dilation", "bispinor", "interval", "bispinor-invariant",
         "horosphere-extent", "horosphere-level", "interval-timelike-size",
         "interval-ray-size", "minkowski-size", "interval-product", "interval-band-size",
         "interval-projection-size", "generalized-boost-product", "bispinor-product",
         "bispinor-invariant-product", "bispinor-size", "generalized-boost-infinite-exponent",
         "bispinor-infinite-exponent", "bispinor-invariant-infinite-exponent",
-        "generalized-generator"])
+        "generalized-generator", "apply-matrix", "translate"])
 def test_overflow_is_out_of_range_naming_the_input(call, name):
     with pytest.raises(OutOfRange, match=f"{re.escape(name)} overflows"):
         call()

@@ -202,6 +202,12 @@ def test_json_round_trips():
     assert np.array_equal([complex(*p) for p in bispinor_to_json(psi)], psi)
 
 
+def _gamma_basis_copy():
+    """A GammaBasis of copies of the matrices of spinor.gamma_basis()."""
+    basis = spinor.gamma_basis()
+    return spinor.GammaBasis(tuple(map(np.copy, basis.gamma)), tuple(map(np.copy, basis.sigma)))
+
+
 # Each value type: a builder of one value, its fields, and its pinned repr.
 VALUES = (
     (lambda: FourVector(2.0, 0.3, -0.1, 0.4), ("t", "x", "y", "z"),
@@ -217,8 +223,8 @@ VALUES = (
     # the fields of the BoostParams above: the types alone tell them apart
     (lambda: subgroups.AbelianParams(UnitVector3(-0.0, -0.6, -0.8), 0.5), ("n", "alpha"),
      "AbelianParams(n=UnitVector3(x=-0.0, y=-0.6, z=-0.8), alpha=0.5)"),
-    (lambda: spinor.GammaBasis(((1.0, 0.0), (0.0, -1.0)), ((0j, 1j),)), ("gamma", "sigma"),
-     "GammaBasis(gamma=((1.0, 0.0), (0.0, -1.0)), sigma=((0j, 1j),))"),
+    (_gamma_basis_copy, ("gamma", "sigma"),
+     f"GammaBasis(gamma={spinor.gamma_basis().gamma!r}, sigma={spinor.gamma_basis().sigma!r})"),
     (lambda: subgroups.AxialParams(-1.25), ("alpha",), "AxialParams(alpha=-1.25)"),
     (lambda: subgroups.AxialInvariants(1.5, 2.0, 0.25),
      ("nu_projection", "interval_sq", "cylinder_ratio"),
@@ -276,6 +282,17 @@ def test_value_type_contract(k):
     assert type(value)(**dict(zip(fields, values))) == value
     assert type(value).__match_args__ == fields
     assert _positional(value) == values
+
+
+def test_gamma_basis_is_compared_and_hashed_by_its_entries():
+    """The ndarrays of gamma_basis() compare elementwise and do not hash;
+    the value reads their entries."""
+    basis, twin = spinor.gamma_basis(), _gamma_basis_copy()
+    assert basis == twin and hash(basis) == hash(twin)
+    gamma = list(twin.gamma)
+    gamma[2] = -gamma[2]
+    assert basis != spinor.GammaBasis(tuple(gamma), twin.sigma)
+    assert basis != spinor.GammaBasis(twin.sigma, twin.gamma)
 
 
 def test_surface_sample_points_default_to_empty():
@@ -366,6 +383,7 @@ def test_numpy_is_imported_only_at_the_ndarray_edge():
 # on the kernels in core): on CPython 3.11 each comprehension or generator
 # expression runs in a frame of its own, about 1 us a call.
 STRAIGHT_LINE_KERNELS = (
+    "core._frame_scalars",
     "boost.generator",
     "boost._generalized_rows",
     "boost.compose",

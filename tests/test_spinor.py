@@ -21,7 +21,7 @@ from finslerboost import (
     velocity_from_params,
 )
 from finslerboost.spinor import bilinear_current
-from support import E_X, ETA, NU_Z, rand_unit
+from support import E_X, ETA, NU_Z, _mp_dot, _mp_params, rand_unit
 
 EYE = np.eye(4, dtype=complex)
 
@@ -168,6 +168,34 @@ def test_velocity_consistency_of_spin_boost():
         spec = AnisotropySpec(nu, 0.0)
         direct = bispinor_matrix(spec, v)
         assert np.max(np.abs(direct - spinor_boost(nu, g))) < 1e-9
+
+
+def test_bispinor_blocks_near_rest_against_mpmath():
+    """The B block -sigma.q of bispinor_matrix at speeds 1e-3 to 1e-12.  Its
+    q is a multiple of v - (1 - sqrt(1 - v^2)) nu, whose lag 1 - sqrt(1 - v^2)
+    is about v^2 / 2 and cancels if written so.  The reference takes the
+    parameter path at 50 digits: (n, alpha) of v, D = ((1 - v.nu) /
+    sqrt(1 - v^2))^r and q = D^{-3/2} (alpha / 2) (sinh(a / 2) / (a / 2)) n with
+    a = (nu.n) alpha.  Every entry is within 2e-15 of the block's largest."""
+    rng = np.random.default_rng(2311)
+    worst = 0.0
+    for speed in 10.0 ** -np.arange(3, 13):
+        for _ in range(20):
+            nu, r = rand_unit(rng), float(rng.uniform(-0.9, 0.9))
+            v = Velocity3.from_array(speed * rand_unit(rng).as_array())
+            got = bispinor_matrix(AnisotropySpec(nu, r), v)[:2, 2:].tolist()
+            m, u = nu.to_json(), v.to_json()
+            with mpmath.workdps(50):
+                n, alpha = _mp_params(m, u)
+                half = _mp_dot(m, n) * alpha / 2
+                level = (1 - _mp_dot(u, m)) / mpmath.sqrt(1 - _mp_dot(u, u))
+                f = level ** (-1.5 * mpmath.mpf(r)) * alpha / 2 * mpmath.sinh(half) / half
+                qx, qy, qz = (f * c for c in n)
+                want = [[-qz, mpmath.mpc(-qx, qy)], [mpmath.mpc(-qx, -qy), qz]]
+                size = max(abs(w) for row in want for w in row)
+                worst = max(worst, *(float(abs(mpmath.mpc(g) - w) / size)
+                                     for gs, ws in zip(got, want) for g, w in zip(gs, ws)))
+    assert worst <= 2e-15, worst
 
 
 @pytest.mark.parametrize("r", (0.3, -0.5))
