@@ -56,11 +56,13 @@ class BoostParams(_Value):
     __slots__ = ("n", "alpha")
 
     def __init__(self, n: UnitVector3, alpha: float):
-        _require_finite(alpha)
+        if not math.isfinite(alpha):
+            _require_finite(alpha)
         if alpha < 0:
             n, alpha = -n, -alpha
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
+        set_n, set_alpha = BoostParams._setters
+        set_n(self, n)
+        set_alpha(self, alpha)
 
     @classmethod
     def identity(cls, nu: UnitVector3) -> "BoostParams":

@@ -84,14 +84,17 @@ class OutOfRange(DomainError):
 
 class _Value:
     """Base of the immutable value types.  A subclass lists its fields in
-    __slots__ and stores them once, with object.__setattr__, in __init__;
-    values are compared and hashed by _key, their fields in slot order unless
-    the subclass says otherwise, and printed as Name(field=value, ...)."""
+    __slots__ and stores them once, in __init__, through _setters: the
+    __set__ of each slot's own descriptor, in slot order, which bypasses the
+    refusing __setattr__ without a name lookup; values are compared and
+    hashed by _key, their fields in slot order unless the subclass says
+    otherwise, and printed as Name(field=value, ...)."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -146,6 +149,10 @@ DEFAULT_TOL = Tolerance()
 
 
 def _require_finite(*values: float) -> None:
+    """OutOfRange naming the first of values that is not finite.  The
+    constructors test math.isfinite inline and call this only on a failure,
+    to build the message: a Python call per value built costs more than the
+    test itself."""
     for v in values:
         if not math.isfinite(v):
             raise OutOfRange(f"not a finite number: {v}")
@@ -173,11 +180,13 @@ class FourVector(_Value):
     __slots__ = ("t", "x", "y", "z")
 
     def __init__(self, t: float, x: float, y: float, z: float):
-        _require_finite(t, x, y, z)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            _require_finite(t, x, y, z)
+        set_t, set_x, set_y, set_z = FourVector._setters
+        set_t(self, t)
+        set_x(self, x)
+        set_y(self, y)
+        set_z(self, z)
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.t, self.x, self.y, self.z])
@@ -198,13 +207,15 @@ class UnitVector3(_Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
-        _require_finite(x, y, z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            _require_finite(x, y, z)
         nsq = x * x + y * y + z * z
         if abs(nsq - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"not a unit vector: |v|^2 = {nsq}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        set_x, set_y, set_z = UnitVector3._setters
+        set_x(self, x)
+        set_y(self, y)
+        set_z(self, z)
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.x, self.y, self.z])
@@ -231,12 +242,14 @@ class Velocity3(_Value):
     __slots__ = ("vx", "vy", "vz")
 
     def __init__(self, vx: float, vy: float, vz: float):
-        _require_finite(vx, vy, vz)
+        if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
+            _require_finite(vx, vy, vz)
         if vx * vx + vy * vy + vz * vz >= 1.0:
             raise OutOfRange("speed must be below 1 (c = 1 units)")
-        object.__setattr__(self, "vx", vx)
-        object.__setattr__(self, "vy", vy)
-        object.__setattr__(self, "vz", vz)
+        set_vx, set_vy, set_vz = Velocity3._setters
+        set_vx(self, vx)
+        set_vy(self, vy)
+        set_vz(self, vz)
 
     def as_array(self) -> np.ndarray:
         return _ndarray([self.vx, self.vy, self.vz])
@@ -262,9 +275,11 @@ class AnisotropySpec(_Value):
     __slots__ = ("nu", "r")
 
     def __init__(self, nu: UnitVector3, r: float):
-        _require_finite(r)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "r", r)
+        if not math.isfinite(r):
+            _require_finite(r)
+        set_nu, set_r = AnisotropySpec._setters
+        set_nu(self, nu)
+        set_r(self, r)
 
     def to_json(self) -> dict:
         return {"nu": self.nu.to_json(), "r": self.r}
@@ -274,14 +289,28 @@ class AnisotropySpec(_Value):
 # whose kernel is chosen per CPU and rounds differently from one to another.
 # These kernels, and the scalar formulas of boost, subgroups, velocity_space
 # and spinor built on them, are written out one component at a time, with no
-# comprehension, generator expression or *-unpacked list: on CPython 3.11
-# each of those runs in a frame of its own, about 1 us a call, more than the
-# arithmetic of a 3- or 4-component formula.  Each component keeps its
-# operations and their order, so a rewrite keeps the bits.
+# comprehension, generator expression, lambda key or *-unpacked list: on
+# CPython 3.11 each of those runs in a frame of its own (a lambda key one per
+# element), about 1 us a call, more than the arithmetic of a 3- or 4-component
+# formula.  Each component keeps its operations and their order, so a rewrite
+# keeps the bits.  The value types, built about 24 times per record of a
+# fixed-axis stream, keep the same rule: each tests math.isfinite inline,
+# calls _require_finite only to name a failure, and stores its fields through
+# its slot setters (see _Value), not object.__setattr__, which looks each
+# slot up by name behind the refusing __setattr__.
 def _t3(a) -> tuple:
     """(x, y, z) floats of a UnitVector3, a Velocity3 or a 3-sequence.
-    An ndarray goes through tolist(): unpacking it element by element is
-    slower."""
+    The exact types are tested first: on a tuple, the failing
+    hasattr(a, "tolist") alone costs about a third of the call.  An ndarray
+    goes through tolist(): unpacking it element by element is slower."""
+    kind = a.__class__
+    if kind is UnitVector3:
+        return a.x, a.y, a.z
+    if kind is Velocity3:
+        return a.vx, a.vy, a.vz
+    if kind is tuple or kind is list:
+        x, y, z = a
+        return float(x), float(y), float(z)
     if isinstance(a, UnitVector3):
         return a.x, a.y, a.z
     if isinstance(a, Velocity3):

@@ -53,8 +53,9 @@ class GammaBasis(_Value):
     __slots__ = ("gamma", "sigma")
 
     def __init__(self, gamma: tuple, sigma: tuple):
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "sigma", sigma)
+        set_gamma, set_sigma = GammaBasis._setters
+        set_gamma(self, gamma)
+        set_sigma(self, sigma)
 
     def _key(self) -> tuple:
         # an ndarray compares elementwise and does not hash: read its entries

@@ -52,10 +52,14 @@ HOROSPHERE_TOL = 1e-8
 
 
 def perpendicular_to(nu: UnitVector3) -> UnitVector3:
-    """Deterministic unit vector orthogonal to nu."""
+    """Deterministic unit vector orthogonal to nu: nu x e_k, normalized, for
+    the first axis k of least |nu_k|."""
     nuv = _t3(nu)
-    pivot = [0.0, 0.0, 0.0]
-    pivot[min(range(3), key=lambda i: abs(nuv[i]))] = 1.0
+    pivot, least = (1.0, 0.0, 0.0), abs(nuv[0])
+    if abs(nuv[1]) < least:
+        pivot, least = (0.0, 1.0, 0.0), abs(nuv[1])
+    if abs(nuv[2]) < least:
+        pivot = (0.0, 0.0, 1.0)
     return UnitVector3.normalized(_cross(nuv, pivot))
 
 
@@ -70,9 +74,11 @@ class AbelianParams(_Value):
     __slots__ = ("n", "alpha")
 
     def __init__(self, n: UnitVector3, alpha: float):
-        _require_finite(alpha)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
+        if not math.isfinite(alpha):
+            _require_finite(alpha)
+        set_n, set_alpha = AbelianParams._setters
+        set_n(self, n)
+        set_alpha(self, alpha)
 
     @classmethod
     def from_tangent(cls, nu: UnitVector3, w) -> "AbelianParams":
@@ -98,8 +104,9 @@ class AxialParams(_Value):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
-        _require_finite(alpha)
-        object.__setattr__(self, "alpha", alpha)
+        if not math.isfinite(alpha):
+            _require_finite(alpha)
+        AxialParams._setters[0](self, alpha)
 
 
 def _check_orthogonal(nu: UnitVector3, n: UnitVector3) -> None:
@@ -217,9 +224,10 @@ class AxialInvariants(_Value):
     __slots__ = ("nu_projection", "interval_sq", "cylinder_ratio")
 
     def __init__(self, nu_projection: float, interval_sq: float, cylinder_ratio: float):
-        object.__setattr__(self, "nu_projection", nu_projection)
-        object.__setattr__(self, "interval_sq", interval_sq)
-        object.__setattr__(self, "cylinder_ratio", cylinder_ratio)
+        set_projection, set_interval, set_ratio = AxialInvariants._setters
+        set_projection(self, nu_projection)
+        set_interval(self, interval_sq)
+        set_ratio(self, cylinder_ratio)
 
     def to_json(self) -> dict:
         return {

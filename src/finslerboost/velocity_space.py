@@ -80,9 +80,10 @@ class SurfaceSample(_Value):
     __slots__ = ("family", "level", "points")
 
     def __init__(self, family: str, level: float, points: tuple = ()):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "points", points)
+        set_family, set_level, set_points = SurfaceSample._setters
+        set_family(self, family)
+        set_level(self, level)
+        set_points(self, points)
 
     def to_json(self) -> dict:
         return {

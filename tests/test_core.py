@@ -300,6 +300,52 @@ def test_surface_sample_points_default_to_empty():
         family="horosphere", level=1.0, points=())
 
 
+# Each finite-checked value type: a builder from its checked fields, and
+# valid values of those fields.
+FINITE_CHECKED = {
+    "FourVector": (FourVector, (2.0, 0.3, -0.1, 0.4)),
+    "UnitVector3": (UnitVector3, (0.0, 0.6, 0.8)),
+    "Velocity3": (Velocity3, (0.3, -0.2, 0.5)),
+    "AnisotropySpec.r": (lambda r: AnisotropySpec(NU_Z, r), (-0.4,)),
+    "BoostParams.alpha": (lambda a: boost.BoostParams(NU_Z, a), (-0.5,)),
+    "AbelianParams.alpha": (lambda a: subgroups.AbelianParams(UnitVector3(1.0, 0.0, 0.0), a),
+                            (0.5,)),
+    "AxialParams.alpha": (subgroups.AxialParams, (-1.25,)),
+}
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _refuses(build, fields, first):
+    """build(*fields) raises OutOfRange naming first, before any other check."""
+    with pytest.raises(OutOfRange) as caught:
+        build(*fields)
+    assert type(caught.value) is OutOfRange
+    assert str(caught.value) == f"not a finite number: {first}"
+
+
+@pytest.mark.parametrize("name", FINITE_CHECKED)
+def test_non_finite_fields_are_out_of_range_naming_the_first(name):
+    """nan, inf and -inf in each checked field, one at a time and two at
+    once: OutOfRange names the first non-finite value, also where a later
+    check (unit norm, speed, sign) would see it first."""
+    build, valid = FINITE_CHECKED[name]
+    assert build(*valid) == build(*valid)
+    for i in range(len(valid)):
+        for bad in NON_FINITE:
+            _refuses(build, valid[:i] + (bad,) + valid[i + 1:], bad)
+            for j in range(i + 1, len(valid)):
+                for later in NON_FINITE:
+                    fields = list(valid)
+                    fields[i], fields[j] = bad, later
+                    _refuses(build, tuple(fields), bad)
+
+
+def test_finite_fields_whose_sum_overflows_are_accepted():
+    big = FourVector(1e308, 1e308, 1e308, 1e308)
+    assert big.to_json() == [1e308] * 4
+    assert FourVector(-1e308, 1e308, -1e308, 1e308).to_json() == [-1e308, 1e308, -1e308, 1e308]
+
+
 def _same_floats(a, b):
     return [x.hex() for x in a] == [x.hex() for x in b]
 
@@ -328,6 +374,28 @@ def test_float_inputs_wrong_length(values):
     for form in (values[:3], values + [0.5], np.array(values[:3])):
         with pytest.raises(ValueError):
             FourVector.from_array(form)
+
+
+@pytest.mark.parametrize("form", [
+    UnitVector3(0.0, 0.6, 0.8),
+    Velocity3(0.1, -0.2, 0.3),
+    np.array([1, 2.5, 3]),
+    (1, 2.5, np.float64(3.0)),
+    [1, 2.5, np.float64(3.0)],
+], ids=["UnitVector3", "Velocity3", "ndarray", "tuple", "list"])
+def test_t3_returns_three_python_floats(form):
+    got = core._t3(form)
+    assert type(got) is tuple and len(got) == 3
+    assert all(type(c) is float for c in got)
+    want = form.to_json() if hasattr(form, "to_json") else [1.0, 2.5, 3.0]
+    assert list(got) == want
+
+
+@pytest.mark.parametrize("values", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+def test_t3_refuses_a_sequence_that_is_not_three_long(values):
+    for form in (values, tuple(values), np.array(values)):
+        with pytest.raises(ValueError):
+            core._t3(form)
 
 
 def test_json_helpers_take_rows_and_complex_lists():
@@ -381,9 +449,11 @@ def test_numpy_is_imported_only_at_the_ndarray_edge():
 
 # The scalar kernels, written out one component at a time (see the comment
 # on the kernels in core): on CPython 3.11 each comprehension or generator
-# expression runs in a frame of its own, about 1 us a call.
+# expression runs in a frame of its own, about 1 us a call, and a lambda key
+# one per element.
 STRAIGHT_LINE_KERNELS = (
     "core._frame_scalars",
+    "subgroups.perpendicular_to",
     "boost.generator",
     "boost._generalized_rows",
     "boost.compose",
@@ -406,14 +476,16 @@ STRAIGHT_LINE_KERNELS = (
 
 
 def _frame_sites(func) -> list:
-    """Line and kind of each comprehension, generator expression and
-    starred call argument in func's source."""
+    """Line and kind of each comprehension, generator expression, lambda key
+    and starred call argument in func's source."""
     sites = []
     for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             sites.append((node.lineno, type(node).__name__))
         elif isinstance(node, ast.Call):
             sites += [(a.lineno, "Starred") for a in node.args if isinstance(a, ast.Starred)]
+            sites += [(k.value.lineno, "LambdaKey") for k in node.keywords
+                      if k.arg == "key" and isinstance(k.value, ast.Lambda)]
     return sites
 
 

@@ -47,6 +47,25 @@ def rand_abelian(rng, nu):
     return AbelianParams(n, float(rng.uniform(-2, 2)))
 
 
+@pytest.mark.parametrize("raw", [
+    (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-0.0, 0.0, -1.0), (0.0, -0.0, 1.0),
+    (1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0),
+    (-2.0, 1.0, -1.0), (0.3, -1.7, 2.9),
+])
+def test_perpendicular_to_crosses_the_first_axis_of_least_component(raw):
+    """nu x e_k, normalized, with k the first index of least |nu_k|: ties
+    go to the lower axis, and the signed zeros are those of the cross
+    product."""
+    nu = UnitVector3.normalized(raw)
+    k = min(range(3), key=lambda i: abs(nu.to_json()[i]))
+    pivot = [0.0, 0.0, 0.0]
+    pivot[k] = 1.0
+    want = UnitVector3.normalized(np.cross(nu.to_json(), pivot).tolist())
+    got = perpendicular_to(nu)
+    assert list(map(repr, got.to_json())) == list(map(repr, want.to_json()))
+    assert abs(dot3(got, nu)) < 1e-15
+
+
 def test_abelian_identity():
     x = FourVector(1.0, 0.5, -0.25, 0.75)
     out = abelian_transform(NU_Z, AbelianParams(E_X, 0.0), x)
