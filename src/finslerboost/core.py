@@ -300,22 +300,17 @@ class AnisotropySpec(_Value):
 # slot up by name behind the refusing __setattr__.
 def _t3(a) -> tuple:
     """(x, y, z) floats of a UnitVector3, a Velocity3 or a 3-sequence.
-    The exact types are tested first: on a tuple, the failing
-    hasattr(a, "tolist") alone costs about a third of the call.  An ndarray
-    goes through tolist(): unpacking it element by element is slower."""
-    kind = a.__class__
-    if kind is UnitVector3:
-        return a.x, a.y, a.z
-    if kind is Velocity3:
-        return a.vx, a.vy, a.vz
-    if kind is tuple or kind is list:
-        x, y, z = a
-        return float(x), float(y), float(z)
+    A tuple or list skips hasattr(a, "tolist"), whose failure alone costs
+    about a third of the call.  An ndarray goes through tolist(): unpacking
+    it element by element is slower."""
     if isinstance(a, UnitVector3):
         return a.x, a.y, a.z
     if isinstance(a, Velocity3):
         return a.vx, a.vy, a.vz
-    x, y, z = a.tolist() if hasattr(a, "tolist") else a
+    kind = a.__class__
+    if kind is not tuple and kind is not list and hasattr(a, "tolist"):
+        a = a.tolist()
+    x, y, z = a
     return float(x), float(y), float(z)
 
 
