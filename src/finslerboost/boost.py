@@ -23,8 +23,9 @@ from .core import (
     _ndarray,
     _r_power,
     _require_finite,
-    _t3,
+    _unit3,
     _Value,
+    _vel3,
     matrix_to_json,
 )
 
@@ -56,6 +57,7 @@ class BoostParams(_Value):
     __slots__ = ("n", "alpha")
 
     def __init__(self, n: UnitVector3, alpha: float):
+        _unit3(n)
         if not math.isfinite(alpha):
             _require_finite(alpha)
         if alpha < 0:
@@ -90,7 +92,7 @@ def _coefficients(nu: UnitVector3, params: BoostParams):
     """Fields of n and nu, and the boost coefficients with a = (nu.n) alpha:
     km = (1 - e^{-a}) alpha / a, kp = (1 - e^{a}) alpha / a and
     c0 = (cosh a - 1) alpha^2 / a^2 = -km kp / 2."""
-    n, nuv, alpha = _t3(params.n), _t3(nu), params.alpha
+    n, nuv, alpha = _unit3(params.n), _unit3(nu), params.alpha
     a = _dot(nuv, n) * alpha
     try:
         km = alpha * _exprel(-a)
@@ -118,8 +120,8 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     block is the rotation generator about nu x n that keeps the preferred
     axis fixed in the moving frame.
     """
-    nv = n0, n1, n2 = _t3(n)
-    m0, m1, m2 = _cross(_t3(nu), nv)
+    nv = n0, n1, n2 = _unit3(n)
+    m0, m1, m2 = _cross(_unit3(nu), nv)
     return _ndarray([
         [0.0, -n0, -n1, -n2],
         [-n0, 0.0, -m2, m1],
@@ -131,7 +133,7 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
 def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
     """Boost generator plus the compensating scale generator -r (nu.n) I.
     OutOfRange naming r where r (nu.n) overflows."""
-    rs = spec.r * _dot(_t3(spec.nu), _t3(n))
+    rs = spec.r * _dot(_unit3(spec.nu), _unit3(n))
     if not math.isfinite(rs):  # |nu.n| may exceed 1 by the 1e-12 of UnitVector3
         raise OutOfRange(f"anisotropy r = {spec.r} overflows the generalized generator")
     return generator(spec.nu, n) - _ndarray([[rs * (i == j) for j in range(4)]
@@ -160,7 +162,7 @@ def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
     """Scale D = e^{-r (nu.n) alpha} and the rows of the generalized boost
     D * Lambda.  No entry of Lambda exceeds its (0, 0) entry 1 + c0 in size,
     so OutOfRange when D (1 + c0) overflows."""
-    exponent = -spec.r * _dot(_t3(spec.nu), _t3(params.n)) * params.alpha
+    exponent = -spec.r * _dot(_unit3(spec.nu), _unit3(params.n)) * params.alpha
     d = _r_power(spec.r, math.exp, (exponent,))
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = _boost_rows(
         spec.nu, params)
@@ -192,9 +194,9 @@ def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
     or subnormal has no float direction; it is the identity, returned as
     (n = nu, alpha = 0).  Coefficients that overflow raise OutOfRange.
     """
-    nuv = _t3(nu)
-    n1 = p0, p1, p2 = _t3(g1.n)
-    n2 = q0, q1, q2 = _t3(g2.n)
+    nuv = _unit3(nu)
+    n1 = p0, p1, p2 = _unit3(g1.n)
+    n2 = q0, q1, q2 = _unit3(g2.n)
     a1, a2 = g1.alpha, g2.alpha
     s1a = _dot(nuv, n1) * a1
     s2a = _dot(nuv, n2) * a2
@@ -242,10 +244,10 @@ def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     the degenerate (horosphere) case t = 0 where the textbook quotient is
     0/0.  OutOfRange where 1 - v.nu rounds to 0 or below.
     """
-    vv = v0, v1, v2 = _t3(v)
+    nuv = m0, m1, m2 = _unit3(nu)
+    vv = v0, v1, v2 = _vel3(v)
     if _dot(vv, vv) < sys.float_info.min:
         return BoostParams.identity(nu)
-    nuv = m0, m1, m2 = _t3(nu)
     w, gamma_inv, u = _frame_scalars(vv, nuv)  # u = 1 - sqrt(1 - v^2)
     t = (gamma_inv - w) / w
     alpha = math.sqrt(2.0 * u / w) * _log1p_over(t)
@@ -309,13 +311,13 @@ def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
     its orientation); as v2 approaches nu the result approaches nu
     regardless of v1.
     """
-    return Velocity3(*_add_velocities(_t3(nu), _t3(v1), _t3(v2)))
+    return Velocity3(*_add_velocities(_unit3(nu), _vel3(v1), _vel3(v2)))
 
 
 def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
     """Scale factor D = ((1 - v.nu)/sqrt(1 - v^2))^r; strictly positive unless
     it underflows.  OutOfRange where 1 - v.nu rounds to 0 or below."""
-    return _r_power(spec.r, pow, (_horosphere(_t3(v), _t3(spec.nu)), spec.r))
+    return _r_power(spec.r, pow, (_horosphere(_vel3(v), _unit3(spec.nu)), spec.r))
 
 
 def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.ndarray:
@@ -324,8 +326,11 @@ def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.nd
 
 
 def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:
-    """Passive rotation of the spatial axes by phi about nu."""
-    nuv = _t3(nu)
+    """Passive rotation of the spatial axes by phi about nu; OutOfRange
+    naming phi where it is not finite."""
+    nuv = _unit3(nu)
+    if not math.isfinite(phi):
+        raise OutOfRange(f"rotation angle phi = {phi} is not finite")
     c, s = math.cos(phi), math.sin(phi)
     rows = [[1.0, 0.0, 0.0, 0.0]]
     for i, cr in enumerate(_cross_rows(nuv)):

@@ -36,7 +36,8 @@ from .core import (
     UnitVector3,
     Velocity3,
     _dot,
-    _t3,
+    _unit3,
+    _vel3,
     finsler_interval_sq,
     minkowski_interval,
 )
@@ -215,7 +216,7 @@ def _t4(e: FourVector) -> tuple:
 
 def _axis_part(nu: UnitVector3, g: boost.BoostParams) -> float:
     """(nu.n) alpha."""
-    return _dot(_t3(nu), _t3(g.n)) * g.alpha
+    return _dot(_unit3(nu), _unit3(g.n)) * g.alpha
 
 
 def suite_oracle(rng, samples):
@@ -275,7 +276,7 @@ def suite_metric(rng, samples):
         lam = boost.boost_matrix(nu, g)
         return (finsler_interval_sq(xp, spec), finsler_interval_sq(x, spec),
                 minkowski_interval(boost.apply_matrix(lam, x)), minkowski_interval(x),
-                dl, math.exp(-4.0 * r * _dot(_t3(nu), _t3(g.n)) * g.alpha))
+                dl, math.exp(-4.0 * r * _dot(_unit3(nu), _unit3(g.n)) * g.alpha))
 
     def reduce(fin1, fin0, mink1, mink0, dl, det):
         _record(p_fin, _reldiff(fin1, fin0))
@@ -298,7 +299,7 @@ def suite_roundtrip(rng, samples):
         else:
             g = boost.BoostParams(_unit(rng), _uniform(rng, 1e-3, 3.0))
         back = boost.params_from_velocity(nu, boost.velocity_from_params(nu, g))
-        return _t3(back.n), _t3(g.n), back.alpha, g.alpha
+        return _unit3(back.n), _unit3(g.n), back.alpha, g.alpha
 
     def reduce(back_n, n, back_alpha, alpha):
         _record(p_n, np.abs(back_n - n))
@@ -319,9 +320,9 @@ def suite_velocity_addition(rng, samples):
         v2 = boost.velocity_from_params(nu, g2)
         direct = boost.add_velocities(nu, v1, v2)
         via = boost.velocity_from_params(nu, boost.compose(nu, g1, g2))
-        nuv = _t3(nu)
+        nuv = _unit3(nu)
         # the boundary point v2 = nu is not a Velocity3
-        return _t3(direct), _t3(via), boost._add_velocities(nuv, _t3(v1), nuv), nuv
+        return _vel3(direct), _vel3(via), boost._add_velocities(nuv, _vel3(v1), nuv), nuv
 
     def reduce(direct, via, fixed, nu):
         _record(p_match, np.abs(direct - via))
@@ -344,7 +345,7 @@ def suite_spinor(rng, samples):
         nu, n = _unit(rng), _unit(rng)
         alpha, a2 = _alpha(rng), _alpha(rng)
         g = boost.BoostParams(n, alpha)
-        return (_dot(_t3(nu), _t3(n)), spinor.spinor_generator(nu, n), alpha,
+        return (_dot(_unit3(nu), _unit3(n)), spinor.spinor_generator(nu, n), alpha,
                 spinor.spinor_boost(nu, g), spinor.spinor_boost(nu, boost.BoostParams(n, -alpha)),
                 boost.boost_matrix(nu, g), spinor.spinor_boost(nu, boost.BoostParams(n, a2)),
                 spinor.spinor_boost(nu, boost.BoostParams(n, alpha + a2)))
@@ -455,7 +456,7 @@ def suite_subgroups(rng, samples):
         pa2 = subgroups.AbelianParams(n2, a2)
 
         xp = subgroups.abelian_transform_v(nu, subgroups.abelian_velocity(nu, pa1), x)
-        nuv = _t3(nu)
+        nuv = _unit3(nu)
         one = subgroups.abelian_transform(nu, pa2, subgroups.abelian_transform(nu, pa1, x))
         other = subgroups.abelian_transform(nu, pa1, subgroups.abelian_transform(nu, pa2, x))
         lam = boost.generalized_boost_matrix(spec, boost.BoostParams(n1, a1))
@@ -563,7 +564,7 @@ def suite_branch(rng, samples):
         g = _near_band_params(rng, nu)
         return (_taylor_coefficients(_axis_part(nu, g), g.alpha),
                 boost.generator(nu, g.n), spinor.spinor_generator(nu, g.n),
-                boost.boost_matrix(nu, g), _t3(boost.velocity_from_params(nu, g)),
+                boost.boost_matrix(nu, g), _vel3(boost.velocity_from_params(nu, g)),
                 spinor.spinor_boost(nu, g))
 
     def reduce(coef, gen, k, lam, vel, spin):

@@ -7,8 +7,14 @@ contravariant and the column index covariant.
 The package computes on plain Python floats and complex numbers.  numpy
 is imported only at the ndarray edge of the API, by _ndarray, which every
 function that returns an ndarray (`as_array`, `cross3`, `boost_matrix`,
-...) calls.  Functions that read a vector take any sequence, an ndarray
-included.
+...) calls.
+
+A direction is a UnitVector3 and a velocity a Velocity3: every function that
+takes one reads it with _unit3 or _vel3, which refuse any other type with
+TypeError, a 3-sequence included.  Sequences, ndarrays included, enter only
+through the converters UnitVector3.normalized, Velocity3.from_array,
+FourVector.from_array and the w of AbelianParams.from_tangent; dot3, cross3
+and norm3 take any 3-vector.
 """
 from __future__ import annotations
 
@@ -193,8 +199,13 @@ class FourVector(_Value):
 
     @classmethod
     def from_array(cls, a) -> "FourVector":
-        """From any 4-sequence of numbers, an ndarray included."""
-        t, x, y, z = a.tolist() if hasattr(a, "tolist") else a
+        """From any 4-sequence of numbers, an ndarray included.  A sequence
+        of another length raises ValueError naming its length."""
+        a = a.tolist() if hasattr(a, "tolist") else a
+        try:
+            t, x, y, z = a
+        except ValueError:  # a length other than 4
+            raise ValueError(f"expected 4 components, got {len(a)}") from None
         return cls(float(t), float(x), float(y), float(z))
 
     def to_json(self) -> list:
@@ -275,6 +286,7 @@ class AnisotropySpec(_Value):
     __slots__ = ("nu", "r")
 
     def __init__(self, nu: UnitVector3, r: float):
+        _unit3(nu)
         if not math.isfinite(r):
             _require_finite(r)
         set_nu, set_r = AnisotropySpec._setters
@@ -298,11 +310,29 @@ class AnisotropySpec(_Value):
 # calls _require_finite only to name a failure, and stores its fields through
 # its slot setters (see _Value), not object.__setattr__, which looks each
 # slot up by name behind the refusing __setattr__.
+def _unit3(a) -> tuple:
+    """(x, y, z) of a direction, which must be a UnitVector3.  The class is
+    tested exactly: a FourVector has the fields x, y and z too."""
+    if a.__class__ is UnitVector3:
+        return a.x, a.y, a.z
+    raise TypeError(f"a direction must be a UnitVector3, not {type(a).__name__}")
+
+
+def _vel3(a) -> tuple:
+    """(vx, vy, vz) of a velocity, which must be a Velocity3."""
+    if a.__class__ is Velocity3:
+        return a.vx, a.vy, a.vz
+    raise TypeError(f"a velocity must be a Velocity3, not {type(a).__name__}")
+
+
 def _t3(a) -> tuple:
-    """(x, y, z) floats of a UnitVector3, a Velocity3 or a 3-sequence.
-    A tuple or list skips hasattr(a, "tolist"), whose failure alone costs
-    about a third of the call.  An ndarray goes through tolist(): unpacking
-    it element by element is slower."""
+    """(x, y, z) floats of a UnitVector3, a Velocity3 or any 3-sequence: the
+    converter behind UnitVector3.normalized, Velocity3.from_array,
+    AbelianParams.from_tangent's w, dot3, cross3 and norm3, and no other
+    reader.  A sequence of another length raises ValueError naming its
+    length.  A tuple or list skips hasattr(a, "tolist"), whose failure alone
+    costs about a third of the call.  An ndarray goes through tolist():
+    unpacking it element by element is slower."""
     if isinstance(a, UnitVector3):
         return a.x, a.y, a.z
     if isinstance(a, Velocity3):
@@ -310,7 +340,10 @@ def _t3(a) -> tuple:
     kind = a.__class__
     if kind is not tuple and kind is not list and hasattr(a, "tolist"):
         a = a.tolist()
-    x, y, z = a
+    try:
+        x, y, z = a
+    except ValueError:  # a length other than 3
+        raise ValueError(f"expected 3 components, got {len(a)}") from None
     return float(x), float(y), float(z)
 
 
@@ -416,7 +449,7 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
     """
     base = minkowski_interval(dx)
     sx = (dx.x, dx.y, dx.z)
-    num = dx.t - _dot(_t3(spec.nu), sx)
+    num = dx.t - _dot(_unit3(spec.nu), sx)
     scale = _finite_square(dx.t * dx.t + _dot(sx, sx), dx)
     thr = Tolerance.abs_tol * scale
     if abs(base) <= thr:

@@ -29,8 +29,9 @@ from .core import (
     _frame_scalars,
     _ndarray,
     _r_power,
-    _t3,
+    _unit3,
     _Value,
+    _vel3,
     bispinor_to_json,
 )
 
@@ -128,8 +129,8 @@ def spinor_generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
 
     Squares to (nu.n)^2 I; nilpotent when n is orthogonal to nu.
     """
-    nv = _t3(n)
-    return _matrix(_blocks(0.0, _cross(_t3(nu), nv), nv))
+    nv = _unit3(n)
+    return _matrix(_blocks(0.0, _cross(_unit3(nu), nv), nv))
 
 
 def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
@@ -139,7 +140,7 @@ def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     S = I cosh(a/2) + K (alpha/2) sinh(a/2)/(a/2) with a = (nu.n) alpha.
     For n orthogonal to nu this reduces exactly to I + K alpha / 2.
     """
-    nuv, nv = _t3(nu), _t3(params.n)
+    nuv, nv = _unit3(nu), _unit3(params.n)
     half = 0.5 * (_dot(nuv, nv) * params.alpha)
     try:  # sinh(h)/h = (exprel(h) + exprel(-h)) / 2, with no cancellation
         sinhc = 0.5 * (_exprel(half) + _exprel(-half))
@@ -156,8 +157,8 @@ def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
     """Blocks of the closed-form bispinor transformation D^{-3/2} S.  Their
     entries are the seven scalars a, p and q, so OutOfRange when one of them
     overflows."""
-    nuv = m0, m1, m2 = _t3(spec.nu)
-    vv = v0, v1, v2 = _t3(v)
+    nuv = m0, m1, m2 = _unit3(spec.nu)
+    vv = v0, v1, v2 = _vel3(v)
     gap, root, lag = _frame_scalars(vv, nuv)
     weight = _r_power(spec.r, pow, (gap / root, -1.5 * spec.r))
     pref = weight / (2.0 * math.sqrt(gap * root))
@@ -238,7 +239,7 @@ def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     OutOfRange when |psi|^2 or the result overflows.
     """
     u0, u1, l0, l1 = psi = _c4(psi)
-    nx, ny, nz = _t3(spec.nu)
+    nx, ny, nz = _unit3(spec.nu)
     d0 = u0 - (nz * l0 + complex(nx, -ny) * l1)
     d1 = u1 - (complex(nx, ny) * l0 - nz * l1)
     num = d0.real * d0.real + d0.imag * d0.imag + d1.real * d1.real + d1.imag * d1.imag

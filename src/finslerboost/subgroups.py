@@ -25,7 +25,9 @@ from .core import (
     _rescaled,
     _require_finite,
     _t3,
+    _unit3,
     _Value,
+    _vel3,
     minkowski_interval,
     norm3,
 )
@@ -54,7 +56,7 @@ HOROSPHERE_TOL = 1e-8
 def perpendicular_to(nu: UnitVector3) -> UnitVector3:
     """Deterministic unit vector orthogonal to nu: nu x e_k, normalized, for
     the first axis k of least |nu_k|."""
-    nuv = _t3(nu)
+    nuv = _unit3(nu)
     pivot, least = (1.0, 0.0, 0.0), abs(nuv[0])
     if abs(nuv[1]) < least:
         pivot, least = (0.0, 1.0, 0.0), abs(nuv[1])
@@ -74,6 +76,7 @@ class AbelianParams(_Value):
     __slots__ = ("n", "alpha")
 
     def __init__(self, n: UnitVector3, alpha: float):
+        _unit3(n)
         if not math.isfinite(alpha):
             _require_finite(alpha)
         set_n, set_alpha = AbelianParams._setters
@@ -86,7 +89,7 @@ class AbelianParams(_Value):
         the plane orthogonal to nu, then rescaled where w.w is out of
         range: a tiny or huge w keeps its direction, and alpha is |w|).
         OutOfRange naming w where |w| overflows."""
-        nuv, w = _t3(nu), _t3(w)
+        nuv, w = _unit3(nu), _t3(w)
         d = _dot(nuv, w)
         scale, (x, y, z), size = _rescaled(
             (w[0] - d * nuv[0], w[1] - d * nuv[1], w[2] - d * nuv[2]))
@@ -110,7 +113,7 @@ class AxialParams(_Value):
 
 
 def _check_orthogonal(nu: UnitVector3, n: UnitVector3) -> None:
-    d = _dot(_t3(nu), _t3(n))
+    d = _dot(_unit3(nu), _unit3(n))
     if abs(d) > ORTHO_TOL:
         raise NonOrthogonal(f"boost direction not orthogonal to axis: nu.n = {d}")
 
@@ -151,14 +154,14 @@ def abelian_transform(nu: UnitVector3, p: AbelianParams, x: FourVector) -> FourV
     x and the tangent vector n alpha where the image overflows."""
     _check_orthogonal(nu, p.n)
     n, a = p.n, p.alpha
-    return _abelian(_t3(nu), (n.x * a, n.y * a, n.z * a), x)
+    return _abelian(_unit3(nu), (n.x * a, n.y * a, n.z * a), x)
 
 
 def abelian_velocity(nu: UnitVector3, p: AbelianParams) -> Velocity3:
     """Primed-frame velocity; always on the unit-level horosphere.
     OutOfRange naming alpha where the speed rounds to 1."""
     _check_orthogonal(nu, p.n)
-    (n0, n1, n2), (m0, m1, m2), a = _t3(p.n), _t3(nu), p.alpha
+    (n0, n1, n2), (m0, m1, m2), a = _unit3(p.n), _unit3(nu), p.alpha
     half = a * a / 2.0
     den = 1.0 + half
     try:  # where alpha^2 overflows, the components are inf / inf
@@ -174,11 +177,11 @@ def abelian_params_from_velocity(nu: UnitVector3, v: Velocity3) -> AbelianParams
     squared norm v.v is zero or subnormal has no float direction and raises
     ZeroVelocity.
     """
-    vv = _t3(v)
+    nuv, vv = _unit3(nu), _vel3(v)
     vsq = _dot(vv, vv)
     if vsq < sys.float_info.min:
         raise ZeroVelocity(f"direction is undefined: v.v = {vsq} is zero or subnormal")
-    return AbelianParams.from_tangent(nu, _tangent(_t3(nu), vv))
+    return AbelianParams.from_tangent(nu, _tangent(nuv, vv))
 
 
 def abelian_transform_v(nu: UnitVector3, v: Velocity3, x: FourVector) -> FourVector:
@@ -188,8 +191,8 @@ def abelian_transform_v(nu: UnitVector3, v: Velocity3, x: FourVector) -> FourVec
     interval for every r.  OutOfRange naming x and the tangent vector where
     the image overflows.
     """
-    nuv = _t3(nu)
-    return _abelian(nuv, _tangent(nuv, _t3(v)), x)
+    nuv = _unit3(nu)
+    return _abelian(nuv, _tangent(nuv, _vel3(v)), x)
 
 
 def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> FourVector:
@@ -197,7 +200,7 @@ def axial_transform(spec: AnisotropySpec, p: AxialParams, x: FourVector) -> Four
 
     The flow is additive in alpha; the inverse is the transform at -alpha.
     """
-    m0, m1, m2 = _t3(spec.nu)
+    m0, m1, m2 = _unit3(spec.nu)
     a, b, c = x.x, x.y, x.z
     nux = m0 * a + m1 * b + m2 * c
     try:
@@ -243,7 +246,7 @@ def axial_invariants(spec: AnisotropySpec, x: FourVector) -> AxialInvariants:
     Raises NonTimelike when x0^2 <= |x|^2, where the ratio is undefined,
     and OutOfRange when a square overflows.
     """
-    sx, nuv = (x.x, x.y, x.z), _t3(spec.nu)
+    sx, nuv = (x.x, x.y, x.z), _unit3(spec.nu)
     proj = x.t - _dot(nuv, sx)
     interval = minkowski_interval(x)
     if interval <= 0.0:

@@ -18,8 +18,9 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
-    _t3,
+    _unit3,
     _Value,
+    _vel3,
 )
 from .subgroups import _abelian, perpendicular_to
 
@@ -39,7 +40,7 @@ def lobachevsky_distance(v1: Velocity3, v2: Velocity3) -> float:
     """Hyperbolic distance d with sinh d = g1 g2 sqrt((1 - v1.v2)^2 - w1 w2),
     wi = 1 - vi^2 = 1/gi^2.  With D = v1 - v2 the radicand is
     w1 |D|^2 + (v1.D)^2, two non-negative terms, so nothing cancels."""
-    a1, a2 = _t3(v1), _t3(v2)
+    a1, a2 = _vel3(v1), _vel3(v2)
     diff = (a1[0] - a2[0], a1[1] - a2[1], a1[2] - a2[2])
     w1, w2 = 1.0 - _dot(a1, a1), 1.0 - _dot(a2, a2)
     proj = _dot(a1, diff)
@@ -49,14 +50,14 @@ def lobachevsky_distance(v1: Velocity3, v2: Velocity3) -> float:
 def horosphere_level(nu: UnitVector3, v: Velocity3) -> float:
     """(1 - v.nu)/sqrt(1 - v^2); strictly positive.  OutOfRange where
     1 - v.nu rounds to 0 or below, at the ball's edge along nu."""
-    return _horosphere(_t3(v), _t3(nu))
+    return _horosphere(_vel3(v), _unit3(nu))
 
 
 def cylinder_level(nu: UnitVector3, v: Velocity3) -> float:
     """|v x nu|^2/(1 - v^2); zero iff v is parallel to nu.  Unlike
     v^2 - (v.nu)^2, the cross product does not cancel near the axis."""
-    vv = _t3(v)
-    c = _cross(vv, _t3(nu))
+    vv = _vel3(v)
+    c = _cross(vv, _unit3(nu))
     return _dot(c, c) / (1.0 - _dot(vv, vv))
 
 
@@ -68,9 +69,9 @@ def induced_motion(nu: UnitVector3, frame_v: Velocity3, v: Velocity3) -> Velocit
     built into its matrix.  Preserves the Lobachevsky distance between any
     two velocities; a frame at rest is the identity.
     """
-    nuv, u = _t3(nu), _t3(frame_v)
+    nuv, u, x = _unit3(nu), _vel3(frame_v), _vel3(v)
     w, g = _inverse_frame(nuv, u)
-    return Velocity3(*_act(nuv, u, w, _t3(v), g))
+    return Velocity3(*_act(nuv, u, w, x, g))
 
 
 class SurfaceSample(_Value):
@@ -100,8 +101,8 @@ class SurfaceSample(_Value):
 
 
 def _plane_basis(nu: UnitVector3):
-    e1 = _t3(perpendicular_to(nu))
-    return e1, _t3(UnitVector3.normalized(_cross(_t3(nu), e1)))
+    e1 = _unit3(perpendicular_to(nu))
+    return e1, _unit3(UnitVector3.normalized(_cross(_unit3(nu), e1)))
 
 
 def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
@@ -151,7 +152,9 @@ def sample_surface(
         raise ValueError("resolution must be at least 1x1")
     if not math.isfinite(level):
         raise OutOfRange(f"surface level must be finite: {level}")
-    nuv = _t3(nu)
+    if not math.isfinite(extent):
+        raise OutOfRange(f"surface extent must be finite: {extent}")
+    nuv = _unit3(nu)
     e1, e2 = _plane_basis(nu)
     points = []
     if family == "horosphere":

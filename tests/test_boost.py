@@ -193,6 +193,13 @@ def test_axial_rotation():
     assert np.allclose(y.as_array(), (0, 1, 0, 0), atol=1e-15)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_axial_rotation_refuses_a_nonfinite_angle(phi):
+    """A NaN matrix for nan, a bare math domain error for inf before."""
+    with pytest.raises(OutOfRange, match=re.escape(f"rotation angle phi = {phi} is not finite")):
+        axial_rotation(NU_Z, phi)
+
+
 def test_axial_rotation_preserves_finsler_interval():
     rng = np.random.default_rng(43)
     for _ in range(200):

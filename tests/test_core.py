@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from finslerboost import (
     minkowski_interval,
     norm3,
 )
-from finslerboost import boost, core, spinor, subgroups, velocity_space
+from finslerboost import boost, checks, core, spinor, subgroups, velocity_space
 from finslerboost.core import bispinor_to_json, matrix_to_json
 from support import NU_Z, rand_unit
 
@@ -367,12 +368,12 @@ def test_float_inputs_list_tuple_ndarray_agree():
 @pytest.mark.parametrize("values", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
 def test_float_inputs_wrong_length(values):
     for form in (values, tuple(values), np.array(values)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"expected 3 components, got {len(values)}"):
             UnitVector3.normalized(form)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"expected 3 components, got {len(values)}"):
             Velocity3.from_array(form)
     for form in (values[:3], values + [0.5], np.array(values[:3])):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"expected 4 components, got {len(form)}"):
             FourVector.from_array(form)
 
 
@@ -394,7 +395,7 @@ def test_t3_returns_three_python_floats(form):
 @pytest.mark.parametrize("values", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
 def test_t3_refuses_a_sequence_that_is_not_three_long(values):
     for form in (values, tuple(values), np.array(values)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"expected 3 components, got {len(values)}"):
             core._t3(form)
 
 
@@ -415,19 +416,13 @@ def test_bispinor_to_json_needs_four_components(length):
         bispinor_to_json([1j] * length)
 
 
-def _numpy_import_sites(module) -> list:
-    """Dotted name of the scope of each numpy import in module."""
+def _sites(module, hit) -> list:
+    """Dotted name of the scope of each node of module for which hit is true."""
     sites = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if hit(child):
                 sites.append(scope)
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
@@ -438,13 +433,46 @@ def _numpy_import_sites(module) -> list:
     return sites
 
 
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
 def test_numpy_is_imported_only_at_the_ndarray_edge():
     """The library computes on floats: numpy is imported by core._ndarray,
     which builds every returned ndarray, spinor.gamma_basis's constants
     included.  Nowhere else."""
     modules = (core, boost, spinor, subgroups, velocity_space)
-    sites = [site for m in modules for site in _numpy_import_sites(m)]
+    sites = [site for m in modules for site in _sites(m, _imports_numpy)]
     assert sites == ["core._ndarray"]
+
+
+def _calls_t3(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "_t3"
+            or isinstance(func, ast.Attribute) and func.attr == "_t3")
+
+
+def test_only_the_converters_read_a_sequence():
+    """A direction or a velocity is read by core._unit3 or core._vel3, which
+    refuse any other type.  core._t3, which reads any 3-sequence, is called
+    only by the converters and by dot3, cross3 and norm3, which take any
+    3-vector."""
+    modules = (core, boost, spinor, subgroups, velocity_space, checks)
+    sites = {site for m in modules for site in _sites(m, _calls_t3)}
+    assert sites == {
+        "core.UnitVector3.normalized",
+        "core.Velocity3.from_array",
+        "subgroups.AbelianParams.from_tangent",
+        "core.dot3",
+        "core.cross3",
+        "core.norm3",
+    }
 
 
 # The scalar kernels, written out one component at a time (see the comment
@@ -523,3 +551,14 @@ def test_vector_helpers_refuse_a_result_that_overflows(call, name):
 def test_normalized_rescales_squares_out_of_range(v, want):
     """A square that overflows or underflows is taken of v / max|v_i|."""
     assert UnitVector3.normalized(v) == UnitVector3(*want)
+
+
+def test_readme_library_example_runs():
+    """README's library example runs, and its interval is kept by its matrix."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    m, x, spec = names["m"], names["x"], names["spec"]
+    image = boost.apply_matrix(m, x)
+    assert math.isclose(finsler_interval_sq(image, spec), names["s2"], rel_tol=1e-12)

@@ -3,12 +3,16 @@ span the float range.
 
 Magnitudes are 10^U(-300, 308.2), or one of EDGES, the float range's edges
 and the sizes whose squares or products overflow; speeds are
-1 - 10^U(-16, -0.01), and nu is off unit length by up to the 1e-12 that
-UnitVector3 accepts.  Every outcome must
-be a finite float, a finite ndarray, a value type with finite fields, or a
-DomainError: never a bare exception, a complex number, inf or NaN.  The CLI
-must exit 0 or 2 and print strict JSON or nothing.
+1 - 10^U(-16, -0.01), nu is off unit length by up to the 1e-12 that
+UnitVector3 accepts, and a tenth of the rotation angles are nan or +-inf.
+Every outcome must be a finite float, a finite ndarray, a value type with
+finite fields, or a DomainError: never a bare exception, a complex number,
+inf or NaN.  The CLI must exit 0 or 2 and print strict JSON or nothing.
+
+A direction must be a UnitVector3 and a velocity a Velocity3: any other
+type, a 3-sequence or the other role's type, ends in TypeError.
 """
+import inspect
 import math
 import random
 import sys
@@ -71,6 +75,10 @@ def _velocity(rng, nu: UnitVector3) -> Velocity3:
 
 def _scalar(rng) -> float:
     return rng.uniform(-3, 3) if rng.random() < 0.6 else _mag(rng)
+
+
+def _angle(rng) -> float:
+    return rng.choice((math.nan, math.inf, -math.inf)) if rng.random() < 0.1 else _scalar(rng)
 
 
 def _r(rng) -> float:
@@ -140,7 +148,7 @@ def _calls(rng):
         ("add_velocities", lambda: boost.add_velocities(nu, v1, v2)),
         ("dilation_factor", lambda: boost.dilation_factor(spec, v1)),
         ("generalized_boost_matrix", lambda: boost.generalized_boost_matrix(spec, params)),
-        ("axial_rotation", lambda: boost.axial_rotation(nu, _scalar(rng))),
+        ("axial_rotation", lambda: boost.axial_rotation(nu, _angle(rng))),
         ("translate", lambda: boost.translate(x, y)),
         ("apply_matrix", lambda: boost.apply_matrix(boost.boost_matrix(nu, params), x)),
         ("perpendicular_to", lambda: subgroups.perpendicular_to(nu)),
@@ -198,6 +206,88 @@ def test_every_public_function_ends_in_a_finite_result_or_a_domain_error():
             if isinstance(value, complex) or not _finite(value):
                 bad.append((name, repr(value)[:120]))
     assert not bad, f"{len(bad)} bad outcomes, first: {bad[:5]}"
+
+
+# The arguments not under test: one valid value per annotation, or per name
+# where a parameter has none.
+VALID = {
+    "UnitVector3": UnitVector3(0.0, 0.0, 1.0),
+    "Velocity3": Velocity3(0.1, -0.2, 0.3),
+    "BoostParams": BoostParams(UnitVector3(1.0, 0.0, 0.0), 0.5),
+    "AbelianParams": AbelianParams(UnitVector3(1.0, 0.0, 0.0), 0.5),
+    "AnisotropySpec": AnisotropySpec(UnitVector3(0.0, 0.0, 1.0), 0.3),
+    "FourVector": FourVector(2.0, 0.3, -0.1, 0.4),
+    "float": 0.5,
+    "str": "horosphere",
+    "w": [0.0, 0.5, 0.0],
+    "psi": [1.0, 0.0, 0.0, 0.0],
+}
+ROLES = ("UnitVector3", "Velocity3")
+
+
+def _typed_arguments() -> list:
+    """(name, callable, parameters, index) for each direction or velocity
+    argument, annotated UnitVector3 or Velocity3, of every public function,
+    constructor and class method."""
+    cases = []
+    for module in (core, boost, subgroups, velocity_space, spinor):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            calls = [(name, obj)] if callable(obj) else []
+            if inspect.isclass(obj):
+                calls += [(f"{name}.{m}", getattr(obj, m)) for m, f in vars(obj).items()
+                          if isinstance(f, classmethod)]
+            for label, call in calls:
+                try:
+                    params = list(inspect.signature(call).parameters.values())
+                except ValueError:  # the exception classes have none
+                    continue
+                cases += [(f"{label}-{p.name}", call, params, i)
+                          for i, p in enumerate(params) if p.annotation in ROLES]
+    return cases
+
+
+TYPED_ARGUMENTS = _typed_arguments()
+
+
+def _wrong(role: str) -> list:
+    """A tuple, a list and an ndarray each of a unit vector, a valid velocity
+    and a vector of speed 2; the other role's type; and an event, whose
+    fields x, y and z a bare attribute read would take for a direction."""
+    contents = ((0.0, 0.6, 0.8), (0.1, -0.2, 0.3), (0.0, 0.0, 2.0))
+    other = VALID["Velocity3" if role == "UnitVector3" else "UnitVector3"]
+    return ([kind(c) for c in contents for kind in (tuple, list, np.array)]
+            + [other, FourVector(1.0, 0.0, 0.0, 0.5)])
+
+
+def test_the_boundary_fuzz_sees_every_role():
+    names = {name.split("-")[0] for name, *_ in TYPED_ARGUMENTS}
+    assert {"AnisotropySpec", "BoostParams", "AbelianParams", "BoostParams.identity",
+            "AbelianParams.from_tangent", "add_velocities", "lobachevsky_distance",
+            "sample_surface", "bispinor_transform"} <= names
+    assert len(TYPED_ARGUMENTS) >= 35
+
+
+@pytest.mark.parametrize("name, call, params, index", TYPED_ARGUMENTS,
+                         ids=[case[0] for case in TYPED_ARGUMENTS])
+def test_a_direction_or_velocity_of_another_type_is_a_type_error(name, call, params, index):
+    role = params[index].annotation
+    base = [VALID[p.annotation if p.annotation in VALID else p.name]
+            for p in params if p.default is inspect.Parameter.empty]
+    bad = []
+    for wrong in _wrong(role):
+        args = base.copy()
+        args[index] = wrong
+        try:
+            value = call(*args)
+        except TypeError as exc:
+            if f"must be a {role}, not {type(wrong).__name__}" not in str(exc):
+                bad.append((type(wrong).__name__, str(exc)))
+        except Exception as exc:  # noqa: BLE001 - another error is the finding
+            bad.append((type(wrong).__name__, f"{type(exc).__name__}: {exc}"))
+        else:
+            bad.append((type(wrong).__name__, repr(value)[:80]))
+    assert not bad, f"{len(bad)} not refused, first: {bad[:3]}"
 
 
 def _text(values) -> str:

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -268,6 +269,15 @@ def test_sample_surface_empty_resolution(resolution):
 def test_sample_surface_nonfinite_level(family, level):
     with pytest.raises(OutOfRange, match="level must be finite"):
         sample_surface(NU_Z, family, level)
+
+
+@pytest.mark.parametrize("family", ["horosphere", "cylinder"])
+@pytest.mark.parametrize("extent", [math.inf, -math.inf, math.nan])
+def test_sample_surface_nonfinite_extent(family, extent):
+    """Refused up front, naming the extent; it overflowed an event or failed
+    the level re-check before."""
+    with pytest.raises(OutOfRange, match=re.escape(f"surface extent must be finite: {extent}")):
+        sample_surface(NU_Z, family, 0.5, (2, 2), extent)
 
 
 def test_surface_serialization(tmp_path):
