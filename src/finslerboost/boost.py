@@ -20,6 +20,7 @@ from .core import (
     _dot,
     _frame_scalars,
     _horosphere,
+    _m4x4,
     _ndarray,
     _r_power,
     _require_finite,
@@ -81,6 +82,13 @@ class BoostParams(_Value):
 def _exprel(x: float) -> float:
     """expm1(x) / x, and its limit 1 at x = 0."""
     return math.expm1(x) / x if x != 0.0 else 1.0
+
+
+def _sinhc(h: float) -> float:
+    """sinh(h) / h as (exprel(h) + exprel(-h)) / 2, with no cancellation and
+    even to the bit; OverflowError beyond |h| = 709.78.  Both exprel are
+    written out, which saves two Python calls each time: compose makes three."""
+    return 0.5 * (math.expm1(h) / h + math.expm1(-h) / -h) if h != 0.0 else 1.0
 
 
 def _log1p_over(t: float) -> float:
@@ -190,30 +198,40 @@ def boost_matrix_inverse(nu: UnitVector3, params: BoostParams) -> np.ndarray:
 def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
     """Group composition: the element whose matrix is L(g2) L(g1).
 
-    g1 acts first.  A result whose squared norm n alpha . n alpha is zero
-    or subnormal has no float direction; it is the identity, returned as
-    (n = nu, alpha = 0).  Coefficients that overflow raise OutOfRange.
+    g1 acts first.  The law is written in the chart (lambda, b) of the
+    group, HOM(2) of Cohen & Glashow (hep-ph/0601236): the axial rapidity
+    lambda = (nu.n) alpha and the tangent vector
+    b = alpha sinhc(lambda/2) (n - (nu.n) nu) across nu.  g1 then g2 is
+    (lambda1 + lambda2, e^{lambda1/2} b2 + e^{-lambda2/2} b1), and
+    n alpha = b / sinhc(lambda/2) + lambda nu.  sinhc is even to the bit, so
+    an element and its inverse (n, -alpha) cancel exactly.  A result whose
+    squared norm n alpha . n alpha is zero or subnormal has no float
+    direction; it is the identity, returned as (n = nu, alpha = 0).
+    Coefficients that overflow raise OutOfRange.
     """
-    nuv = _unit3(nu)
+    nuv = m0, m1, m2 = _unit3(nu)
     n1 = p0, p1, p2 = _unit3(g1.n)
     n2 = q0, q1, q2 = _unit3(g2.n)
     a1, a2 = g1.alpha, g2.alpha
-    s1a = _dot(nuv, n1) * a1
-    s2a = _dot(nuv, n2) * a2
-    x = _dot(nuv, (p0 * a1 + q0 * a2, p1 * a1 + q1 * a2, p2 * a1 + q2 * a2))
-    try:
-        c1 = -a1 * _exprel(s1a)
-        c2 = -math.exp(s1a) * a2 * _exprel(s2a)
-        pref = -1.0 / _exprel(x)  # x / (1 - e^x)
-    except (OverflowError, ZeroDivisionError):  # an axis part beyond 709.78, or x = -inf
-        c1 = c2 = pref = math.nan
-    vec = (pref * (c1 * p0 + c2 * q0), pref * (c1 * p1 + c2 * q1), pref * (c1 * p2 + c2 * q2))
-    asq = _dot(vec, vec)
+    d1, d2 = _dot(nuv, n1), _dot(nuv, n2)
+    l1, l2 = d1 * a1, d2 * a2
+    lam = l1 + l2
+    try:  # b = k1 (n1 - d1 nu) + k2 (n2 - d2 nu)
+        k1 = math.exp(-0.5 * l2) * a1 * _sinhc(0.5 * l1)
+        k2 = math.exp(0.5 * l1) * a2 * _sinhc(0.5 * l2)
+        s = _sinhc(0.5 * lam)
+    except OverflowError:  # an axis part beyond 1419.56; k1 or k2 is inf beyond about 709.78
+        k1 = k2 = s = math.nan
+    v0 = (k1 * (p0 - d1 * m0) + k2 * (q0 - d2 * m0)) / s + lam * m0
+    v1 = (k1 * (p1 - d1 * m1) + k2 * (q1 - d2 * m1)) / s + lam * m1
+    v2 = (k1 * (p2 - d1 * m2) + k2 * (q2 - d2 * m2)) / s + lam * m2
+    asq = v0 * v0 + v1 * v1 + v2 * v2
     if not asq < math.inf:
         raise OutOfRange(f"rapidities alpha = {a1}, {a2} overflow the composition coefficients")
     if asq < sys.float_info.min:
         return BoostParams.identity(nu)
-    return BoostParams(UnitVector3.normalized(vec), math.sqrt(asq))
+    alpha = math.sqrt(asq)  # n alpha needs no rescale here: UnitVector3.normalized's bits
+    return BoostParams(UnitVector3(v0 / alpha, v1 / alpha, v2 / alpha), alpha)
 
 
 def velocity_from_params(nu: UnitVector3, params: BoostParams) -> Velocity3:
@@ -353,17 +371,13 @@ def translate(x: FourVector, a: FourVector) -> FourVector:
 def apply_matrix(m, x: FourVector) -> FourVector:
     """m x for a 4x4 ndarray or four rows of four floats; ValueError for
     any other shape, OutOfRange naming m and x where the image overflows."""
-    rows = m.tolist() if hasattr(m, "tolist") else m
-    try:
-        (p0, p1, p2, p3), (q0, q1, q2, q3), (s0, s1, s2, s3), (u0, u1, u2, u3) = rows
-    except (TypeError, ValueError):  # a row count or a row length other than 4
-        raise ValueError("expected a 4x4 matrix") from None
+    p0, p1, p2, p3, q0, q1, q2, q3, s0, s1, s2, s3, u0, u1, u2, u3 = _m4x4(m)
     t, a, b, c = x.t, x.x, x.y, x.z
     try:
         return FourVector(p0 * t + p1 * a + p2 * b + p3 * c, q0 * t + q1 * a + q2 * b + q3 * c,
                           s0 * t + s1 * a + s2 * b + s3 * c, u0 * t + u1 * a + u2 * b + u3 * c)
     except OutOfRange:  # an image component is not finite
         raise OutOfRange(
-            f"apply_matrix of the matrix {matrix_to_json(rows)} (row-major) to event"
+            f"apply_matrix of the matrix {matrix_to_json(m)} (row-major) to event"
             f" {x.to_json()} overflows"
         ) from None

@@ -258,7 +258,8 @@ def cmd_surface(args) -> int:
     )
     if args.family == "cylinder" and args.level == 0.0:
         sys.stderr.write(
-            "warning: cylinder level 0 degenerates to the diameter parallel to nu\n"
+            "warning: cylinder level 0 degenerates to the diameter parallel to nu;"
+            f" the {args.resolution[1]} columns of --resolution are not used\n"
         )
     try:
         with open(args.output, "w", newline="") as fh:

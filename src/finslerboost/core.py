@@ -11,10 +11,10 @@ function that returns an ndarray (`as_array`, `cross3`, `boost_matrix`,
 
 A direction is a UnitVector3 and a velocity a Velocity3: every function that
 takes one reads it with _unit3 or _vel3, which refuse any other type with
-TypeError, a 3-sequence included.  Sequences, ndarrays included, enter only
-through the converters UnitVector3.normalized, Velocity3.from_array,
-FourVector.from_array and the w of AbelianParams.from_tangent; dot3, cross3
-and norm3 take any 3-vector.
+TypeError, a 3-sequence included.  Every sequence, ndarrays included, is
+read by _seq: in the converters UnitVector3.normalized, Velocity3.from_array,
+FourVector.from_array and the w of AbelianParams.from_tangent, in dot3, cross3
+and norm3, which take any 3-vector, and for bispinors, matrices and a resolution.
 """
 from __future__ import annotations
 
@@ -199,13 +199,8 @@ class FourVector(_Value):
 
     @classmethod
     def from_array(cls, a) -> "FourVector":
-        """From any 4-sequence of numbers, an ndarray included.  A sequence
-        of another length raises ValueError naming its length."""
-        a = a.tolist() if hasattr(a, "tolist") else a
-        try:
-            t, x, y, z = a
-        except ValueError:  # a length other than 4
-            raise ValueError(f"expected 4 components, got {len(a)}") from None
+        """From any 4-sequence of numbers, an ndarray included."""
+        t, x, y, z = _seq(a, 4)
         return cls(float(t), float(x), float(y), float(z))
 
     def to_json(self) -> list:
@@ -325,25 +320,27 @@ def _vel3(a) -> tuple:
     raise TypeError(f"a velocity must be a Velocity3, not {type(a).__name__}")
 
 
+def _seq(a, count: int):
+    """a, a tuple or list, as it is, or an ndarray through tolist(), which unpacks faster;
+    ValueError naming count where a has another length.  The class test spares a tuple or
+    list hasattr(a, "tolist"), whose failure alone costs about a third of a 3-vector's read."""
+    if a.__class__ is not tuple and a.__class__ is not list and hasattr(a, "tolist"):
+        a = a.tolist()
+    if hasattr(a, "__len__") and len(a) != count:  # a scalar or an iterator: the caller unpacks
+        raise ValueError(f"expected {count} components, got {len(a)}")
+    return a
+
+
 def _t3(a) -> tuple:
     """(x, y, z) floats of a UnitVector3, a Velocity3 or any 3-sequence: the
     converter behind UnitVector3.normalized, Velocity3.from_array,
     AbelianParams.from_tangent's w, dot3, cross3 and norm3, and no other
-    reader.  A sequence of another length raises ValueError naming its
-    length.  A tuple or list skips hasattr(a, "tolist"), whose failure alone
-    costs about a third of the call.  An ndarray goes through tolist():
-    unpacking it element by element is slower."""
+    reader."""
     if isinstance(a, UnitVector3):
         return a.x, a.y, a.z
     if isinstance(a, Velocity3):
         return a.vx, a.vy, a.vz
-    kind = a.__class__
-    if kind is not tuple and kind is not list and hasattr(a, "tolist"):
-        a = a.tolist()
-    try:
-        x, y, z = a
-    except ValueError:  # a length other than 3
-        raise ValueError(f"expected 3 components, got {len(a)}") from None
+    x, y, z = _seq(a, 3)
     return float(x), float(y), float(z)
 
 
@@ -464,18 +461,21 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
                     lambda: f"overflows the interval of event {dx.to_json()}") * base
 
 
+def _m4x4(m) -> tuple:
+    """The 16 entries, row by row, of a 4x4 matrix; ValueError for any other shape."""
+    try:
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (s0, s1, s2, s3), (u0, u1, u2, u3) = _seq(m, 4)
+    except (TypeError, ValueError):  # a row count or a row length other than 4
+        raise ValueError("expected a 4x4 matrix") from None
+    return p0, p1, p2, p3, q0, q1, q2, q3, s0, s1, s2, s3, u0, u1, u2, u3
+
+
 def matrix_to_json(m) -> list:
     """Row-major list of 16 numbers of a 4x4 ndarray or of four rows of four."""
-    rows = m.tolist() if hasattr(m, "tolist") else m
-    flat = [float(v) for row in rows for v in row]
-    if len(flat) != 16:
-        raise ValueError("expected a 4x4 matrix")
-    return flat
+    return [float(v) for v in _m4x4(m)]
 
 
 def bispinor_to_json(psi) -> list:
     """Four [re, im] pairs of a length-4 ndarray or of four complex numbers."""
-    vals = psi.tolist() if hasattr(psi, "tolist") else psi
-    if len(vals) != 4:
-        raise ValueError("expected 4 components")
-    return [[c.real, c.imag] for c in map(complex, vals)]
+    u0, u1, l0, l1 = _seq(psi, 4)
+    return [[c.real, c.imag] for c in map(complex, (u0, u1, l0, l1))]

@@ -15,7 +15,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .boost import BoostParams, _exprel
+from .boost import BoostParams, _sinhc
 from .core import (
     AnisotropySpec,
     NullDensity,
@@ -29,6 +29,7 @@ from .core import (
     _frame_scalars,
     _ndarray,
     _r_power,
+    _seq,
     _unit3,
     _Value,
     _vel3,
@@ -115,9 +116,8 @@ def _apply(blocks, psi: tuple) -> tuple:
 
 
 def _c4(psi) -> tuple:
-    """Four complex numbers of a bispinor given as any 4-sequence;
-    OutOfRange naming psi when one is not finite."""
-    u0, u1, l0, l1 = psi.tolist() if hasattr(psi, "tolist") else psi
+    """Four complex numbers of any 4-sequence; OutOfRange naming psi when one is not finite."""
+    u0, u1, l0, l1 = _seq(psi, 4)
     psi = complex(u0), complex(u1), complex(l0), complex(l1)
     if not all(map(cmath.isfinite, psi)):
         raise OutOfRange(f"bispinor {bispinor_to_json(psi)} is not finite")
@@ -142,8 +142,8 @@ def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """
     nuv, nv = _unit3(nu), _unit3(params.n)
     half = 0.5 * (_dot(nuv, nv) * params.alpha)
-    try:  # sinh(h)/h = (exprel(h) + exprel(-h)) / 2, with no cancellation
-        sinhc = 0.5 * (_exprel(half) + _exprel(-half))
+    try:
+        sinhc = _sinhc(half)
     except OverflowError:  # |(nu.n) alpha| > 1419.56, before cosh(half) overflows
         sinhc = math.nan
     f = 0.5 * params.alpha * sinhc

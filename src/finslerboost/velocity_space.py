@@ -18,6 +18,7 @@ from .core import (
     _cross,
     _dot,
     _horosphere,
+    _seq,
     _unit3,
     _Value,
     _vel3,
@@ -143,11 +144,12 @@ def sample_surface(
     Horospheres (level > 0) are swept by their Euclidean inner plane
     coordinates, realized as the Abelian-subgroup orbit of the axial point
     at that level.  Cylinders (level >= 0) are swept by axial rapidity and
-    azimuth; level 0 degenerates to the diameter parallel to nu.
+    azimuth; level 0 degenerates to the diameter parallel to nu, sampled at
+    resolution[0] rapidities, and resolution[1] is not used.
 
     Every emitted point is re-checked against its family function.
     """
-    n1, n2 = resolution
+    n1, n2 = _seq(resolution, 2)
     if n1 < 1 or n2 < 1:
         raise ValueError("resolution must be at least 1x1")
     if not math.isfinite(level):

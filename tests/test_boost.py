@@ -41,6 +41,7 @@ from finslerboost.boost import (
     _coefficients,
     _exprel,
     _log1p_over,
+    _sinhc,
 )
 from finslerboost.checks import expm
 from support import E_X, ETA, NU_Z, _mp_dot, _mp_params, _mp_unit, rand_unit
@@ -272,14 +273,11 @@ def test_series_coefficients_against_mpmath():
             lambda a: 0.5 * _exprel(a) * _exprel(-a),
             lambda a: 2 * mpmath.sinh(a / 2) ** 2 / a**2,
         ),
-        "x/(1 - e^x)": (lambda x: -1.0 / _exprel(x), lambda x: -x / mpmath.expm1(x)),
-        "sinh h/h": (
-            lambda h: 0.5 * (_exprel(h) + _exprel(-h)),
-            lambda h: mpmath.sinh(h) / h,
-        ),
+        "sinh h/h": (_sinhc, lambda h: mpmath.sinh(h) / h),
         "log1p(t)/t": (lambda t: _log1p_over(t), lambda t: mpmath.log1p(t) / t),
     }
-    assert _exprel(0.0) == _exprel(-0.0) == _log1p_over(0.0) == 1.0
+    assert _exprel(0.0) == _exprel(-0.0) == _log1p_over(0.0) == _sinhc(0.0) == 1.0
+    assert all(_sinhc(-h) == _sinhc(h) for h in xs)  # even to the bit
     worst = {}
     for name, (ours, exact) in cases.items():
         pts = [t for t in xs if t > -1.0] if name == "log1p(t)/t" else xs
@@ -429,6 +427,70 @@ def test_compose_near_zero_against_mpmath():
     assert worst_alpha <= 4.5e-16 and worst_n <= 4.5e-16, (worst_alpha, worst_n)
 
 
+def _mp_boost_rows(nu, n, alpha):
+    """Rows of Lambda at the working precision: [1 + c0, row0] and
+    [kp n_i + c0 nu_i, delta_ij - kp n_i nu_j + nu_i row0_j], with
+    row0 = -(km n + c0 nu)."""
+    nu, n = _mp_unit(nu), _mp_unit(n)
+    a = _mp_dot(nu, n) * alpha
+    km, kp = alpha * _mp_exprel(-a), -alpha * _mp_exprel(a)
+    c0 = -km * kp / 2
+    row0 = [-(km * p + c0 * q) for p, q in zip(n, nu)]
+    return [[1 + c0, *row0]] + [
+        [kp * n[i] + c0 * nu[i]] + [int(i == j) - kp * n[i] * nu[j] + nu[i] * row0[j]
+                                    for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _mp_product_vector(nu, g1, g2):
+    """n alpha of the element whose matrix is L(g2) L(g1): the velocity
+    -row0 / (1 + c0) is read from the time row of the product of the two
+    matrices, and mapped back to (n, alpha)."""
+    l1, l2 = (mpmath.matrix(_mp_boost_rows(nu, g.n.to_json(), mpmath.mpf(g.alpha)))
+              for g in (g1, g2))
+    m = l2 * l1
+    n, alpha = _mp_params(_mp_unit(nu), [-m[0, j] / m[0, 0] for j in (1, 2, 3)])
+    return [alpha * c for c in n]
+
+
+@pytest.mark.parametrize("alpha", [10.0, 20.0, 40.0, 50.0, 200.0, 300.0, 700.0])
+def test_compose_cancels_opposite_axis_boosts_exactly(alpha):
+    for n in (NU_Z, -NU_Z):
+        g, inverse = BoostParams(n, alpha), BoostParams(-n, alpha)
+        assert compose(NU_Z, g, inverse) == BoostParams.identity(NU_Z)
+
+
+def test_compose_against_the_product_of_matrices():
+    """g2 the inverse (n, -alpha) of a random g1, at rapidities up to 700,
+    composes to the identity exactly, in both orders.  A random pair is
+    within a few ulp of n alpha of the 50-digit product L(g2) L(g1), in
+    both orders: the reversed product is far from it, so this pins the
+    order."""
+    rng = np.random.default_rng(229)
+    for top in (5.0, 20.0, 40.0, 100.0, 300.0, 700.0):
+        for _ in range(50):
+            nu, n = rand_unit(rng), rand_unit(rng)
+            g = BoostParams(n, float(rng.uniform(top / 2, top)))
+            inverse = BoostParams(n, -g.alpha)
+            assert compose(nu, g, inverse) == BoostParams.identity(nu), (nu, g)
+            assert compose(nu, inverse, g) == BoostParams.identity(nu), (nu, g)
+    worst = {}
+    with mpmath.workdps(50):
+        for top in (3.0, 20.0):
+            for _ in range(100):
+                nu = rand_unit(rng)
+                g1, g2 = (BoostParams(rand_unit(rng), float(rng.uniform(-top, top)))
+                          for _ in range(2))
+                for a, b in ((g1, g2), (g2, g1)):
+                    got = compose(nu, a, b)
+                    want = _mp_product_vector(nu.to_json(), a, b)
+                    diff = [got.alpha * c - w for c, w in zip(got.n.to_json(), want)]
+                    err = float(mpmath.sqrt(_mp_dot(diff, diff) / _mp_dot(want, want)))
+                    worst[top] = max(worst.get(top, 0.0), err)
+    assert worst[3.0] <= 1e-15 and worst[20.0] <= 5e-15, worst
+
+
 def test_subnormal_squared_norm_has_no_direction():
     """Below sqrt(sys.float_info.min) ~ 1.5e-154, v.v and alpha^2 are
     subnormal or zero: the maps return the identity instead of a direction
@@ -465,9 +527,21 @@ def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
         assert np.isfinite(boost_matrix(NU_Z, g)).all()
 
 
+@pytest.mark.parametrize("g1, g2, alpha, n", [
+    # b = e^{355} 0.1 e_x and b / sinhc(355) = 71 / (1 - e^{-710}) = 71
+    (BoostParams(NU_Z, 710.0), BoostParams(E_X, 0.1), 71.0 * math.sqrt(101.0),
+     (1.0 / math.sqrt(101.0), 0.0, 10.0 / math.sqrt(101.0))),
+    (BoostParams(NU_Z, 400.0), BoostParams(NU_Z, 400.0), 800.0, (0.0, 0.0, 1.0)),
+], ids=["compose-axis-710", "compose-400-400"])
+def test_compose_of_large_axis_parts_is_finite(g1, g2, alpha, n):
+    """The composite of two axis parts of up to 709 each is finite."""
+    got = compose(NU_Z, g1, g2)
+    assert got.alpha == pytest.approx(alpha, rel=1e-15)
+    assert got.n.to_json() == pytest.approx(n, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("call", [
-    lambda: compose(NU_Z, BoostParams(NU_Z, 710.0), BoostParams(E_X, 0.1)),
-    lambda: compose(NU_Z, BoostParams(NU_Z, 400.0), BoostParams(NU_Z, 400.0)),
+    lambda: compose(NU_Z, BoostParams(NU_Z, 710.0), BoostParams(NU_Z, 710.0)),
     lambda: compose(  # the axis part is -inf, where x / (1 - e^x) was 1 / 0
         NU_Z, BoostParams(UnitVector3(0.0, 0.0, -1 - 4e-13), sys.float_info.max),
         BoostParams(E_X, 1.0)),
@@ -478,7 +552,7 @@ def test_rapidity_outside_the_float_domain_is_out_of_range(n, alpha, what):
     lambda: axial_transform(  # e^{-r alpha} and cosh alpha are finite, their product is not
         AnisotropySpec(NU_Z, -1.0), AxialParams(400.0), FourVector(1.0, 0.0, 0.0, 0.0)
     ),
-], ids=["compose-axis-710", "compose-400-400", "compose-infinite-axis-part", "spinor-1500",
+], ids=["compose-axis-710-710", "compose-infinite-axis-part", "spinor-1500",
         "axial-800", "axial-r-400"])
 def test_coefficient_overflow_is_out_of_range(call):
     with pytest.raises(OutOfRange, match=r"rapidit(y|ies) alpha = .* overflows?"):

@@ -261,11 +261,12 @@ def test_surface_export(tmp_path, capsys):
     out_json = tmp_path / "c.json"
     code, out, err = run(
         capsys, "surface", "--nu", "0,0,1", "--family", "cylinder",
-        "--level", "0", "--resolution", "5x5", "--output", str(out_json),
+        "--level", "0", "--resolution", "5x6", "--output", str(out_json),
         "--format", "json",
     )
     assert code == 0
     assert "degenerates" in err
+    assert "the 6 columns of --resolution are not used" in err
     doc = json.loads(out_json.read_text())
     assert doc["family"] == "cylinder"
     assert len(doc["points"]) == 5

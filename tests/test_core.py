@@ -12,6 +12,7 @@ import pytest
 
 import finslerboost
 from finslerboost import (
+    AbelianParams,
     AnisotropySpec,
     DegenerateRatio,
     FourVector,
@@ -27,7 +28,7 @@ from finslerboost import (
     minkowski_interval,
     norm3,
 )
-from finslerboost import boost, checks, core, spinor, subgroups, velocity_space
+from finslerboost import boost, checks, cli, core, spinor, subgroups, velocity_space
 from finslerboost.core import bispinor_to_json, matrix_to_json
 from support import NU_Z, rand_unit
 
@@ -416,6 +417,70 @@ def test_bispinor_to_json_needs_four_components(length):
         bispinor_to_json([1j] * length)
 
 
+# Every public entry that takes a sequence: (call on the sequence, the
+# number of entries it needs, one valid entry).
+SEQUENCE_ENTRIES = {
+    "UnitVector3.normalized": (UnitVector3.normalized, 3, 0.5),
+    "Velocity3.from_array": (Velocity3.from_array, 3, 0.1),
+    "FourVector.from_array": (FourVector.from_array, 4, 0.5),
+    "AbelianParams.from_tangent": (lambda w: AbelianParams.from_tangent(NU_Z, w), 3, 0.0),
+    "dot3-a": (lambda a: dot3(a, (1.0, 0.0, 0.0)), 3, 0.5),
+    "dot3-b": (lambda b: dot3((1.0, 0.0, 0.0), b), 3, 0.5),
+    "cross3-a": (lambda a: cross3(a, (1.0, 0.0, 0.0)), 3, 0.5),
+    "cross3-b": (lambda b: cross3((1.0, 0.0, 0.0), b), 3, 0.5),
+    "norm3": (norm3, 3, 0.5),
+    "bispinor_to_json": (bispinor_to_json, 4, 0.5j),
+    "bispinor_transform": (
+        lambda psi: spinor.bispinor_transform(AnisotropySpec(NU_Z, 0.3), Velocity3(0.1, 0.0, 0.2),
+                                              psi), 4, 0.5j),
+    "dirac_adjoint": (spinor.dirac_adjoint, 4, 0.5j),
+    "bilinear_current": (spinor.bilinear_current, 4, 0.5j),
+    "finsler_bispinor_invariant": (
+        lambda psi: spinor.finsler_bispinor_invariant(AnisotropySpec(NU_Z, 0.3), psi), 4, 0.5j),
+    "sample_surface-resolution": (
+        lambda res: velocity_space.sample_surface(NU_Z, "cylinder", 0.5, res), 2, 2),
+}
+MATRIX_ENTRIES = {
+    "matrix_to_json": matrix_to_json,
+    "apply_matrix": lambda m: boost.apply_matrix(m, FourVector(1.0, 0.5, -0.25, 0.125)),
+}
+MATRIX_SHAPES = {
+    "3x4": [[1.0] * 4] * 3, "5x4": [[1.0] * 4] * 5, "4x3": [[1.0] * 3] * 4,
+    "4x5": [[1.0] * 5] * 4, "2x8": [[1.0] * 8] * 2, "16x1": [[1.0]] * 16,
+    "16": [1.0] * 16,
+}
+
+
+def _forms(rows, ndarray=True):
+    """rows as a list, a tuple (of tuples) and, unless ragged, an ndarray."""
+    as_tuple = tuple(tuple(r) if isinstance(r, list) else r for r in rows)
+    return [("list", rows), ("tuple", as_tuple)] + ([("ndarray", np.array(rows))] if ndarray else [])
+
+
+@pytest.mark.parametrize("call, want, values", [
+    pytest.param(call, f"^expected {count} components, got {count + d}$", form,
+                 id=f"{name}-{kind}-{count + d}")
+    for name, (call, count, entry) in SEQUENCE_ENTRIES.items()
+    for d in (-1, 1)
+    for kind, form in _forms([entry] * (count + d))
+] + [
+    pytest.param(call, "^expected a 4x4 matrix$", form, id=f"{name}-{shape}-{kind}")
+    for name, call in MATRIX_ENTRIES.items()
+    for shape, rows in MATRIX_SHAPES.items()
+    for kind, form in _forms(rows)
+] + [
+    pytest.param(call, "^expected a 4x4 matrix$", form, id=f"{name}-ragged-{kind}")
+    for name, call in MATRIX_ENTRIES.items()
+    for kind, form in _forms([[1.0] * 5, [1.0] * 3, [1.0] * 4, [1.0] * 4], ndarray=False)
+])
+def test_a_sequence_of_the_wrong_length_is_named(call, want, values):
+    """Every public entry that takes a sequence, given a list, a tuple or an
+    ndarray one entry too short or too long, or a matrix of any shape but
+    4x4, raises ValueError naming the count it expected."""
+    with pytest.raises(ValueError, match=want):
+        call(values)
+
+
 def _sites(module, hit) -> list:
     """Dotted name of the scope of each node of module for which hit is true."""
     sites = []
@@ -473,6 +538,20 @@ def test_only_the_converters_read_a_sequence():
         "core.cross3",
         "core.norm3",
     }
+
+
+def _tests_for_tolist(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "hasattr" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "tolist")
+
+
+def test_only_seq_tests_for_an_ndarray():
+    """Every sequence the package is given is read by core._seq: no other
+    function asks whether its input has tolist, but the GammaBasis key."""
+    modules = (core, boost, spinor, subgroups, velocity_space, checks, cli)
+    sites = [site for m in modules for site in _sites(m, _tests_for_tolist)]
+    assert sites == ["core._seq", "spinor._entries"]
 
 
 # The scalar kernels, written out one component at a time (see the comment
