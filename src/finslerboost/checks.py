@@ -603,10 +603,13 @@ def _suite_index(name: str) -> int:
 def run_suite(name: str, seed: int = 0, samples: int = 1000) -> CheckReport:
     """Run one named suite with a generator derived from (seed, suite index).
 
-    ``samples`` must be non-negative; zero gives a vacuous report.
+    ``samples`` and ``seed`` must be non-negative; zero samples give a
+    vacuous report.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, _suite_index(name)])
     if samples == 0:
         props = [PropertyResult(f"{name} (vacuous)", math.inf)]

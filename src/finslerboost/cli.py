@@ -230,6 +230,8 @@ def cmd_check(args) -> int:
         raise argparse.ArgumentTypeError(
             f"--samples must be non-negative, got {args.samples}"
         )
+    if args.seed < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be non-negative, got {args.seed}")
     from . import checks
 
     for name in args.suite or ():

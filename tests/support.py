@@ -73,6 +73,59 @@ def _mp_params(nu, v):
     return [mpmath.mpf(c) / p - q * m for c, m in zip(v, nu)], alpha
 
 
+def _mp_rows(nu, n, alpha):
+    """Rows of Lambda(nu; n, alpha), nu and n normalized first.  Every
+    50-digit boost reference of the tests reads these rows."""
+    return _mp_unit_rows(_mp_unit(nu), _mp_unit(n), alpha)
+
+
+def _mp_unit_rows(nu, n, alpha):
+    """_mp_rows for nu and n already unit at the working precision:
+    with a = (nu.n) alpha, km = alpha (1 - e^-a) / a, kp = alpha (1 - e^a) / a,
+    c0 = -km kp / 2 and row0 = -(km n + c0 nu), the time row is
+    [1 + c0, row0] and spatial row i is
+    [kp n_i + c0 nu_i, delta_ij - kp n_i nu_j + nu_i row0_j]."""
+    a = _mp_dot(nu, n) * alpha
+    e = mpmath.expm1(a)  # 1 - e^-a is e / (1 + e)
+    km = alpha * (e / (a * (1 + e)) if a else 1)
+    kp = -alpha * (e / a if a else 1)
+    c0 = -km * kp / 2
+    row0 = [-(km * p + c0 * q) for p, q in zip(n, nu)]
+    return [[1 + c0, *row0]] + [
+        [kp * n[i] + c0 * nu[i]] + [int(i == j) - kp * n[i] * nu[j] + nu[i] * row0[j]
+                                    for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _mp_frame_rows(nu, v, sign):
+    """_mp_rows of the boost reaching velocity v (sign 1) or of its inverse
+    (sign -1)."""
+    nu = _mp_unit(nu)
+    n, alpha = _mp_params(nu, v)
+    return _mp_unit_rows(nu, n, sign * alpha)
+
+
+def _mp_frame_velocity(rows):
+    """The frame velocity of the boost, -row0 / row00: velocity_from_params."""
+    return [-c / rows[0][0] for c in rows[0][1:]]
+
+
+def _mp_rows_image(rows, x):
+    """Lambda (1, x) as a velocity."""
+    t, *xs = (row[0] + _mp_dot(x, row[1:]) for row in rows)
+    return [c / t for c in xs]
+
+
+def _mp_product_params(nu, g1, g2):
+    """(n, alpha) of the element whose matrix is L(g2) L(g1): the velocity
+    of the product's rows, mapped back to parameters."""
+    l1, l2 = (mpmath.matrix(_mp_rows(nu, g.n.to_json(), mpmath.mpf(g.alpha)))
+              for g in (g1, g2))
+    m = (l2 * l1).tolist()
+    return _mp_params(_mp_unit(nu), _mp_frame_velocity(m))
+
+
 def spawn(*args, **env):
     """`python *args` in a fresh interpreter that imports finslerboost from
     the same source tree as this process.  env is set on top of os.environ,

@@ -44,7 +44,8 @@ from finslerboost.boost import (
     _sinhc,
 )
 from finslerboost.checks import expm
-from support import E_X, ETA, NU_Z, _mp_dot, _mp_params, _mp_unit, rand_unit
+from support import (E_X, ETA, NU_Z, _mp_dot, _mp_frame_velocity, _mp_params,
+                     _mp_product_params, _mp_rows, _mp_unit, rand_unit)
 
 
 def rand_params(rng):
@@ -330,34 +331,37 @@ def test_boost_rows_match_loop_reference_bit_for_bit():
     assert inside >= 800 and outside >= 800
 
 
-# Near zero: 50-digit references for the parameter maps and the composition.
+# The 50-digit rows against exp(alpha G), G at 50 digits from the normalized
+# nu and n: the float generator's nu and n are unit only to about 1e-16.
+
+NU_TILT = UnitVector3.normalized((0.3, -0.5, 0.8))
+N_TILT = UnitVector3.normalized((-0.6, 0.2, 0.7))
+
+
+@pytest.mark.parametrize("nu, n, alpha", [
+    (NU_TILT, N_TILT, 2.3),
+    (NU_TILT, NU_TILT, -1.9),
+    (NU_TILT, -NU_TILT, 2.6),
+    (NU_TILT, UnitVector3.normalized(np.cross(NU_TILT.as_array(), N_TILT.as_array())), 1.4),
+    (NU_Z, E_X, -2.2),
+    (NU_TILT, N_TILT, 3e-9),
+], ids=["generic", "along-nu", "against-nu", "transverse", "transverse-axes", "near-zero"])
+def test_mp_rows_against_the_exponential_of_the_generator(nu, n, alpha):
+    with mpmath.workdps(50):
+        (n0, n1, n2), (p0, p1, p2) = _mp_unit(n.to_json()), _mp_unit(nu.to_json())
+        m0, m1, m2 = p1 * n2 - p2 * n1, p2 * n0 - p0 * n2, p0 * n1 - p1 * n0  # nu x n
+        g = mpmath.matrix([[0, -n0, -n1, -n2], [-n0, 0, -m2, m1],
+                           [-n1, m2, 0, -m0], [-n2, -m1, m0, 0]])
+        want = mpmath.expm(alpha * g)
+        rows = _mp_rows(nu.to_json(), n.to_json(), mpmath.mpf(alpha))
+        err = max(abs(rows[i][j] - want[i, j]) for i in range(4) for j in range(4))
+        size = max(abs(want[i, j] - (i == j)) for i in range(4) for j in range(4))
+        assert err <= 1e-40 * size, (err, size)
+
+
+# Near zero: the parameter maps and the composition against the 50-digit rows.
 
 NEAR_ZERO = [float(m) for m in np.geomspace(1e-150, 1e-4, 30)]
-
-
-def _mp_exprel(x):
-    return mpmath.expm1(x) / x if x != 0 else mpmath.mpf(1)
-
-
-def _mp_velocity(nu, n, alpha):
-    """(km n + c0 nu) / (1 + c0) with a = (nu.n) alpha."""
-    nu, n = _mp_unit(nu), _mp_unit(n)
-    a = _mp_dot(nu, n) * alpha
-    km = alpha * _mp_exprel(-a)
-    c0 = -km * (-alpha * _mp_exprel(a)) / 2
-    return [(km * p + c0 * q) / (1 + c0) for p, q in zip(n, nu)]
-
-
-def _mp_compose(nu, g1, g2):
-    nu, n1, n2 = _mp_unit(nu), _mp_unit(g1.n.to_json()), _mp_unit(g2.n.to_json())
-    a1, a2 = mpmath.mpf(g1.alpha), mpmath.mpf(g2.alpha)
-    s1a, s2a = _mp_dot(nu, n1) * a1, _mp_dot(nu, n2) * a2
-    c1 = -a1 * _mp_exprel(s1a)
-    c2 = -mpmath.exp(s1a) * a2 * _mp_exprel(s2a)
-    pref = -1 / _mp_exprel(s1a + s2a)
-    vec = [pref * (c1 * p + c2 * q) for p, q in zip(n1, n2)]
-    alpha = mpmath.sqrt(_mp_dot(vec, vec))
-    return [c / alpha for c in vec], alpha
 
 
 def _near_zero_directions(rng, nu):
@@ -375,7 +379,7 @@ def test_velocity_from_params_near_zero_against_mpmath():
             nu = rand_unit(rng)
             for n in _near_zero_directions(rng, nu):
                 got = velocity_from_params(nu, BoostParams(n, mag))
-                want = _mp_velocity(nu.to_json(), n.to_json(), mpmath.mpf(mag))
+                want = _mp_frame_velocity(_mp_rows(nu.to_json(), n.to_json(), mpmath.mpf(mag)))
                 speed = mpmath.sqrt(_mp_dot(want, want))
                 assert got.speed() == pytest.approx(mag, rel=1e-4)
                 err = max(abs(g - w) for g, w in zip(got.to_json(), want)) / speed
@@ -398,7 +402,7 @@ def test_params_from_velocity_near_zero_against_mpmath():
                 got = params_from_velocity(nu, v)
                 n, alpha = _mp_params(_mp_unit(nu.to_json()), v.to_json())
                 # the reference reaches v again
-                back = _mp_velocity(nu.to_json(), n, alpha)
+                back = _mp_frame_velocity(_mp_rows(nu.to_json(), n, alpha))
                 assert max(abs(b - c) for b, c in zip(back, v.to_json())) <= 1e-40 * mag
                 worst_alpha = max(worst_alpha, float(abs(got.alpha - alpha) / alpha))
                 worst_n = max(worst_n, float(max(
@@ -420,38 +424,11 @@ def test_compose_near_zero_against_mpmath():
                 g1 = BoostParams(p, mag * float(rng.uniform(0.5, 2.0)))
                 g2 = BoostParams(q, mag * float(rng.uniform(0.5, 2.0)))
                 got = compose(nu, g1, g2)
-                n, alpha = _mp_compose(nu.to_json(), g1, g2)
+                n, alpha = _mp_product_params(nu.to_json(), g1, g2)
                 worst_alpha = max(worst_alpha, float(abs(got.alpha - alpha) / alpha))
                 worst_n = max(worst_n, float(max(
                     abs(g - w) for g, w in zip(got.n.to_json(), n))))
     assert worst_alpha <= 4.5e-16 and worst_n <= 4.5e-16, (worst_alpha, worst_n)
-
-
-def _mp_boost_rows(nu, n, alpha):
-    """Rows of Lambda at the working precision: [1 + c0, row0] and
-    [kp n_i + c0 nu_i, delta_ij - kp n_i nu_j + nu_i row0_j], with
-    row0 = -(km n + c0 nu)."""
-    nu, n = _mp_unit(nu), _mp_unit(n)
-    a = _mp_dot(nu, n) * alpha
-    km, kp = alpha * _mp_exprel(-a), -alpha * _mp_exprel(a)
-    c0 = -km * kp / 2
-    row0 = [-(km * p + c0 * q) for p, q in zip(n, nu)]
-    return [[1 + c0, *row0]] + [
-        [kp * n[i] + c0 * nu[i]] + [int(i == j) - kp * n[i] * nu[j] + nu[i] * row0[j]
-                                    for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _mp_product_vector(nu, g1, g2):
-    """n alpha of the element whose matrix is L(g2) L(g1): the velocity
-    -row0 / (1 + c0) is read from the time row of the product of the two
-    matrices, and mapped back to (n, alpha)."""
-    l1, l2 = (mpmath.matrix(_mp_boost_rows(nu, g.n.to_json(), mpmath.mpf(g.alpha)))
-              for g in (g1, g2))
-    m = l2 * l1
-    n, alpha = _mp_params(_mp_unit(nu), [-m[0, j] / m[0, 0] for j in (1, 2, 3)])
-    return [alpha * c for c in n]
 
 
 @pytest.mark.parametrize("alpha", [10.0, 20.0, 40.0, 50.0, 200.0, 300.0, 700.0])
@@ -484,7 +461,8 @@ def test_compose_against_the_product_of_matrices():
                           for _ in range(2))
                 for a, b in ((g1, g2), (g2, g1)):
                     got = compose(nu, a, b)
-                    want = _mp_product_vector(nu.to_json(), a, b)
+                    n, alpha = _mp_product_params(nu.to_json(), a, b)
+                    want = [alpha * c for c in n]
                     diff = [got.alpha * c - w for c, w in zip(got.n.to_json(), want)]
                     err = float(mpmath.sqrt(_mp_dot(diff, diff) / _mp_dot(want, want)))
                     worst[top] = max(worst.get(top, 0.0), err)

@@ -43,6 +43,11 @@ def test_negative_samples_rejected():
         checks.run_suite("closure", samples=-5)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        checks.run_suite("closure", seed=-1, samples=2)
+
+
 def test_unknown_suite_names_the_valid_ones():
     valid = ", ".join(checks.SUITES)
     with pytest.raises(ValueError, match=re.escape(f"unknown suite 'nope'; valid suites: {valid}")):

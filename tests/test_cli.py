@@ -154,6 +154,13 @@ def test_check_negative_samples_is_usage_error(capsys):
     assert "non-negative" in err
 
 
+def test_check_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--seed", "-1", "--samples", "2")
+    assert code == 1
+    assert out == ""
+    assert "--seed must be non-negative, got -1" in err
+
+
 def _cli_with_imports(*argv):
     """A fresh `python -m finslerboost.cli *argv` under -X importtime, and
     the top-level packages it imported."""

@@ -24,7 +24,7 @@ from finslerboost import (
 )
 from finslerboost.subgroups import perpendicular_to
 from finslerboost.velocity_space import _inverse_frame
-from support import NU_Z, _mp_dot, _mp_params, _mp_unit, rand_speed, rand_unit
+from support import NU_Z, _mp_dot, _mp_frame_rows, _mp_rows_image, rand_speed, rand_unit
 
 
 def test_distance_examples():
@@ -134,22 +134,6 @@ def _frames(rng):
         yield nu, Velocity3.from_array(math.tanh(rng.uniform(0.01, 3)) * e.as_array())
 
 
-def _mp_boost_image(nu, n, alpha, x):
-    """Lambda (1, x) of the boost (n, alpha) as a velocity, from the rows of
-    boost_matrix at 50 digits: with a = (nu.n) alpha, km = alpha (1 - e^-a)/a,
-    kp = alpha (1 - e^a)/a, c0 = -km kp / 2 and r = -(km n + c0 nu), the time
-    row is (1 + c0, r) and spatial row i is
-    (kp n_i + c0 nu_i, delta_i - kp n_i nu + nu_i r)."""
-    a = _mp_dot(nu, n) * alpha
-    km = -alpha * mpmath.expm1(-a) / a if a else alpha
-    kp = -alpha * mpmath.expm1(a) / a if a else -alpha
-    c0 = -km * kp / 2
-    r = [-(km * p + c0 * m) for p, m in zip(n, nu)]
-    nu_x, r_x = _mp_dot(nu, x), _mp_dot(r, x)
-    t = 1 + c0 + r_x
-    return [(kp * p * (1 - nu_x) + c0 * m + q + m * r_x) / t for p, q, m in zip(n, x, nu)]
-
-
 def _fast_frames_near_rest(rng):
     """(nu, frame, v): frames at rapidity 2 to 3 and a v that the frame sees
     within speed 0.1 of rest, the frame's Einstein sum with a slow velocity."""
@@ -162,49 +146,42 @@ def _fast_frames_near_rest(rng):
         yield nu, Velocity3.from_array(u), Velocity3.from_array(v)
 
 
-def _mp_image(nu, frame, x, sign):
-    """Lambda(frame)^sign (1, x) as a velocity at 50 digits, nu normalized first."""
-    with mpmath.workdps(50):
-        nuv = _mp_unit(nu.to_json())
-        n, alpha = _mp_params(nuv, frame.to_json())
-        return _mp_boost_image(nuv, n, sign * alpha, [mpmath.mpf(c) for c in x.to_json()])
-
-
-def test_inverse_frame_against_mpmath():
-    """The closed-form inverse frame against the image of rest under the
-    frame's boost at 50 digits.  The inverse frame has the frame's speed
-    and the reciprocal of its horosphere level."""
-    rng = np.random.default_rng(167)
-    rest = Velocity3(0.0, 0.0, 0.0)
-    worst = 0.0
-    for nu, frame in _frames(rng):
-        back, _ = _inverse_frame(tuple(nu.to_json()), tuple(frame.to_json()))
-        exact = _mp_image(nu, frame, rest, 1)
-        worst = max(worst, *(abs(float(p - q)) for p, q in zip(back, exact)))
-        back_v = Velocity3(*back)
-        assert abs(back_v.speed() - frame.speed()) <= 1e-15
-        assert abs(horosphere_level(nu, back_v) * horosphere_level(nu, frame) - 1.0) <= 1e-13
-    assert worst <= 1e-14, worst
+def _gap(got, want):
+    return max(abs(float(p - q)) for p, q in zip(got, want))
 
 
 def test_velocity_action_against_mpmath():
     """induced_motion is Lambda(u) and add_velocities(v1, .) is Lambda(v1)^-1
-    acting on velocities; both against the boost's rows at 50 digits."""
+    acting on velocities; both against the boost's rows at 50 digits.  On
+    the `_frames` draws the same rows give the image of rest, which the
+    closed-form inverse frame matches; it has the frame's speed and the
+    reciprocal of its horosphere level."""
     rng = np.random.default_rng(173)
     drawn = [(nu, frame, rand_speed(rng)) for nu, frame in _frames(rng)]
     near_rest = list(_fast_frames_near_rest(rng))
     pairs = [(rand_unit(rng), rand_speed(rng), rand_speed(rng)) for _ in range(3000)]
-    for draws, act, sign, bound in (
-        (drawn, induced_motion, 1, 1e-13),
-        (near_rest, induced_motion, 1, 1e-13),
-        (pairs, add_velocities, -1, 2e-14),
-    ):
-        worst = max(
-            abs(float(p - q))
-            for nu, frame, v in draws
-            for p, q in zip(act(nu, frame, v).to_json(), _mp_image(nu, frame, v, sign))
-        )
-        assert worst <= bound, (act.__name__, worst)
+    worst_back = 0.0
+    with mpmath.workdps(50):
+        for draws, act, sign, bound in (
+            (drawn, induced_motion, 1, 1e-13),
+            (near_rest, induced_motion, 1, 1e-13),
+            (pairs, add_velocities, -1, 2e-14),
+        ):
+            worst = 0.0
+            for nu, frame, v in draws:
+                rows = _mp_frame_rows(nu.to_json(), frame.to_json(), sign)
+                got = act(nu, frame, v).to_json()
+                worst = max(worst, _gap(got, _mp_rows_image(rows, v.to_json())))
+                if draws is drawn:
+                    back, _ = _inverse_frame(tuple(nu.to_json()), tuple(frame.to_json()))
+                    rest = [row[0] / rows[0][0] for row in rows[1:]]  # Lambda (1, 0)
+                    worst_back = max(worst_back, _gap(back, rest))
+                    back_v = Velocity3(*back)
+                    assert abs(back_v.speed() - frame.speed()) <= 1e-15
+                    level = horosphere_level(nu, back_v) * horosphere_level(nu, frame)
+                    assert abs(level - 1.0) <= 1e-13
+            assert worst <= bound, (act.__name__, worst)
+    assert worst_back <= 1e-14, worst_back
 
 
 def test_cylinder_levels_invariant_under_axial_motions():
