@@ -22,6 +22,7 @@ from .core import (
     _horosphere,
     _m4x4,
     _ndarray,
+    _numbers,
     _r_power,
     _require_finite,
     _unit3,
@@ -96,29 +97,58 @@ def _log1p_over(t: float) -> float:
     return math.log1p(t) / t if t != 0.0 else 1.0
 
 
-def _coefficients(nu: UnitVector3, params: BoostParams):
-    """Fields of n and nu, and the boost coefficients with a = (nu.n) alpha:
+def _explain(ok, template: str, *values) -> str:
+    """Message of a failed guard on floats: the template filled in."""
+    return template.format(*values)
+
+
+# The number type of the kernels below, for floats.  A kernel takes its
+# directions as 3-tuples and its scalars as they come, so the same code runs
+# on (N,) float64 arrays, which checks does with its own _numbers.  What
+# differs between the two types goes through this one: math's functions
+# (which raise OverflowError on floats), the velocity constructor, `all` of
+# a guard's truth values and `explain`, the message of a failed guard.  A
+# guard reads `if ok is not True and not xp.all(ok)`: on floats ok is a
+# bool, and the test ends at `is`, which costs less than a call.
+_FLOAT = _numbers("floats", exprel=_exprel, sinhc=_sinhc, exp=math.exp, cosh=math.cosh,
+                  sqrt=math.sqrt, complex=complex, velocity=Velocity3, all=bool, explain=_explain)
+
+
+def _coefficients(nuv: tuple, n: tuple, alpha, xp=_FLOAT) -> tuple:
+    """The boost coefficients with a = (nu.n) alpha:
     km = (1 - e^{-a}) alpha / a, kp = (1 - e^{a}) alpha / a and
     c0 = (cosh a - 1) alpha^2 / a^2 = -km kp / 2."""
-    n, nuv, alpha = _unit3(params.n), _unit3(nu), params.alpha
-    a = _dot(nuv, n) * alpha
+    (m0, m1, m2), (n0, n1, n2) = nuv, n
+    a = (m0 * n0 + m1 * n1 + m2 * n2) * alpha
     try:
-        km = alpha * _exprel(-a)
-        kp = -alpha * _exprel(a)
+        km = alpha * xp.exprel(-a)
+        kp = -alpha * xp.exprel(a)
     except OverflowError:  # |a| > 709.78
         km = kp = math.nan
     c0 = -0.5 * km * kp
-    if not c0 < math.inf:
-        raise OutOfRange(
-            f"rapidity alpha = {alpha} with axis part (nu.n) alpha = {a}"
-            " overflows the boost coefficients"
-        )
-    return n, nuv, km, kp, c0
+    ok = c0 < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(
+            ok, "rapidity alpha = {} with axis part (nu.n) alpha = {} overflows the boost"
+            " coefficients", alpha, a))
+    return km, kp, c0
 
 
 def _cross_rows(m: tuple) -> list:
     """Rows of the matrix of the map x -> m x x."""
     return [[0.0, -m[2], m[1]], [m[2], 0.0, -m[0]], [-m[1], m[0], 0.0]]
+
+
+def _generator_rows(nuv: tuple, n: tuple) -> list:
+    """Rows of the boost generator G."""
+    n0, n1, n2 = n
+    m0, m1, m2 = _cross(nuv, n)
+    return [
+        [0.0, -n0, -n1, -n2],
+        [-n0, 0.0, -m2, m1],
+        [-n1, m2, 0.0, -m0],
+        [-n2, -m1, m0, 0.0],
+    ]
 
 
 def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
@@ -128,29 +158,37 @@ def generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     block is the rotation generator about nu x n that keeps the preferred
     axis fixed in the moving frame.
     """
-    nv = n0, n1, n2 = _unit3(n)
-    m0, m1, m2 = _cross(_unit3(nu), nv)
-    return _ndarray([
-        [0.0, -n0, -n1, -n2],
-        [-n0, 0.0, -m2, m1],
-        [-n1, m2, 0.0, -m0],
-        [-n2, -m1, m0, 0.0],
-    ])
+    nv = _unit3(n)
+    return _ndarray(_generator_rows(_unit3(nu), nv))
+
+
+def _generalized_generator_rows(nuv: tuple, n: tuple, r, xp=_FLOAT) -> list:
+    """Rows of G - r (nu.n) I; OutOfRange naming r where r (nu.n) overflows."""
+    rs = r * _dot(nuv, n)
+    ok = abs(rs) < math.inf  # |nu.n| may exceed 1 by the 1e-12 of UnitVector3
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "anisotropy r = {} overflows the generalized generator", r))
+    z = rs * 0.0  # the off-diagonal zeros of rs I, signed as rs is
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = _generator_rows(nuv, n)
+    return [
+        [a0 - rs, a1 - z, a2 - z, a3 - z],
+        [b0 - z, b1 - rs, b2 - z, b3 - z],
+        [c0 - z, c1 - z, c2 - rs, c3 - z],
+        [e0 - z, e1 - z, e2 - z, e3 - rs],
+    ]
 
 
 def generalized_generator(spec: AnisotropySpec, n: UnitVector3) -> np.ndarray:
     """Boost generator plus the compensating scale generator -r (nu.n) I.
     OutOfRange naming r where r (nu.n) overflows."""
-    rs = spec.r * _dot(_unit3(spec.nu), _unit3(n))
-    if not math.isfinite(rs):  # |nu.n| may exceed 1 by the 1e-12 of UnitVector3
-        raise OutOfRange(f"anisotropy r = {spec.r} overflows the generalized generator")
-    return generator(spec.nu, n) - _ndarray([[rs * (i == j) for j in range(4)]
-                                             for i in range(4)])
+    return _ndarray(_generalized_generator_rows(_unit3(spec.nu), _unit3(n), spec.r))
 
 
-def _boost_rows(nu: UnitVector3, params: BoostParams) -> list:
-    """Rows of Lambda as four lists of four floats."""
-    (n0, n1, n2), (m0, m1, m2), km, kp, c0 = _coefficients(nu, params)
+def _rows(nuv: tuple, n: tuple, alpha, xp=_FLOAT) -> list:
+    """Rows of Lambda as four lists of four entries."""
+    n0, n1, n2 = n
+    m0, m1, m2 = nuv
+    km, kp, c0 = _coefficients(nuv, n, alpha, xp)
     r1, r2, r3 = -(km * n0 + c0 * m0), -(km * n1 + c0 * m1), -(km * n2 + c0 * m2)
     # spatial entry (i, j) is delta_ij - kp n_i nu_j + nu_i r_j; starting
     # off the diagonal from delta_ij = 0.0 fixes the sign of a zero entry,
@@ -166,17 +204,30 @@ def _boost_rows(nu: UnitVector3, params: BoostParams) -> list:
     ]
 
 
-def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
+def _boost_rows(nu: UnitVector3, params: BoostParams) -> list:
+    """Rows of Lambda as four lists of four floats."""
+    return _rows(_unit3(nu), _unit3(params.n), params.alpha)
+
+
+def _scaled_rows(nuv: tuple, n: tuple, alpha, r, xp=_FLOAT) -> tuple:
     """Scale D = e^{-r (nu.n) alpha} and the rows of the generalized boost
     D * Lambda.  No entry of Lambda exceeds its (0, 0) entry 1 + c0 in size,
     so OutOfRange when D (1 + c0) overflows."""
-    exponent = -spec.r * _dot(_unit3(spec.nu), _unit3(params.n)) * params.alpha
-    d = _r_power(spec.r, math.exp, (exponent,))
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = _boost_rows(
-        spec.nu, params)
-    if not d * a0 < math.inf:
-        raise OutOfRange(f"anisotropy r = {spec.r} with rapidity alpha = {params.alpha}"
-                         " overflows the generalized boost")
+    exponent = -r * _dot(nuv, n) * alpha
+    try:
+        d = xp.exp(exponent)
+    except OverflowError:
+        d = math.inf
+    ok = d < math.inf  # an infinite or NaN exponent gives inf or NaN with no error
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "anisotropy r = {} overflows its scale factor", r))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = _rows(
+        nuv, n, alpha, xp)
+    ok = d * a0 < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(
+            ok, "anisotropy r = {} with rapidity alpha = {} overflows the generalized boost",
+            r, alpha))
     return d, [
         [d * a0, d * a1, d * a2, d * a3],
         [d * b0, d * b1, d * b2, d * b3],
@@ -185,14 +236,45 @@ def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
     ]
 
 
+def _generalized_rows(spec: AnisotropySpec, params: BoostParams) -> tuple:
+    """Scale D and the rows of the generalized boost D * Lambda, as floats."""
+    return _scaled_rows(_unit3(spec.nu), _unit3(params.n), params.alpha, spec.r)
+
+
 def boost_matrix(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """Closed-form finite boost; unimodular and interval-preserving."""
-    return _ndarray(_boost_rows(nu, params))
+    return _ndarray(_rows(_unit3(nu), _unit3(params.n), params.alpha))
 
 
 def boost_matrix_inverse(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """Inverse boost, obtained by negating the rapidity."""
     return boost_matrix(nu, BoostParams(params.n, -params.alpha))
+
+
+def _compose_vector(nuv: tuple, n1: tuple, a1, n2: tuple, a2, xp=_FLOAT) -> tuple:
+    """n alpha of the composite of (n1, a1) then (n2, a2), and its squared
+    norm (see compose); OutOfRange when the coefficients overflow."""
+    m0, m1, m2 = nuv
+    p0, p1, p2 = n1
+    q0, q1, q2 = n2
+    d1, d2 = m0 * p0 + m1 * p1 + m2 * p2, m0 * q0 + m1 * q1 + m2 * q2
+    l1, l2 = d1 * a1, d2 * a2
+    lam = l1 + l2
+    try:  # b = k1 (n1 - d1 nu) + k2 (n2 - d2 nu)
+        k1 = xp.exp(-0.5 * l2) * a1 * xp.sinhc(0.5 * l1)
+        k2 = xp.exp(0.5 * l1) * a2 * xp.sinhc(0.5 * l2)
+        s = xp.sinhc(0.5 * lam)
+    except OverflowError:  # an axis part beyond 1419.56; k1 or k2 is inf beyond about 709.78
+        k1 = k2 = s = math.nan
+    v0 = (k1 * (p0 - d1 * m0) + k2 * (q0 - d2 * m0)) / s + lam * m0
+    v1 = (k1 * (p1 - d1 * m1) + k2 * (q1 - d2 * m1)) / s + lam * m1
+    v2 = (k1 * (p2 - d1 * m2) + k2 * (q2 - d2 * m2)) / s + lam * m2
+    asq = v0 * v0 + v1 * v1 + v2 * v2
+    ok = asq < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(
+            ok, "rapidities alpha = {}, {} overflow the composition coefficients", a1, a2))
+    return v0, v1, v2, asq
 
 
 def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
@@ -209,29 +291,27 @@ def compose(nu: UnitVector3, g1: BoostParams, g2: BoostParams) -> BoostParams:
     direction; it is the identity, returned as (n = nu, alpha = 0).
     Coefficients that overflow raise OutOfRange.
     """
-    nuv = m0, m1, m2 = _unit3(nu)
-    n1 = p0, p1, p2 = _unit3(g1.n)
-    n2 = q0, q1, q2 = _unit3(g2.n)
-    a1, a2 = g1.alpha, g2.alpha
-    d1, d2 = _dot(nuv, n1), _dot(nuv, n2)
-    l1, l2 = d1 * a1, d2 * a2
-    lam = l1 + l2
-    try:  # b = k1 (n1 - d1 nu) + k2 (n2 - d2 nu)
-        k1 = math.exp(-0.5 * l2) * a1 * _sinhc(0.5 * l1)
-        k2 = math.exp(0.5 * l1) * a2 * _sinhc(0.5 * l2)
-        s = _sinhc(0.5 * lam)
-    except OverflowError:  # an axis part beyond 1419.56; k1 or k2 is inf beyond about 709.78
-        k1 = k2 = s = math.nan
-    v0 = (k1 * (p0 - d1 * m0) + k2 * (q0 - d2 * m0)) / s + lam * m0
-    v1 = (k1 * (p1 - d1 * m1) + k2 * (q1 - d2 * m1)) / s + lam * m1
-    v2 = (k1 * (p2 - d1 * m2) + k2 * (q2 - d2 * m2)) / s + lam * m2
-    asq = v0 * v0 + v1 * v1 + v2 * v2
-    if not asq < math.inf:
-        raise OutOfRange(f"rapidities alpha = {a1}, {a2} overflow the composition coefficients")
+    v0, v1, v2, asq = _compose_vector(_unit3(nu), _unit3(g1.n), g1.alpha, _unit3(g2.n), g2.alpha)
     if asq < sys.float_info.min:
         return BoostParams.identity(nu)
     alpha = math.sqrt(asq)  # n alpha needs no rescale here: UnitVector3.normalized's bits
     return BoostParams(UnitVector3(v0 / alpha, v1 / alpha, v2 / alpha), alpha)
+
+
+def _frame_velocity(nuv: tuple, n: tuple, alpha, xp=_FLOAT):
+    """velocity_from_params as xp.velocity of its components; OutOfRange
+    where the speed rounds to 1."""
+    n0, n1, n2 = n
+    m0, m1, m2 = nuv
+    km, _, c0 = _coefficients(nuv, n, alpha, xp)
+    den = 1.0 + c0
+    v0, v1, v2 = (km * n0 + c0 * m0) / den, (km * n1 + c0 * m1) / den, (km * n2 + c0 * m2) / den
+    try:  # the components are finite, so only the speed check can fail
+        return xp.velocity(v0, v1, v2)
+    except ValueError:
+        raise OutOfRange(xp.explain(
+            v0 * v0 + v1 * v1 + v2 * v2 < 1.0, "rapidity alpha = {} with axis part (nu.n)"
+            " alpha = {} gives a speed that rounds to 1", alpha, _dot(n, nuv) * alpha)) from None
 
 
 def velocity_from_params(nu: UnitVector3, params: BoostParams) -> Velocity3:
@@ -240,17 +320,7 @@ def velocity_from_params(nu: UnitVector3, params: BoostParams) -> Velocity3:
     Raises OutOfRange where the rapidity is so large that the speed rounds
     to 1 (from (nu.n) alpha ~ 19 along the axis, alpha ~ 1e4 across it).
     """
-    n, nuv, km, _, c0 = _coefficients(nu, params)
-    (n0, n1, n2), (m0, m1, m2) = n, nuv
-    den = 1.0 + c0
-    try:  # the components are finite, so only the speed check can fail
-        return Velocity3((km * n0 + c0 * m0) / den, (km * n1 + c0 * m1) / den,
-                         (km * n2 + c0 * m2) / den)
-    except ValueError:
-        raise OutOfRange(
-            f"rapidity alpha = {params.alpha} with axis part (nu.n) alpha ="
-            f" {_dot(n, nuv) * params.alpha} gives a speed that rounds to 1"
-        ) from None
+    return _frame_velocity(_unit3(nu), _unit3(params.n), params.alpha)
 
 
 def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
@@ -274,8 +344,8 @@ def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     return BoostParams(UnitVector3.normalized(n_vec), alpha)
 
 
-def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
-    """Velocity reached by the inverse of the element reaching u, on float
+def _inverse_frame(nuv: tuple, u: tuple, xp=_FLOAT) -> tuple:
+    """Velocity reached by the inverse of the element reaching u, on
     3-tuples: [-gamma (1 + s) u_perp + (C - s) nu]/(1 + C) with s = u.nu,
     u_perp = nu x (u x nu) and C = |u x nu|^2/(1 - u^2).  It has the same
     gamma, horosphere level 1/h and perpendicular part -u_perp/h, where
@@ -288,14 +358,14 @@ def _inverse_frame(nuv: tuple, u: tuple) -> tuple:
     m0, m1, m2 = nuv
     w = 1.0 - _dot(u, u)
     c = _dot(u_x_nu, u_x_nu) / w
-    root = math.sqrt(w)
+    root = xp.sqrt(w)
     k = (1.0 + s) / root
     cs, den = c - s, 1.0 + c
     return ((m0 * cs - k * p0) / den, (m1 * cs - k * p1) / den,
             (m2 * cs - k * p2) / den), 1.0 / root
 
 
-def _act(nuv: tuple, u: tuple, w: tuple, x: tuple, g: float) -> tuple:
+def _act(nuv: tuple, u: tuple, w: tuple, x: tuple, g, xp=_FLOAT) -> tuple:
     """Image of velocity x under the boost reaching u, whose inverse reaches
     w; g = 1/sqrt(1 - u^2) is the gamma of both.
 
@@ -305,21 +375,23 @@ def _act(nuv: tuple, u: tuple, w: tuple, x: tuple, g: float) -> tuple:
     frame's.  It acts on velocities projectively, x -> the spatial part of
     Lambda (1, x) over its time part g (1 - u.x).
     """
-    nu_x, u_x = _dot(nuv, x), _dot(u, x)
+    (p0, p1, p2), (q0, q1, q2), (m0, m1, m2) = w, x, nuv
+    nu_x, u_x = m0 * q0 + m1 * q1 + m2 * q2, u[0] * q0 + u[1] * q1 + u[2] * q2
     a = g * (1.0 - nu_x)
     b = (g - 1.0) * nu_x - g * u_x
     den = g * (1.0 - u_x)
-    if not den > 0.0:  # 1 - u.x rounds to 0 or below
-        raise OutOfRange(f"velocity {list(x)} meets the frame {list(u)} at the ball's edge")
-    (p0, p1, p2), (q0, q1, q2), (m0, m1, m2) = w, x, nuv
+    ok = den > 0.0  # 1 - u.x rounds to 0 or below
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(
+            ok, "velocity {} meets the frame {} at the ball's edge", list(x), list(u)))
     return ((a * p0 + q0 + m0 * b) / den, (a * p1 + q1 + m1 * b) / den,
             (a * p2 + q2 + m2 * b) / den)
 
 
-def _add_velocities(nuv: tuple, a1: tuple, a2: tuple) -> tuple:
+def _add_velocities(nuv: tuple, a1: tuple, a2: tuple, xp=_FLOAT) -> tuple:
     """add_velocities on 3-tuples: Lambda(a1)^-1 reaches a1's inverse frame."""
-    u, g = _inverse_frame(nuv, a1)
-    return _act(nuv, u, a1, a2, g)
+    u, g = _inverse_frame(nuv, a1, xp)
+    return _act(nuv, u, a1, a2, g, xp)
 
 
 def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
@@ -335,12 +407,12 @@ def add_velocities(nu: UnitVector3, v1: Velocity3, v2: Velocity3) -> Velocity3:
 def dilation_factor(spec: AnisotropySpec, v: Velocity3) -> float:
     """Scale factor D = ((1 - v.nu)/sqrt(1 - v^2))^r; strictly positive unless
     it underflows.  OutOfRange where 1 - v.nu rounds to 0 or below."""
-    return _r_power(spec.r, pow, (_horosphere(_vel3(v), _unit3(spec.nu)), spec.r))
+    return _r_power(spec.r, _horosphere(_vel3(v), _unit3(spec.nu)), spec.r)
 
 
 def generalized_boost_matrix(spec: AnisotropySpec, params: BoostParams) -> np.ndarray:
     """Generalized boost D * Lambda with D = e^{-r (nu.n) alpha}."""
-    return _ndarray(_generalized_rows(spec, params)[1])
+    return _ndarray(_scaled_rows(_unit3(spec.nu), _unit3(params.n), params.alpha, spec.r)[1])
 
 
 def axial_rotation(nu: UnitVector3, phi: float) -> np.ndarray:

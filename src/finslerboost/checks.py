@@ -1,18 +1,26 @@
 """Seeded randomized conformance suites.
 
 Each suite draws from an isolated PCG64 generator derived from the master
-seed.  Draws are normalized with plain float arithmetic (`core._dot`), not a
-BLAS dot, so the same seed gives the same inputs whichever OpenBLAS kernel
-the CPU selects; deviations measured through the 4x4 and spinor matrix
-algebra may still differ in their last digits.  Sampling: directions
+seed.  Draws are normalized with plain float arithmetic, not a BLAS dot,
+so the same seed gives the same inputs whichever OpenBLAS kernel the CPU
+selects; deviations measured through the 4x4 and spinor matrix algebra may
+still differ in their last digits.  Sampling: directions
 uniform on the sphere, rapidity uniform in [-3, 3], anisotropy parameter
 uniform in [-0.9, 0.9], speeds with uniform rapidity in [0, 3].  The draws
 go through `_uniform` and `rng.standard_normal`, which give the bits of
 `rng.uniform` and `rng.normal` at a fraction of their cost.
 
-A suite makes its library calls sample by sample and keeps what each
-returns; every BLOCK samples it reduces each property's deviations at once,
-on (N, 4, 4) stacks, and records their maximum (a NaN among them is kept).
+A suite works in blocks of at most BLOCK samples: it keeps each sample's
+draws, evaluates the library on the block, reduces each property's
+deviations at once, on (N, 4, 4) stacks, and records their maximum (a NaN
+among them is kept).  The oracle, closure, velocity-addition, spinor and
+branch suites evaluate the boost layer once per block: the batched entry
+points below run the scalar kernels of boost and spinor on (N,) float64
+arrays, through the number-type namespace _ARRAY, and give the scalar
+functions' bits.  +, -, *, / and sqrt are exact IEEE operations on both
+types; exp, expm1 and cosh are math's, mapped over the entries, since
+numpy's own round differently from libm and from one SIMD path to another.
+The other suites still call the library sample by sample.
 
 The oracle and spinor suites compare closed forms with `expm`, which uses
 nothing about the generators' spectrum; production transforms never route
@@ -24,6 +32,7 @@ generators, and looks it up as the module global `expm` at each call:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +40,15 @@ import numpy as np
 from . import boost, spinor, subgroups, velocity_space
 from .core import (
     DEFAULT_TOL,
+    UNIT_NORM_TOL,
     AnisotropySpec,
     FourVector,
+    OutOfRange,
     UnitVector3,
     Velocity3,
+    _cross,
     _dot,
+    _numbers,
     _unit3,
     _vel3,
     finsler_interval_sq,
@@ -128,10 +141,210 @@ def _blockwise(samples: int, draw, reduce) -> None:
     """reduce(*columns) for each block of at most BLOCK consecutive samples i,
     where column j stacks the j-th value draw(i) returned for every sample of
     the block: floats to shape (N,), 3-tuples to (N, 3), matrices to
-    (N, 4, 4).  A block's values are freed before the next block is drawn."""
+    (N, 4, 4).  A block's values are freed before the next block is drawn.
+    draw makes the random draws; reduce evaluates what is batched on the
+    whole block and records the deviations."""
     for start in range(0, samples, BLOCK):
         rows = (draw(i) for i in range(start, min(start + BLOCK, samples)))
         reduce(*[np.array(column) for column in zip(*rows)])
+
+
+# The number type of the batched kernels: (N,) float64 arrays.  A kernel of
+# boost or spinor takes it as its xp argument (see boost._FLOAT); a guard's
+# ok is then a bool array.
+
+def _entrywise(f):
+    """f, a function of one float, mapped over the entries of an (N,) array;
+    NaN where f raises OverflowError, which the kernels' guards then refuse."""
+    def mapped(x):
+        values = x.tolist()
+        try:
+            return np.fromiter(map(f, values), float, len(values))
+        except OverflowError:
+            return np.array([_or_nan(f, v) for v in values])
+
+    return mapped
+
+
+def _or_nan(f, v: float) -> float:
+    try:
+        return f(v)
+    except OverflowError:
+        return math.nan
+
+
+def _complex(re, im) -> np.ndarray:
+    """Complex entries with the bits of complex(re, im): re + 1j * im would
+    not keep the sign of a zero real part."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _at(value, i: int):
+    """Row i of a batched value: an (N,) array, a list or tuple of them, or a float."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(_at(v, i) for v in value)
+    return float(value[i]) if np.ndim(value) else float(value)
+
+
+def _row_explain(ok, template: str, *values) -> str:
+    """Message of a failed guard on batches: the first row where ok is False,
+    and the template filled in with that row's values."""
+    i = int(np.argmin(ok))
+    return f"row {i}: " + template.format(*[_at(v, i) for v in values])
+
+
+def _speed_below_one(x, y, z) -> tuple:
+    """The components, where every row is a speed below 1, as Velocity3
+    would take it; else ValueError."""
+    if not (x * x + y * y + z * z < 1.0).all():
+        raise ValueError("speed must be below 1 (c = 1 units)")
+    return x, y, z
+
+
+_ARRAY = _numbers(
+    "arrays", exprel=_entrywise(boost._exprel), sinhc=_entrywise(boost._sinhc),
+    exp=_entrywise(math.exp), cosh=_entrywise(math.cosh), sqrt=np.sqrt,
+    complex=_complex, velocity=_speed_below_one, all=lambda ok: ok.all(), explain=_row_explain,
+)
+
+
+# Batched entry points.  A block's directions and velocities are 3-tuples of
+# (N,) arrays, read from the draws' (N, 3) stacks by _directions and
+# _velocities, and its boost parameters pairs (n, alpha) made by _param_rows.
+# Each entry point returns what the scalar function returns for every row,
+# matrices as an (N, 4, 4) stack and vectors in the same 3-tuple form, and
+# raises the scalar function's exception for the first row that it refuses,
+# naming the row.  numpy's floating-point warnings are off inside them: the
+# guards refuse what overflows, as on floats, where such an operation does
+# not warn.
+
+def _refuse(ok, error, template: str, *values) -> None:
+    if not ok.all():
+        raise error(_row_explain(ok, template, *values))
+
+
+def _finite(a) -> None:
+    """OutOfRange naming the first row of a with an entry that is not finite."""
+    ok = np.isfinite(a)
+    if not ok.all():
+        i = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        bad = np.ravel(a[i])[~np.ravel(ok[i])][0]
+        raise OutOfRange(f"row {i}: not a finite number: {float(bad)}")
+
+
+def _directions(a) -> tuple:
+    """An (N, 3) stack of directions as a 3-tuple of columns, each row read
+    as UnitVector3 reads one."""
+    _finite(a)
+    x, y, z = a.T
+    nsq = x * x + y * y + z * z
+    _refuse(abs(nsq - 1.0) <= UNIT_NORM_TOL, ValueError, "not a unit vector: |v|^2 = {}", nsq)
+    return x, y, z
+
+
+def _velocities(a) -> tuple:
+    """An (N, 3) stack of velocities as a 3-tuple of columns, each row read
+    as Velocity3 reads one."""
+    _finite(a)
+    x, y, z = a.T
+    _refuse(x * x + y * y + z * z < 1.0, OutOfRange, "speed must be below 1 (c = 1 units)")
+    return x, y, z
+
+
+def _param_rows(n, alpha) -> tuple:
+    """BoostParams of each row of an (N, 3) stack of directions and an (N,)
+    array of rapidities: a negative alpha goes into the direction."""
+    n = _directions(n)
+    _finite(alpha)
+    flip = alpha < 0
+    return tuple(np.where(flip, -c, c) for c in n), np.where(flip, -alpha, alpha)
+
+
+def _stack(rows, dtype=float) -> np.ndarray:
+    """C-contiguous (N, 4, 4) stack of four rows of four entries, each an
+    (N,) array or a float, as np.array of the rows' matrices gives it."""
+    size = max(np.size(v) for v in rows[0] + rows[1])
+    out = np.empty((4, 4, size), dtype)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[i, j] = v
+    return out.transpose(2, 0, 1).copy()
+
+
+def _vectors(v) -> np.ndarray:
+    """(N, 3) stack of a 3-tuple of columns."""
+    return np.stack(v, axis=1)
+
+
+@np.errstate(all="ignore")
+def _boost_matrices(nu, g) -> np.ndarray:
+    """boost.boost_matrix of each row."""
+    n, alpha = g
+    return _stack(boost._rows(nu, n, alpha, _ARRAY))
+
+
+@np.errstate(all="ignore")
+def _generalized_matrices(nu, r, g) -> np.ndarray:
+    """boost.generalized_boost_matrix of each row, with anisotropy r."""
+    n, alpha = g
+    return _stack(boost._scaled_rows(nu, n, alpha, r, _ARRAY)[1])
+
+
+def _generators(nu, n) -> np.ndarray:
+    """boost.generator of each row."""
+    return _stack(boost._generator_rows(nu, n))
+
+
+@np.errstate(all="ignore")
+def _generalized_generators(nu, r, n) -> np.ndarray:
+    """boost.generalized_generator of each row, with anisotropy r."""
+    return _stack(boost._generalized_generator_rows(nu, n, r, _ARRAY))
+
+
+@np.errstate(all="ignore")
+def _compose(nu, g1, g2) -> tuple:
+    """boost.compose of each row: a composite whose squared norm is zero or
+    subnormal is the identity (nu, 0)."""
+    (n1, a1), (n2, a2) = g1, g2
+    v0, v1, v2, asq = boost._compose_vector(nu, n1, a1, n2, a2, _ARRAY)
+    identity = asq < sys.float_info.min
+    alpha = np.sqrt(asq)
+    n = tuple(np.where(identity, m, v / alpha) for m, v in zip(nu, (v0, v1, v2)))
+    x, y, z = n
+    nsq = x * x + y * y + z * z  # UnitVector3's test
+    _refuse(abs(nsq - 1.0) <= UNIT_NORM_TOL, ValueError, "not a unit vector: |v|^2 = {}", nsq)
+    return n, np.where(identity, 0.0, alpha)
+
+
+@np.errstate(all="ignore")
+def _velocities_from_params(nu, g) -> tuple:
+    """boost.velocity_from_params of each row."""
+    n, alpha = g
+    return boost._frame_velocity(nu, n, alpha, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _added_velocities(nu, v1, v2) -> tuple:
+    """boost.add_velocities of each row: v1, v2 and the result are each read
+    as a Velocity3."""
+    v1, v2 = _velocities(_vectors(v1)), _velocities(_vectors(v2))
+    return _velocities(_vectors(boost._add_velocities(nu, v1, v2, _ARRAY)))
+
+
+@np.errstate(all="ignore")
+def _spinor_boosts(nu, g) -> np.ndarray:
+    """spinor.spinor_boost of each row."""
+    n, alpha = g
+    a, p, q = spinor._spin_parts(nu, n, alpha, _ARRAY)
+    return spinor._matrix(spinor._blocks(a, p, q, _ARRAY), _stack)
+
+
+def _spinor_generators(nu, n) -> np.ndarray:
+    """spinor.spinor_generator of each row."""
+    return spinor._matrix(spinor._blocks(0.0, _cross(nu, n), n, _ARRAY), _stack)
 
 
 def _record(prop: PropertyResult, devs) -> None:
@@ -167,11 +380,19 @@ def _uniform(rng, lo: float, hi: float, n=None):
     return [lo + (hi - lo) * u for u in rng.random(n).tolist()]
 
 
-def _unit(rng) -> UnitVector3:
+def _direction(rng) -> tuple:
+    """A direction uniform on the sphere, as the floats of
+    UnitVector3.normalized: a norm above 1e-8 needs none of its rescaling."""
     while True:
-        v = rng.standard_normal(3).tolist()
-        if math.sqrt(_dot(v, v)) > 1e-8:
-            return UnitVector3.normalized(v)
+        x, y, z = rng.standard_normal(3).tolist()
+        norm = math.sqrt(x * x + y * y + z * z)
+        if norm > 1e-8:
+            return x / norm, y / norm, z / norm
+
+
+def _unit(rng) -> UnitVector3:
+    x, y, z = _direction(rng)
+    return UnitVector3(x, y, z)
 
 
 def _alpha(rng) -> float:
@@ -219,19 +440,27 @@ def _axis_part(nu: UnitVector3, g: boost.BoostParams) -> float:
     return _dot(_unit3(nu), _unit3(g.n)) * g.alpha
 
 
+def _axis_parts(nu: tuple, g: tuple) -> np.ndarray:
+    """(nu.n) alpha of each row of a block."""
+    n, alpha = g
+    return _dot(nu, n) * alpha
+
+
 def suite_oracle(rng, samples):
     p_lam = PropertyResult("boost-vs-exponential", 1e-10)
     p_gen = PropertyResult("generalized-boost-vs-exponential", 1e-10)
 
     def draw(i):
-        nu, g = _unit(rng), _params(rng)
-        spec = AnisotropySpec(nu, _aniso(rng))
-        return (boost.boost_matrix(nu, g), boost.generalized_boost_matrix(spec, g), g.alpha,
-                boost.generator(nu, g.n), boost.generalized_generator(spec, g.n))
+        return _direction(rng), _direction(rng), _alpha(rng), _aniso(rng)
 
-    def reduce(lam, gen_lam, alpha, k, gen_k):
+    def reduce(nu, n, alpha, r):
+        nu = _directions(nu)
+        g = n, alpha = _param_rows(n, alpha)
         a = alpha[:, None, None]
-        _record_vs_expm((p_lam, p_gen), (lam, gen_lam), (a * k, a * gen_k))
+        _record_vs_expm(
+            (p_lam, p_gen),
+            (_boost_matrices(nu, g), _generalized_matrices(nu, r, g)),
+            (a * _generators(nu, n), a * _generalized_generators(nu, r, n)))
 
     _blockwise(samples, draw, reduce)
     return [p_lam, p_gen]
@@ -243,19 +472,19 @@ def suite_closure(rng, samples):
     p_assoc = PropertyResult("associativity", 1e-10)
 
     def draw(i):
-        nu = _unit(rng)
-        g1, g2, g3 = _params(rng), _params(rng), _params(rng)
-        g12 = boost.compose(nu, g1, g2)
-        left = boost.compose(nu, boost.compose(nu, g1, g2), g3)
-        right = boost.compose(nu, g1, boost.compose(nu, g2, g3))
-        return (boost.boost_matrix(nu, g1), boost.boost_matrix(nu, g2), boost.boost_matrix(nu, g12),
-                _axis_part(nu, g12), _axis_part(nu, g1), _axis_part(nu, g2),
-                boost.boost_matrix(nu, left), boost.boost_matrix(nu, right))
+        return (_direction(rng), _direction(rng), _alpha(rng), _direction(rng), _alpha(rng),
+                _direction(rng), _alpha(rng))
 
-    def reduce(l1, l2, l12, s12, s1, s2, left, right):
-        _record(p_close, np.abs(l12 - l2 @ l1))
-        _record(p_add, np.abs(s12 - (s1 + s2)))
-        _record(p_assoc, np.abs(left - right))
+    def reduce(nu, n1, a1, n2, a2, n3, a3):
+        nu = _directions(nu)
+        g1, g2, g3 = _param_rows(n1, a1), _param_rows(n2, a2), _param_rows(n3, a3)
+        g12 = _compose(nu, g1, g2)
+        left = _compose(nu, g12, g3)
+        right = _compose(nu, g1, _compose(nu, g2, g3))
+        l1, l2 = _boost_matrices(nu, g1), _boost_matrices(nu, g2)
+        _record(p_close, np.abs(_boost_matrices(nu, g12) - l2 @ l1))
+        _record(p_add, np.abs(_axis_parts(nu, g12) - (_axis_parts(nu, g1) + _axis_parts(nu, g2))))
+        _record(p_assoc, np.abs(_boost_matrices(nu, left) - _boost_matrices(nu, right)))
 
     _blockwise(samples, draw, reduce)
     return [p_close, p_add, p_assoc]
@@ -314,19 +543,19 @@ def suite_velocity_addition(rng, samples):
     p_nu = PropertyResult("preferred-direction-fixed-point", 1e-12)
 
     def draw(i):
-        nu = _unit(rng)
-        g1, g2 = _params(rng), _params(rng)
-        v1 = boost.velocity_from_params(nu, g1)
-        v2 = boost.velocity_from_params(nu, g2)
-        direct = boost.add_velocities(nu, v1, v2)
-        via = boost.velocity_from_params(nu, boost.compose(nu, g1, g2))
-        nuv = _unit3(nu)
-        # the boundary point v2 = nu is not a Velocity3
-        return _vel3(direct), _vel3(via), boost._add_velocities(nuv, _vel3(v1), nuv), nuv
+        return _direction(rng), _direction(rng), _alpha(rng), _direction(rng), _alpha(rng)
 
-    def reduce(direct, via, fixed, nu):
-        _record(p_match, np.abs(direct - via))
-        _record(p_nu, np.abs(fixed - nu))
+    def reduce(nu_rows, n1, a1, n2, a2):
+        nu = _directions(nu_rows)
+        g1, g2 = _param_rows(n1, a1), _param_rows(n2, a2)
+        v1 = _velocities_from_params(nu, g1)
+        direct = _added_velocities(nu, v1, _velocities_from_params(nu, g2))
+        via = _velocities_from_params(nu, _compose(nu, g1, g2))
+        _record(p_match, np.abs(_vectors(direct) - _vectors(via)))
+        # the boundary point v2 = nu is not a Velocity3
+        with np.errstate(all="ignore"):
+            fixed = boost._add_velocities(nu, v1, nu, _ARRAY)
+        _record(p_nu, np.abs(_vectors(fixed) - nu_rows))
 
     _blockwise(samples, draw, reduce)
     return [p_match, p_nu]
@@ -342,15 +571,19 @@ def suite_spinor(rng, samples):
     gammas = np.array(spinor.gamma_basis().gamma)
 
     def draw(i):
-        nu, n = _unit(rng), _unit(rng)
-        alpha, a2 = _alpha(rng), _alpha(rng)
-        g = boost.BoostParams(n, alpha)
-        return (_dot(_unit3(nu), _unit3(n)), spinor.spinor_generator(nu, n), alpha,
-                spinor.spinor_boost(nu, g), spinor.spinor_boost(nu, boost.BoostParams(n, -alpha)),
-                boost.boost_matrix(nu, g), spinor.spinor_boost(nu, boost.BoostParams(n, a2)),
-                spinor.spinor_boost(nu, boost.BoostParams(n, alpha + a2)))
+        return _direction(rng), _direction(rng), _alpha(rng), _alpha(rng)
 
-    def reduce(s, k, alpha, smat, sinv, lam, s2, both):
+    def reduce(nu, n_rows, alpha, a2):
+        nu = _directions(nu)
+        n = _directions(n_rows)
+        s = _dot(nu, n)
+        k = _spinor_generators(nu, n)
+        g = _param_rows(n_rows, alpha)
+        smat = _spinor_boosts(nu, g)
+        sinv = _spinor_boosts(nu, _param_rows(n_rows, -alpha))
+        lam = _boost_matrices(nu, g)
+        s2 = _spinor_boosts(nu, _param_rows(n_rows, a2))
+        both = _spinor_boosts(nu, _param_rows(n_rows, alpha + a2))
         ss = (s * s)[:, None, None]
         kk = k @ k
         _record(p_pow, np.abs(kk - ss * eye))
@@ -563,16 +796,18 @@ def suite_branch(rng, samples):
         nu = _unit(rng)
         g = _near_band_params(rng, nu)
         return (_taylor_coefficients(_axis_part(nu, g), g.alpha),
-                boost.generator(nu, g.n), spinor.spinor_generator(nu, g.n),
-                boost.boost_matrix(nu, g), _vel3(boost.velocity_from_params(nu, g)),
-                spinor.spinor_boost(nu, g))
+                _unit3(nu), _unit3(g.n), g.alpha)
 
-    def reduce(coef, gen, k, lam, vel, spin):
+    def reduce(coef, nu, n, alpha):
+        nu = _directions(nu)
+        g = n, _ = _param_rows(n, alpha)
         c1, c2, c3, c4 = coef.T[:, :, None, None]
+        gen = _generators(nu, n)
         taylor = eye + c1 * gen + c2 * (gen @ gen)
-        _record(p_lam, np.abs(lam - taylor))
+        _record(p_lam, np.abs(_boost_matrices(nu, g) - taylor))
+        vel = _vectors(_velocities_from_params(nu, g))
         _record(p_vel, np.abs(vel - -taylor[:, 0, 1:] / taylor[:, 0, :1]))
-        _record(p_spin, np.abs(spin - (c3 * eye + c4 * k)))
+        _record(p_spin, np.abs(_spinor_boosts(nu, g) - (c3 * eye + c4 * _spinor_generators(nu, n))))
 
     _blockwise(samples, draw, reduce)
     return [p_lam, p_vel, p_spin]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import types
 
 __all__ = [
     "DomainError",
@@ -152,6 +153,17 @@ class Tolerance(_Value):
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _numbers(name: str, **functions):
+    """A number type of the kernels of boost and spinor, which run on floats
+    and on (N,) float64 arrays: the functions whose code differs between the
+    two, by name.  It is a module object because CPython 3.11 specializes a
+    call xp.f(x) of a module's function, and not of a function held by an
+    instance, which costs about 60 ns more per call."""
+    numbers = types.ModuleType(name)
+    numbers.__dict__.update(functions)
+    return numbers
 
 
 def _require_finite(*values: float) -> None:
@@ -389,17 +401,17 @@ def _horosphere(v: tuple, nu: tuple) -> float:
     return gap / root
 
 
-def _r_power(r: float, power, args: tuple, scaled: float = 1.0, what=None) -> float:
-    """Weight power(*args) (math.exp or pow; the exponent grows with r) of the finite
-    value scaled; underflow is 0.0.  Naming r: DegenerateRatio for 0 to a negative
-    power, OutOfRange when the weight overflows or when weight * scaled does (what(),
-    given with scaled, ends that message)."""
+def _r_power(r: float, base: float, exponent: float, scaled: float = 1.0, what=None) -> float:
+    """Weight base ** exponent (the exponent grows with r) of the finite value scaled;
+    underflow is 0.0.  Naming r: DegenerateRatio for 0 to a negative power, OutOfRange
+    when the weight overflows or when weight * scaled does (what(), given with scaled,
+    ends that message)."""
     try:
-        weight = power(*args)
+        weight = pow(base, exponent)
     except (OverflowError, ZeroDivisionError):
         weight = math.inf
     if not math.isfinite(weight):  # an infinite exponent gives inf with no error
-        if args[0] == 0.0:  # only pow's base can be 0 here
+        if base == 0.0:
             raise DegenerateRatio(f"anisotropy r = {r} diverges at a vanishing ratio")
         raise OutOfRange(f"anisotropy r = {r} overflows its scale factor")
     if not math.isfinite(weight * scaled):
@@ -457,7 +469,7 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
         return 0.0
     if base < 0 and spec.r != round(spec.r):
         raise SpacelikeInput("spacelike displacement: fractional power of a negative base")
-    return _r_power(spec.r, pow, (_finite_square(num * num, dx) / base, spec.r), base,
+    return _r_power(spec.r, _finite_square(num * num, dx) / base, spec.r, base,
                     lambda: f"overflows the interval of event {dx.to_json()}") * base
 
 

@@ -15,7 +15,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .boost import BoostParams, _sinhc
+from .boost import _FLOAT, BoostParams
 from .core import (
     AnisotropySpec,
     NullDensity,
@@ -24,7 +24,6 @@ from .core import (
     UnitVector3,
     Velocity3,
     _cross,
-    _dot,
     _finite_result,
     _frame_scalars,
     _ndarray,
@@ -87,20 +86,22 @@ def gamma_basis() -> GammaBasis:
     return GammaBasis(tuple(matrices[:4]), tuple(matrices[4:]))
 
 
-def _blocks(a: float, p, q) -> tuple:
+def _blocks(a, p, q, xp=_FLOAT) -> tuple:
     """Rows of the blocks A = a I - i sigma.p and B = -sigma.q."""
     px, py, pz = p
     qx, qy, qz = q
+    c = xp.complex
     return (
-        ((complex(a, -pz), complex(-py, -px)), (complex(py, -px), complex(a, pz))),
-        ((complex(-qz, 0.0), complex(-qx, qy)), (complex(-qx, -qy), complex(qz, 0.0))),
+        ((c(a, -pz), c(-py, -px)), (c(py, -px), c(a, pz))),
+        ((c(-qz, 0.0), c(-qx, qy)), (c(-qx, -qy), c(qz, 0.0))),
     )
 
 
-def _matrix(blocks) -> np.ndarray:
-    """The 4x4 matrix [[A, B], [B, A]]."""
+def _matrix(blocks, build=_ndarray):
+    """The 4x4 matrix [[A, B], [B, A]], built from its rows of complex
+    entries by build(rows, complex)."""
     (a0, a1), (b0, b1) = blocks
-    return _ndarray([[*a0, *b0], [*a1, *b1], [*b0, *a0], [*b1, *a1]], complex)
+    return build([[*a0, *b0], [*a1, *b1], [*b0, *a0], [*b1, *a1]], complex)
 
 
 def _apply(blocks, psi: tuple) -> tuple:
@@ -133,6 +134,22 @@ def spinor_generator(nu: UnitVector3, n: UnitVector3) -> np.ndarray:
     return _matrix(_blocks(0.0, _cross(_unit3(nu), nv), nv))
 
 
+def _spin_parts(nuv: tuple, nv: tuple, alpha, xp=_FLOAT) -> tuple:
+    """a, p and q of the blocks of S(nu; n, alpha) (see spinor_boost)."""
+    (m0, m1, m2), (n0, n1, n2) = nuv, nv
+    half = 0.5 * ((m0 * n0 + m1 * n1 + m2 * n2) * alpha)
+    try:
+        sinhc = xp.sinhc(half)
+    except OverflowError:  # |(nu.n) alpha| > 1419.56, before cosh(half) overflows
+        sinhc = math.nan
+    f = 0.5 * alpha * sinhc
+    ok = f < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "rapidity alpha = {} overflows the spin coefficients", alpha))
+    p0, p1, p2 = m1 * n2 - m2 * n1, m2 * n0 - m0 * n2, m0 * n1 - m1 * n0  # nu x n
+    return xp.cosh(half), (f * p0, f * p1, f * p2), (f * n0, f * n1, f * n2)
+
+
 def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     """Closed-form spin matrix S(nu; n, alpha) = exp(K alpha / 2).
 
@@ -140,17 +157,8 @@ def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     S = I cosh(a/2) + K (alpha/2) sinh(a/2)/(a/2) with a = (nu.n) alpha.
     For n orthogonal to nu this reduces exactly to I + K alpha / 2.
     """
-    nuv, nv = _unit3(nu), _unit3(params.n)
-    half = 0.5 * (_dot(nuv, nv) * params.alpha)
-    try:
-        sinhc = _sinhc(half)
-    except OverflowError:  # |(nu.n) alpha| > 1419.56, before cosh(half) overflows
-        sinhc = math.nan
-    f = 0.5 * params.alpha * sinhc
-    if not f < math.inf:
-        raise OutOfRange(f"rapidity alpha = {params.alpha} overflows the spin coefficients")
-    (p0, p1, p2), (n0, n1, n2) = _cross(nuv, nv), nv
-    return _matrix(_blocks(math.cosh(half), (f * p0, f * p1, f * p2), (f * n0, f * n1, f * n2)))
+    a, p, q = _spin_parts(_unit3(nu), _unit3(params.n), params.alpha)
+    return _matrix(_blocks(a, p, q))
 
 
 def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
@@ -160,7 +168,7 @@ def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
     nuv = m0, m1, m2 = _unit3(spec.nu)
     vv = v0, v1, v2 = _vel3(v)
     gap, root, lag = _frame_scalars(vv, nuv)
-    weight = _r_power(spec.r, pow, (gap / root, -1.5 * spec.r))
+    weight = _r_power(spec.r, gap / root, -1.5 * spec.r)
     pref = weight / (2.0 * math.sqrt(gap * root))
     a = pref * (gap + root)
     c0, c1, c2 = _cross(nuv, vv)
@@ -250,5 +258,5 @@ def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     if abs(rho) <= Tolerance.abs_tol * j0:  # j0 >= |rho|; psi = 0 is null
         raise NullDensity("psibar psi vanishes; the invariant form is singular")
     q = num / rho
-    return _r_power(spec.r, pow, (q * q, -1.5 * spec.r), rho,
+    return _r_power(spec.r, q * q, -1.5 * spec.r, rho,
                     lambda: f"overflows the invariant of bispinor {bispinor_to_json(psi)}") * rho

@@ -289,7 +289,8 @@ def test_series_coefficients_against_mpmath():
 def _boost_rows_loop(nu, params, scale=1.0):
     """Reference: the rows as a loop over (i, j), entry
     delta_ij - kp n_i nu_j + nu_i row0_j."""
-    n, nuv, km, kp, c0 = _coefficients(nu, params)
+    n, nuv = params.n.to_json(), nu.to_json()
+    km, kp, c0 = _coefficients(nuv, n, params.alpha)
     row0 = [-(km * p + c0 * q) for p, q in zip(n, nuv)]
     rows = [[1.0 + c0, *row0]]
     for i in range(3):

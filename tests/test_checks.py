@@ -109,10 +109,12 @@ def test_exponential_paired_with_its_own_sample(suite, names, monkeypatch):
     assert all(props[name].passed for name in names)
 
 
-def _poisoned(monkeypatch, module, name, samples, sample):
+def _poisoned(monkeypatch, module, name, samples, sample, batched):
     """Patch module.name so that every call it gets during `sample` returns
     NaN in the shape of the true result.  The calls per sample are counted
-    on a one-sample run of the suite that `samples` is called with."""
+    on a one-sample run of the suite that `samples` is called with.  A
+    batched entry point gets that many calls per block instead: each call
+    during the sample's block returns NaN in the sample's row."""
     exact = getattr(module, name)
     calls = [0]
 
@@ -122,28 +124,33 @@ def _poisoned(monkeypatch, module, name, samples, sample):
 
     monkeypatch.setattr(module, name, counted)
     samples(1)
-    per_sample, calls[0] = calls[0], 0
+    per_unit, calls[0] = calls[0], 0
+    unit, row = divmod(sample, checks.BLOCK) if batched else (sample, None)
 
     def poisoned(*args):
         calls[0] += 1
         out = exact(*args)
-        if calls[0] - 1 in range(sample * per_sample, (sample + 1) * per_sample):
-            return out * math.nan
+        if calls[0] - 1 in range(unit * per_unit, (unit + 1) * per_unit):
+            if row is None:
+                return out * math.nan
+            out = out.copy()
+            out[row] = math.nan
         return out
 
     monkeypatch.setattr(module, name, poisoned)
 
 
 @pytest.mark.parametrize(
-    "suite, module, name, prop",
+    "suite, module, name, prop, batched",
     [
-        # a matrix-stack property and a float-list property
-        ("closure", boost, "boost_matrix", "composition-matches-matrix-product"),
-        ("metric", checks, "finsler_interval_sq", "anisotropic-interval-invariance"),
+        # a matrix-stack property of a batched entry point and a float-list property
+        ("closure", checks, "_boost_matrices", "composition-matches-matrix-product", True),
+        ("metric", checks, "finsler_interval_sq", "anisotropic-interval-invariance", False),
     ],
 )
 @pytest.mark.parametrize("sample", [0, 2, 4, 8], ids=["first", "middle", "after-block", "last"])
-def test_nan_at_one_sample_fails_its_property(suite, module, name, prop, sample, monkeypatch):
+def test_nan_at_one_sample_fails_its_property(suite, module, name, prop, batched, sample,
+                                              monkeypatch):
     """Blocks of 4 over 9 samples: [0, 3], [4, 7], [8].  A NaN at any one
     sample, in the first block or a later one, is the property's maximum."""
     monkeypatch.setattr(checks, "BLOCK", 4)
@@ -152,7 +159,7 @@ def test_nan_at_one_sample_fails_its_property(suite, module, name, prop, sample,
         return {p.name: p for p in checks.run_suite(suite, seed=3, samples=samples).properties}
 
     assert props(9)[prop].passed
-    _poisoned(monkeypatch, module, name, props, sample)
+    _poisoned(monkeypatch, module, name, props, sample, batched)
     poisoned = props(9)[prop]
     assert math.isnan(poisoned.max_deviation)
     assert not poisoned.passed

@@ -536,6 +536,13 @@ def test_only_seq_tests_for_an_ndarray():
 STRAIGHT_LINE_KERNELS = (
     "core._frame_scalars",
     "subgroups.perpendicular_to",
+    "boost._coefficients",
+    "boost._rows",
+    "boost._generator_rows",
+    "boost._generalized_generator_rows",
+    "boost._scaled_rows",
+    "boost._compose_vector",
+    "boost._frame_velocity",
     "boost.generator",
     "boost._generalized_rows",
     "boost.compose",
@@ -549,6 +556,8 @@ STRAIGHT_LINE_KERNELS = (
     "subgroups._tangent",
     "subgroups.abelian_velocity",
     "subgroups.axial_transform",
+    "spinor._blocks",
+    "spinor._spin_parts",
     "spinor.spinor_boost",
     "spinor._bispinor_blocks",
     "spinor._norm_sq",
