@@ -11,6 +11,7 @@ import math
 import sys
 
 from .core import (
+    _FLOAT,
     AnisotropySpec,
     FourVector,
     OutOfRange,
@@ -22,13 +23,12 @@ from .core import (
     _horosphere,
     _m4x4,
     _ndarray,
-    _numbers,
+    _normalized,
     _r_power,
     _require_finite,
     _unit3,
     _Value,
     _vel3,
-    matrix_to_json,
 )
 
 __all__ = [
@@ -74,44 +74,6 @@ class BoostParams(_Value):
 
     def to_json(self) -> dict:
         return {"n": self.n.to_json(), "alpha": self.alpha}
-
-
-# The closed forms have removable singularities only in expm1(x)/x and
-# log1p(t)/t.  Neither quotient cancels for x != 0 (expm1 and log1p are
-# accurate down to subnormal x), so only x = 0 needs the limit 1.
-
-def _exprel(x: float) -> float:
-    """expm1(x) / x, and its limit 1 at x = 0."""
-    return math.expm1(x) / x if x != 0.0 else 1.0
-
-
-def _sinhc(h: float) -> float:
-    """sinh(h) / h as (exprel(h) + exprel(-h)) / 2, with no cancellation and
-    even to the bit; OverflowError beyond |h| = 709.78.  Both exprel are
-    written out, which saves two Python calls each time: compose makes three."""
-    return 0.5 * (math.expm1(h) / h + math.expm1(-h) / -h) if h != 0.0 else 1.0
-
-
-def _log1p_over(t: float) -> float:
-    """log(1 + t) / t, and its limit 1 at t = 0."""
-    return math.log1p(t) / t if t != 0.0 else 1.0
-
-
-def _explain(ok, template: str, *values) -> str:
-    """Message of a failed guard on floats: the template filled in."""
-    return template.format(*values)
-
-
-# The number type of the kernels below, for floats.  A kernel takes its
-# directions as 3-tuples and its scalars as they come, so the same code runs
-# on (N,) float64 arrays, which checks does with its own _numbers.  What
-# differs between the two types goes through this one: math's functions
-# (which raise OverflowError on floats), the velocity constructor, `all` of
-# a guard's truth values and `explain`, the message of a failed guard.  A
-# guard reads `if ok is not True and not xp.all(ok)`: on floats ok is a
-# bool, and the test ends at `is`, which costs less than a call.
-_FLOAT = _numbers("floats", exprel=_exprel, sinhc=_sinhc, exp=math.exp, cosh=math.cosh,
-                  sqrt=math.sqrt, complex=complex, velocity=Velocity3, all=bool, explain=_explain)
 
 
 def _coefficients(nuv: tuple, n: tuple, alpha, xp=_FLOAT) -> tuple:
@@ -323,6 +285,27 @@ def velocity_from_params(nu: UnitVector3, params: BoostParams) -> Velocity3:
     return _frame_velocity(_unit3(nu), _unit3(params.n), params.alpha)
 
 
+def _velocity_params(nuv: tuple, v: tuple, xp=_FLOAT) -> tuple:
+    """(n, alpha) of params_from_velocity, n as a 3-tuple: (nu, 0.0) where
+    v.v is zero or subnormal.  On arrays every row is evaluated, and the rows
+    at rest are then replaced by (nu, 0.0)."""
+    m0, m1, m2 = nuv
+    v0, v1, v2 = v
+    rest = v0 * v0 + v1 * v1 + v2 * v2 < sys.float_info.min
+    if rest is True:
+        return nuv, 0.0
+    w, gamma_inv, u = _frame_scalars(v, nuv, xp)  # u = 1 - sqrt(1 - v^2)
+    t = (gamma_inv - w) / w
+    alpha = xp.sqrt(2.0 * u / w) * xp.log1p_over(t)
+    p, q = xp.sqrt(2.0 * w * u), xp.sqrt(u / (2.0 * w))
+    n = _normalized((v0 / p - q * m0, v1 / p - q * m1, v2 / p - q * m2), xp)
+    if rest is not False:
+        n0, n1, n2 = n
+        n = xp.where(rest, m0, n0), xp.where(rest, m1, n1), xp.where(rest, m2, n2)
+        alpha = xp.where(rest, 0.0, alpha)
+    return n, alpha
+
+
 def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     """Group parameters (n, alpha) of the boost reaching velocity v.
 
@@ -332,16 +315,8 @@ def params_from_velocity(nu: UnitVector3, v: Velocity3) -> BoostParams:
     the degenerate (horosphere) case t = 0 where the textbook quotient is
     0/0.  OutOfRange where 1 - v.nu rounds to 0 or below.
     """
-    nuv = m0, m1, m2 = _unit3(nu)
-    vv = v0, v1, v2 = _vel3(v)
-    if _dot(vv, vv) < sys.float_info.min:
-        return BoostParams.identity(nu)
-    w, gamma_inv, u = _frame_scalars(vv, nuv)  # u = 1 - sqrt(1 - v^2)
-    t = (gamma_inv - w) / w
-    alpha = math.sqrt(2.0 * u / w) * _log1p_over(t)
-    p, q = math.sqrt(2.0 * w * u), math.sqrt(u / (2.0 * w))
-    n_vec = (v0 / p - q * m0, v1 / p - q * m1, v2 / p - q * m2)
-    return BoostParams(UnitVector3.normalized(n_vec), alpha)
+    (x, y, z), alpha = _velocity_params(_unit3(nu), _vel3(v))
+    return BoostParams(UnitVector3(x, y, z), alpha)
 
 
 def _inverse_frame(nuv: tuple, u: tuple, xp=_FLOAT) -> tuple:
@@ -440,16 +415,23 @@ def translate(x: FourVector, a: FourVector) -> FourVector:
         raise OutOfRange(f"translate of event {x.to_json()} by {a.to_json()} overflows") from None
 
 
+def _image(m: tuple, x: tuple, xp=_FLOAT):
+    """xp.event of m x for the 16 entries m of a matrix, row by row, and an
+    event 4-tuple x."""
+    p0, p1, p2, p3, q0, q1, q2, q3, s0, s1, s2, s3, u0, u1, u2, u3 = m
+    t, a, b, c = x
+    y0, y1 = p0 * t + p1 * a + p2 * b + p3 * c, q0 * t + q1 * a + q2 * b + q3 * c
+    y2, y3 = s0 * t + s1 * a + s2 * b + s3 * c, u0 * t + u1 * a + u2 * b + u3 * c
+    try:
+        return xp.event(y0, y1, y2, y3)
+    except OutOfRange:  # an image component is not finite
+        raise OutOfRange(xp.explain(
+            (y0 - y0) + (y1 - y1) + (y2 - y2) + (y3 - y3) == 0.0,
+            "apply_matrix of the matrix {} (row-major) to event {} overflows", list(m), list(x),
+        )) from None
+
+
 def apply_matrix(m, x: FourVector) -> FourVector:
     """m x for a 4x4 ndarray or four rows of four floats; ValueError for
     any other shape, OutOfRange naming m and x where the image overflows."""
-    p0, p1, p2, p3, q0, q1, q2, q3, s0, s1, s2, s3, u0, u1, u2, u3 = _m4x4(m)
-    t, a, b, c = x.t, x.x, x.y, x.z
-    try:
-        return FourVector(p0 * t + p1 * a + p2 * b + p3 * c, q0 * t + q1 * a + q2 * b + q3 * c,
-                          s0 * t + s1 * a + s2 * b + s3 * c, u0 * t + u1 * a + u2 * b + u3 * c)
-    except OutOfRange:  # an image component is not finite
-        raise OutOfRange(
-            f"apply_matrix of the matrix {matrix_to_json(m)} (row-major) to event"
-            f" {x.to_json()} overflows"
-        ) from None
+    return _image(_m4x4(m), (x.t, x.x, x.y, x.z))

@@ -13,14 +13,19 @@ go through `_uniform` and `rng.standard_normal`, which give the bits of
 A suite works in blocks of at most BLOCK samples: it keeps each sample's
 draws, evaluates the library on the block, reduces each property's
 deviations at once, on (N, 4, 4) stacks, and records their maximum (a NaN
-among them is kept).  The oracle, closure, velocity-addition, spinor and
-branch suites evaluate the boost layer once per block: the batched entry
-points below run the scalar kernels of boost and spinor on (N,) float64
-arrays, through the number-type namespace _ARRAY, and give the scalar
-functions' bits.  +, -, *, / and sqrt are exact IEEE operations on both
-types; exp, expm1 and cosh are math's, mapped over the entries, since
-numpy's own round differently from libm and from one SIMD path to another.
-The other suites still call the library sample by sample.
+among them is kept).  The oracle, closure, roundtrip, velocity-addition,
+spinor, bispinor, subgroups and branch suites draw floats and evaluate the
+library once per block: the batched entry points below run the scalar
+kernels of core, boost, subgroups and spinor on (N,) float64 arrays,
+through the number-type namespace _ARRAY, and give the scalar functions'
+bits.  +, -, *, / and sqrt are exact IEEE operations on both types; exp,
+expm1, log1p, cosh, sinh, cos, sin and pow are math's and Python's, mapped
+over the entries, since numpy's own round differently from libm and from
+one SIMD path to another.  A complex product is written on the real and
+imaginary parts (see spinor._current), as Python multiplies complex
+numbers; numpy's complex multiply rounds differently.  The metric,
+bispinor-invariant and velocity-space suites still call the library sample
+by sample.
 
 The oracle and spinor suites compare closed forms with `expm`, which uses
 nothing about the generators' spectrum; production transforms never route
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import boost, spinor, subgroups, velocity_space
+from . import boost, core, spinor, subgroups, velocity_space
 from .core import (
     DEFAULT_TOL,
     UNIT_NORM_TOL,
@@ -50,7 +55,7 @@ from .core import (
     _dot,
     _numbers,
     _unit3,
-    _vel3,
+    bispinor_to_json,
     finsler_interval_sq,
     minkowski_interval,
 )
@@ -149,9 +154,9 @@ def _blockwise(samples: int, draw, reduce) -> None:
         reduce(*[np.array(column) for column in zip(*rows)])
 
 
-# The number type of the batched kernels: (N,) float64 arrays.  A kernel of
-# boost or spinor takes it as its xp argument (see boost._FLOAT); a guard's
-# ok is then a bool array.
+# The number type of the batched kernels: (N,) float64 arrays.  A kernel
+# takes it as its xp argument (see core._FLOAT); a guard's ok is then a bool
+# array.
 
 def _entrywise(f):
     """f, a function of one float, mapped over the entries of an (N,) array;
@@ -173,6 +178,24 @@ def _or_nan(f, v: float) -> float:
         return math.nan
 
 
+def _power(base, exponent) -> np.ndarray:
+    """pow mapped over the entries of an (N,) base and exponent (a float
+    exponent is taken for every row); inf where pow raises OverflowError or
+    ZeroDivisionError, as core._r_power sets it on floats."""
+    b, e = (x.tolist() for x in np.broadcast_arrays(base, exponent))
+    try:
+        return np.fromiter(map(pow, b, e), float, len(b))
+    except (OverflowError, ZeroDivisionError):
+        return np.array([_pow_or_inf(x, y) for x, y in zip(b, e)])
+
+
+def _pow_or_inf(x: float, y: float) -> float:
+    try:
+        return pow(x, y)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def _complex(re, im) -> np.ndarray:
     """Complex entries with the bits of complex(re, im): re + 1j * im would
     not keep the sign of a zero real part."""
@@ -183,10 +206,11 @@ def _complex(re, im) -> np.ndarray:
 
 
 def _at(value, i: int):
-    """Row i of a batched value: an (N,) array, a list or tuple of them, or a float."""
+    """Row i of a batched value: an (N,) float or complex array, a list or
+    tuple of them, or a float."""
     if isinstance(value, (list, tuple)):
         return type(value)(_at(v, i) for v in value)
-    return float(value[i]) if np.ndim(value) else float(value)
+    return value[i].item() if np.ndim(value) else float(value)
 
 
 def _row_explain(ok, template: str, *values) -> str:
@@ -194,6 +218,11 @@ def _row_explain(ok, template: str, *values) -> str:
     and the template filled in with that row's values."""
     i = int(np.argmin(ok))
     return f"row {i}: " + template.format(*[_at(v, i) for v in values])
+
+
+def _refused_row(ok, value):
+    """value at the first row where ok is False."""
+    return _at(value, int(np.argmin(ok)))
 
 
 def _speed_below_one(x, y, z) -> tuple:
@@ -204,18 +233,47 @@ def _speed_below_one(x, y, z) -> tuple:
     return x, y, z
 
 
+def _finite_event(t, x, y, z) -> tuple:
+    """The components, where every row is finite, as FourVector would take
+    them; else OutOfRange."""
+    if not (np.isfinite(t) & np.isfinite(x) & np.isfinite(y) & np.isfinite(z)).all():
+        raise OutOfRange("an event component is not finite")
+    return t, x, y, z
+
+
+def _least_axis_rows(v) -> tuple:
+    """core._least_axis of each row: np.argmin takes the first of equal
+    entries, as the float comparisons do."""
+    k = np.argmin(np.abs(np.stack(v)), axis=0)
+    return (k == 0).astype(float), (k == 1).astype(float), (k == 2).astype(float)
+
+
+def _max_abs_rows(ok, v) -> np.ndarray:
+    """The divisor of core._rescaled of each row: max|v_i| where ok is
+    False, and 1.0 where it is True or the row is zero."""
+    x, y, z = v
+    s = np.maximum(np.maximum(abs(x), abs(y)), abs(z))
+    return np.where(ok | (s == 0.0), 1.0, s)
+
+
 _ARRAY = _numbers(
-    "arrays", exprel=_entrywise(boost._exprel), sinhc=_entrywise(boost._sinhc),
-    exp=_entrywise(math.exp), cosh=_entrywise(math.cosh), sqrt=np.sqrt,
-    complex=_complex, velocity=_speed_below_one, all=lambda ok: ok.all(), explain=_row_explain,
+    "arrays", exprel=_entrywise(core._exprel), sinhc=_entrywise(core._sinhc),
+    log1p_over=_entrywise(core._log1p_over), exp=_entrywise(math.exp),
+    cosh=_entrywise(math.cosh), sinh=_entrywise(math.sinh), cos=_entrywise(math.cos),
+    sin=_entrywise(math.sin), sqrt=np.sqrt, pow=_power, complex=_complex,
+    velocity=_speed_below_one, event=_finite_event, least_axis=_least_axis_rows,
+    max_abs=_max_abs_rows, where=np.where, all=lambda ok: ok.all(), explain=_row_explain,
+    refused=_refused_row,
 )
 
 
-# Batched entry points.  A block's directions and velocities are 3-tuples of
-# (N,) arrays, read from the draws' (N, 3) stacks by _directions and
-# _velocities, and its boost parameters pairs (n, alpha) made by _param_rows.
-# Each entry point returns what the scalar function returns for every row,
-# matrices as an (N, 4, 4) stack and vectors in the same 3-tuple form, and
+# Batched entry points.  A block's directions, velocities and events are
+# 3- and 4-tuples of (N,) arrays, read from the draws' (N, 3) and (N, 4)
+# stacks by _directions, _velocities and _events, and its boost parameters
+# pairs (n, alpha) made by _param_rows.  Each entry point returns what the
+# scalar function returns for every row, matrices as an (N, 4, 4) stack,
+# vectors and events in the same tuple form and bispinor currents as an
+# (N, 4) stack, and
 # raises the scalar function's exception for the first row that it refuses,
 # naming the row.  numpy's floating-point warnings are off inside them: the
 # guards refuse what overflows, as on floats, where such an operation does
@@ -245,6 +303,11 @@ def _directions(a) -> tuple:
     return x, y, z
 
 
+def _units(v) -> tuple:
+    """A 3-tuple of columns, each row read as UnitVector3 reads one."""
+    return _directions(_vectors(v))
+
+
 def _velocities(a) -> tuple:
     """An (N, 3) stack of velocities as a 3-tuple of columns, each row read
     as Velocity3 reads one."""
@@ -252,6 +315,23 @@ def _velocities(a) -> tuple:
     x, y, z = a.T
     _refuse(x * x + y * y + z * z < 1.0, OutOfRange, "speed must be below 1 (c = 1 units)")
     return x, y, z
+
+
+def _events(a) -> tuple:
+    """An (N, 4) stack of events as a 4-tuple of columns, each row read as
+    FourVector reads one."""
+    _finite(a)
+    return tuple(a.T)
+
+
+def _bispinors(a) -> tuple:
+    """An (N, 4) complex stack of bispinors as a 4-tuple of columns, each row
+    read as spinor._c4 reads one."""
+    ok = np.isfinite(a).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise OutOfRange(f"row {i}: bispinor {bispinor_to_json(a[i])} is not finite")
+    return tuple(a.T)
 
 
 def _param_rows(n, alpha) -> tuple:
@@ -312,10 +392,7 @@ def _compose(nu, g1, g2) -> tuple:
     v0, v1, v2, asq = boost._compose_vector(nu, n1, a1, n2, a2, _ARRAY)
     identity = asq < sys.float_info.min
     alpha = np.sqrt(asq)
-    n = tuple(np.where(identity, m, v / alpha) for m, v in zip(nu, (v0, v1, v2)))
-    x, y, z = n
-    nsq = x * x + y * y + z * z  # UnitVector3's test
-    _refuse(abs(nsq - 1.0) <= UNIT_NORM_TOL, ValueError, "not a unit vector: |v|^2 = {}", nsq)
+    n = _units(tuple(np.where(identity, m, v / alpha) for m, v in zip(nu, (v0, v1, v2))))
     return n, np.where(identity, 0.0, alpha)
 
 
@@ -345,6 +422,103 @@ def _spinor_boosts(nu, g) -> np.ndarray:
 def _spinor_generators(nu, n) -> np.ndarray:
     """spinor.spinor_generator of each row."""
     return spinor._matrix(spinor._blocks(0.0, _cross(nu, n), n, _ARRAY), _stack)
+
+
+@np.errstate(all="ignore")
+def _normalized_rows(v) -> tuple:
+    """UnitVector3.normalized of each row of a 3-tuple of columns."""
+    return _units(core._normalized(v, _ARRAY))
+
+
+@np.errstate(all="ignore")
+def _perpendiculars(nu) -> tuple:
+    """subgroups.perpendicular_to of each row."""
+    return _units(subgroups._perpendicular(nu, _ARRAY))
+
+
+@np.errstate(all="ignore")
+def _params_from_velocities(nu, v) -> tuple:
+    """boost.params_from_velocity of each row, as a pair (n, alpha)."""
+    n, alpha = boost._velocity_params(nu, v, _ARRAY)
+    return _param_rows(_vectors(n), alpha)
+
+
+@np.errstate(all="ignore")
+def _dilation_factors(nu, r, v) -> np.ndarray:
+    """boost.dilation_factor of each row, with anisotropy r."""
+    return core._r_power(r, core._horosphere(v, nu, _ARRAY), r, xp=_ARRAY)
+
+
+@np.errstate(all="ignore")
+def _bispinor_matrices(nu, r, v) -> np.ndarray:
+    """spinor.bispinor_matrix of each row, with anisotropy r."""
+    return spinor._matrix(spinor._bispinor_blocks(nu, v, r, _ARRAY), _stack)
+
+
+@np.errstate(all="ignore")
+def _currents(psi) -> np.ndarray:
+    """spinor.bilinear_current of each row of an (N, 4) stack of bispinors."""
+    return _vectors(spinor._current(_bispinors(psi), _ARRAY))
+
+
+def _densities(psi) -> np.ndarray:
+    """psibar psi of each row of an (N, 4) stack of bispinors, as
+    dirac_adjoint(psi) @ psi: an (N, 1, 4) @ (N, 4, 1) product, which gives
+    the bits of the product of each row."""
+    _bispinors(psi)
+    adjoint = np.conj(psi)
+    adjoint[:, 2:] = -adjoint[:, 2:]
+    return (adjoint[:, None, :] @ psi[:, :, None])[:, 0, 0].real
+
+
+@np.errstate(all="ignore")
+def _intervals(x) -> np.ndarray:
+    """minkowski_interval of each row."""
+    t, a, b, c = x
+    return core._interval(t, a, b, c, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _matrix_images(m, x) -> tuple:
+    """boost.apply_matrix of each row of an (N, 4, 4) stack of matrices."""
+    return boost._image(tuple(m.reshape(len(m), 16).T), x, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _abelian_velocities(nu, n, alpha) -> tuple:
+    """subgroups.abelian_velocity of each row, for AbelianParams (n, alpha)."""
+    return subgroups._abelian_frame(nu, n, alpha, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _abelian_transforms(nu, n, alpha, x) -> tuple:
+    """subgroups.abelian_transform of each row, for AbelianParams (n, alpha)."""
+    return subgroups._transverse(nu, n, alpha, x, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _abelian_transforms_v(nu, v, x) -> tuple:
+    """subgroups.abelian_transform_v of each row."""
+    return subgroups._transverse_v(nu, v, x, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _axial_transforms(nu, r, alpha, x) -> tuple:
+    """subgroups.axial_transform of each row, with anisotropy r."""
+    return subgroups._axial(nu, r, alpha, x, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _axial_invariants(nu, x) -> tuple:
+    """The fields of subgroups.axial_invariants of each row."""
+    return subgroups._axial_scalars(nu, x, _ARRAY)
+
+
+def _band_directions(nu, s, c) -> tuple:
+    """The direction c p + s nu of each row, with p = perpendicular_to(nu),
+    normalized: n of a near-band draw (see _near_band_params)."""
+    p = _perpendiculars(nu)
+    return _normalized_rows(tuple(c * pk + s * mk for pk, mk in zip(p, nu)))
 
 
 def _record(prop: PropertyResult, devs) -> None:
@@ -395,6 +569,14 @@ def _unit(rng) -> UnitVector3:
     return UnitVector3(x, y, z)
 
 
+def _velocity(rng) -> tuple:
+    """A speed with uniform rapidity in [0, 3] along a direction uniform on
+    the sphere, as the floats of _speed_vec."""
+    speed = math.tanh(_uniform(rng, 0.0, 3.0))
+    x, y, z = _direction(rng)
+    return speed * x, speed * y, speed * z
+
+
 def _alpha(rng) -> float:
     return _uniform(rng, -3.0, 3.0)
 
@@ -404,40 +586,35 @@ def _aniso(rng) -> float:
 
 
 def _speed_vec(rng) -> Velocity3:
-    speed = math.tanh(_uniform(rng, 0.0, 3.0))
-    u = _unit(rng)
-    return Velocity3(speed * u.x, speed * u.y, speed * u.z)
+    x, y, z = _velocity(rng)
+    return Velocity3(x, y, z)
 
 
 def _params(rng) -> boost.BoostParams:
     return boost.BoostParams(_unit(rng), _alpha(rng))
 
 
-def _near_band_params(rng, nu: UnitVector3) -> boost.BoostParams:
-    """Parameters with alpha in [0.5, 3] and the axis part (nu.n) alpha drawn
-    uniformly from the near-zero band |(nu.n) alpha| < limit_switch."""
+def _near_band_params(rng) -> tuple:
+    """(alpha, s, c) of parameters with alpha in [0.5, 3] and the axis part
+    (nu.n) alpha drawn uniformly from the near-zero band
+    |(nu.n) alpha| < limit_switch: s = nu.n, c = sqrt(1 - s^2), and the
+    direction n = c p + s nu is built per block by _band_directions."""
     band = DEFAULT_TOL.limit_switch
     alpha = _uniform(rng, 0.5, 3.0)
     s = _uniform(rng, -band, band) / alpha
-    c = math.sqrt(1.0 - s * s)
-    p = subgroups.perpendicular_to(nu)
-    n = UnitVector3.normalized((c * p.x + s * nu.x, c * p.y + s * nu.y, c * p.z + s * nu.z))
-    return boost.BoostParams(n, alpha)
+    return alpha, s, math.sqrt(1.0 - s * s)
+
+
+def _event(rng) -> tuple:
+    """A timelike event, as the floats of _timelike."""
+    x = _uniform(rng, -1.0, 1.0, 3)
+    t = math.sqrt(_dot(x, x)) + _uniform(rng, 0.1, 2.0)
+    return t, x[0], x[1], x[2]
 
 
 def _timelike(rng) -> FourVector:
-    x = _uniform(rng, -1.0, 1.0, 3)
-    t = math.sqrt(_dot(x, x)) + _uniform(rng, 0.1, 2.0)
-    return FourVector(t, *x)
-
-
-def _t4(e: FourVector) -> tuple:
-    return e.t, e.x, e.y, e.z
-
-
-def _axis_part(nu: UnitVector3, g: boost.BoostParams) -> float:
-    """(nu.n) alpha."""
-    return _dot(_unit3(nu), _unit3(g.n)) * g.alpha
+    t, x, y, z = _event(rng)
+    return FourVector(t, x, y, z)
 
 
 def _axis_parts(nu: tuple, g: tuple) -> np.ndarray:
@@ -522,17 +699,19 @@ def suite_roundtrip(rng, samples):
     degenerate = min(100, samples)
 
     def draw(i):
-        nu = _unit(rng)
-        if i < degenerate:
-            g = _near_band_params(rng, nu)
-        else:
-            g = boost.BoostParams(_unit(rng), _uniform(rng, 1e-3, 3.0))
-        back = boost.params_from_velocity(nu, boost.velocity_from_params(nu, g))
-        return _unit3(back.n), _unit3(g.n), back.alpha, g.alpha
+        nu = _direction(rng)
+        if i < degenerate:  # n is built per block, from the band's s and c
+            alpha, s, c = _near_band_params(rng)
+            return nu, (0.0, 0.0, 0.0), alpha, s, c, True
+        return nu, _direction(rng), _uniform(rng, 1e-3, 3.0), 0.0, 1.0, False
 
-    def reduce(back_n, n, back_alpha, alpha):
-        _record(p_n, np.abs(back_n - n))
-        _record(p_a, np.abs(back_alpha - alpha))
+    def reduce(nu, n, alpha, s, c, band):
+        nu = _directions(nu)
+        n = np.where(band[:, None], _vectors(_band_directions(nu, s, c)), n)
+        g = _param_rows(n, alpha)
+        back_n, back_alpha = _params_from_velocities(nu, _velocities_from_params(nu, g))
+        _record(p_n, np.abs(_vectors(back_n) - _vectors(g[0])))
+        _record(p_a, np.abs(back_alpha - g[1]))
 
     _blockwise(samples, draw, reduce)
     return [p_n, p_a]
@@ -600,14 +779,6 @@ def suite_spinor(rng, samples):
     return [p_pow, p_int, p_exp, p_rep, p_det]
 
 
-def _bispinor_matrix_via_params(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
-    """D^{-3/2} S through the parametrization maps: the cross-check of the
-    closed form in spinor.bispinor_matrix."""
-    params = boost.params_from_velocity(spec.nu, v)
-    d = boost.dilation_factor(spec, v)
-    return d ** -1.5 * spinor.spinor_boost(spec.nu, params)
-
-
 def _random_bispinor(rng) -> np.ndarray:
     return rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
@@ -618,25 +789,23 @@ def suite_bispinor(rng, samples):
     p_cur = PropertyResult("current-weight", 1e-10)
 
     def draw(i):
-        nu = _unit(rng)
-        spec = AnisotropySpec(nu, _aniso(rng))
-        v = _speed_vec(rng)
-        direct = spinor.bispinor_matrix(spec, v)
-        via = _bispinor_matrix_via_params(spec, v)
-        psi = _random_bispinor(rng)
-        psi_p = direct @ psi
-        d3 = boost.dilation_factor(spec, v) ** -3
-        rho = complex(spinor.dirac_adjoint(psi) @ psi).real
-        rho_p = complex(spinor.dirac_adjoint(psi_p) @ psi_p).real
-        lam = boost.boost_matrix(nu, boost.params_from_velocity(nu, v))
-        return (direct, via, rho_p, d3 * rho, d3, lam,
-                spinor.bilinear_current(psi), spinor.bilinear_current(psi_p))
+        return (_direction(rng), _aniso(rng), _velocity(rng), rng.standard_normal(4),
+                rng.standard_normal(4))
 
-    def reduce(direct, via, rho_p, weighted_rho, d3, lam, j, j_p):
+    def reduce(nu, r, v, re, im):
+        nu, v = _directions(nu), _velocities(v)
+        psi = re + 1j * im  # _random_bispinor's bits
+        direct = _bispinor_matrices(nu, r, v)
+        g = _params_from_velocities(nu, v)
+        d = _dilation_factors(nu, r, v)
+        # D^{-3/2} S through the parametrization maps
+        via = _ARRAY.pow(d, -1.5)[:, None, None] * _spinor_boosts(nu, g)
+        psi_p = (direct @ psi[:, :, None])[:, :, 0]
+        d3 = _ARRAY.pow(d, -3.0)
         _record(p_two, _sample_max(direct - via) / np.maximum(_sample_max(direct), 1e-300))
-        _record(p_rho, _reldiff(rho_p, weighted_rho))
-        expect = d3[:, None] * (lam @ j[:, :, None])[:, :, 0]
-        _record(p_cur, _sample_max(j_p - expect) / np.maximum(_sample_max(expect), 1.0))
+        _record(p_rho, _reldiff(_densities(psi_p), d3 * _densities(psi)))
+        expect = d3[:, None] * (_boost_matrices(nu, g) @ _currents(psi)[:, :, None])[:, :, 0]
+        _record(p_cur, _sample_max(_currents(psi_p) - expect) / np.maximum(_sample_max(expect), 1.0))
 
     _blockwise(samples, draw, reduce)
     return [p_two, p_rho, p_cur]
@@ -664,6 +833,12 @@ def suite_bispinor_invariant(rng, samples):
     return [p_inv]
 
 
+def _in_plane(th, e1, e2) -> tuple:
+    """The direction cos(th) e1 + sin(th) e2 of each row, normalized."""
+    c, s = _ARRAY.cos(th), _ARRAY.sin(th)
+    return _normalized_rows((c * e1[0] + s * e2[0], c * e1[1] + s * e2[1], c * e1[2] + s * e2[2]))
+
+
 def suite_subgroups(rng, samples):
     p_ab_inv = PropertyResult("abelian-invariants", 1e-10)
     p_comm = PropertyResult("abelian-commutativity", 1e-10)
@@ -672,56 +847,39 @@ def suite_subgroups(rng, samples):
     p_ratio = PropertyResult("axial-ratio-invariant", 1e-9)
     p_flow = PropertyResult("axial-flow-additivity", 1e-10)
 
-    def in_plane(th, e1, e2):
-        c, s = math.cos(th), math.sin(th)
-        return UnitVector3.normalized([c * a + s * b for a, b in zip(e1, e2)])
-
     def draw(i):
-        nu = _unit(rng)
-        r = _aniso(rng)
-        spec = AnisotropySpec(nu, r)
-        e1, e2 = velocity_space._plane_basis(nu)
+        nu, r = _direction(rng), _aniso(rng)
         th1, th2 = _uniform(rng, 0.0, 2.0 * math.pi, 2)
-        n1, n2 = in_plane(th1, e1, e2), in_plane(th2, e1, e2)
         a1, a2 = _uniform(rng, -2.0, 2.0, 2)
-        x = _timelike(rng)
-        pa1 = subgroups.AbelianParams(n1, a1)
-        pa2 = subgroups.AbelianParams(n2, a2)
+        return nu, r, th1, th2, a1, a2, _event(rng)
 
-        xp = subgroups.abelian_transform_v(nu, subgroups.abelian_velocity(nu, pa1), x)
-        nuv = _unit3(nu)
-        one = subgroups.abelian_transform(nu, pa2, subgroups.abelian_transform(nu, pa1, x))
-        other = subgroups.abelian_transform(nu, pa1, subgroups.abelian_transform(nu, pa2, x))
-        lam = boost.generalized_boost_matrix(spec, boost.BoostParams(n1, a1))
+    def reduce(nu, r, th1, th2, a1, a2, x_rows):
+        nu, x = _directions(nu), _events(x_rows)
+        e1 = _perpendiculars(nu)  # velocity_space._plane_basis
+        e2 = _normalized_rows(_cross(nu, e1))
+        n1, n2 = _in_plane(th1, e1, e2), _in_plane(th2, e1, e2)
 
-        ax = subgroups.AxialParams(a1)
-        xa = subgroups.axial_transform(spec, ax, x)
-        inv0 = subgroups.axial_invariants(spec, x)
-        inv1 = subgroups.axial_invariants(spec, xa)
-        chained = subgroups.axial_transform(spec, subgroups.AxialParams(a2), xa)
-        joint = subgroups.axial_transform(spec, subgroups.AxialParams(a1 + a2), x)
-        return (
-            minkowski_interval(xp), minkowski_interval(x),
-            xp.t - _dot(nuv, (xp.x, xp.y, xp.z)), x.t - _dot(nuv, (x.x, x.y, x.z)),
-            _t4(one), _t4(other),
-            _t4(subgroups.abelian_transform(nu, pa1, x)), _t4(boost.apply_matrix(lam, x)),
-            inv1.nu_projection, math.exp((1.0 - r) * ax.alpha) * inv0.nu_projection,
-            inv1.interval_sq, math.exp(-2.0 * r * ax.alpha) * inv0.interval_sq,
-            inv1.cylinder_ratio, inv0.cylinder_ratio,
-            _t4(chained), _t4(joint),
-        )
+        xp = _abelian_transforms_v(nu, _abelian_velocities(nu, n1, a1), x)
+        abelian = _abelian_transforms(nu, n1, a1, x)
+        one = _abelian_transforms(nu, n2, a2, abelian)
+        other = _abelian_transforms(nu, n1, a1, _abelian_transforms(nu, n2, a2, x))
+        lam = _generalized_matrices(nu, r, _param_rows(_vectors(n1), a1))
 
-    def reduce(mink1, mink0, cone1, cone0, one, other, abelian, boosted,
-               proj1, proj0, interval1, interval0, ratio1, ratio0, chained, joint):
-        _record(p_ab_inv, _reldiff(mink1, mink0))
-        _record(p_ab_inv, _reldiff(cone1, cone0))
-        _record(p_comm, np.abs(one - other))
-        _record(p_match, np.abs(abelian - boosted))
-        _record(p_scale, _reldiff(proj1, proj0))
-        _record(p_scale, _reldiff(interval1, interval0))
+        xa = _axial_transforms(nu, r, a1, x)
+        proj0, interval0, ratio0 = _axial_invariants(nu, x)
+        proj1, interval1, ratio1 = _axial_invariants(nu, xa)
+        chained = _axial_transforms(nu, r, a2, xa)
+        joint = _axial_transforms(nu, r, a1 + a2, x)
+
+        _record(p_ab_inv, _reldiff(_intervals(xp), _intervals(x)))
+        _record(p_ab_inv, _reldiff(xp[0] - _dot(nu, xp[1:]), x[0] - _dot(nu, x[1:])))
+        _record(p_comm, np.abs(_vectors(one) - _vectors(other)))
+        _record(p_match, np.abs(_vectors(abelian) - _vectors(_matrix_images(lam, x))))
+        _record(p_scale, _reldiff(proj1, _ARRAY.exp((1.0 - r) * a1) * proj0))
+        _record(p_scale, _reldiff(interval1, _ARRAY.exp(-2.0 * r * a1) * interval0))
         kept = ratio0 > 1e-6
         _record(p_ratio, _reldiff(ratio1[kept], ratio0[kept]))
-        _record(p_flow, np.abs(chained - joint))
+        _record(p_flow, np.abs(_vectors(chained) - _vectors(joint)))
 
     _blockwise(samples, draw, reduce)
     return [p_ab_inv, p_comm, p_match, p_scale, p_ratio, p_flow]
@@ -771,17 +929,19 @@ def suite_velocity_space(rng, samples):
     return [p_iso, p_horo, p_cyl, p_dil]
 
 
-def _taylor_coefficients(a: float, alpha: float) -> tuple:
+def _taylor_coefficients(a, alpha) -> tuple:
     """Coefficients of the generators' degree-4 Taylor evaluation near
-    a = (nu.n) alpha = 0: Lambda = I + c1 G + c2 G^2 (G^3 = (nu.n)^2 G), with
-    c1 = alpha sinhc(a) and c2 = alpha^2 (cosh a - 1)/a^2, and
-    S = c3 I + c4 K, with c3 = cosh(a/2) and c4 = (alpha/2) sinhc(a/2).  The
-    truncation error is below a^6 / 5040, so 2e-28 in the band |a| <= 1e-4."""
+    a = (nu.n) alpha = 0, on (N,) arrays: Lambda = I + c1 G + c2 G^2
+    (G^3 = (nu.n)^2 G), with c1 = alpha sinhc(a) and
+    c2 = alpha^2 (cosh a - 1)/a^2, and S = c3 I + c4 K, with c3 = cosh(a/2)
+    and c4 = (alpha/2) sinhc(a/2).  The truncation error is below a^6 / 5040,
+    so 2e-28 in the band |a| <= 1e-4.  The powers are Python's pow."""
     h = 0.5 * a
-    sinhc = 1.0 + a * a / 6.0 + a**4 / 120.0
-    coshm1 = 0.5 + a * a / 24.0 + a**4 / 720.0
-    return (alpha * sinhc, alpha**2 * coshm1,
-            1.0 + h * h / 2.0 + h**4 / 24.0, 0.5 * alpha * (1.0 + h * h / 6.0 + h**4 / 120.0))
+    a4, h4 = _ARRAY.pow(a, 4.0), _ARRAY.pow(h, 4.0)
+    sinhc = 1.0 + a * a / 6.0 + a4 / 120.0
+    coshm1 = 0.5 + a * a / 24.0 + a4 / 720.0
+    return (alpha * sinhc, _ARRAY.pow(alpha, 2.0) * coshm1,
+            1.0 + h * h / 2.0 + h4 / 24.0, 0.5 * alpha * (1.0 + h * h / 6.0 + h4 / 120.0))
 
 
 def suite_branch(rng, samples):
@@ -793,15 +953,12 @@ def suite_branch(rng, samples):
     eye = np.eye(4)
 
     def draw(i):
-        nu = _unit(rng)
-        g = _near_band_params(rng, nu)
-        return (_taylor_coefficients(_axis_part(nu, g), g.alpha),
-                _unit3(nu), _unit3(g.n), g.alpha)
+        return (_direction(rng),) + _near_band_params(rng)
 
-    def reduce(coef, nu, n, alpha):
+    def reduce(nu, alpha, s, c):
         nu = _directions(nu)
-        g = n, _ = _param_rows(n, alpha)
-        c1, c2, c3, c4 = coef.T[:, :, None, None]
+        g = n, alpha = _param_rows(_vectors(_band_directions(nu, s, c)), alpha)
+        c1, c2, c3, c4 = (k[:, None, None] for k in _taylor_coefficients(_axis_parts(nu, g), alpha))
         gen = _generators(nu, n)
         taylor = eye + c1 * gen + c2 * (gen @ gen)
         _record(p_lam, np.abs(_boost_matrices(nu, g) - taylor))

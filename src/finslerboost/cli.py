@@ -20,6 +20,8 @@ from .core import (
     OutOfRange,
     UnitVector3,
     Velocity3,
+    _unit3,
+    _vel3,
     bispinor_to_json,
     finsler_interval_sq,
     matrix_to_json,
@@ -215,7 +217,7 @@ def cmd_spinor(args) -> int:
     nu = UnitVector3.normalized(args.nu)
     spec = AnisotropySpec(nu, args.r)
     v = Velocity3.from_array(args.v)
-    psi_p = spinor._apply(spinor._bispinor_blocks(spec, v), args.psi)
+    psi_p = spinor._apply(spinor._bispinor_blocks(_unit3(nu), _vel3(v), spec.r), args.psi)
     _emit(
         {
             "psi_prime": bispinor_to_json(psi_p),

@@ -156,11 +156,11 @@ DEFAULT_TOL = Tolerance()
 
 
 def _numbers(name: str, **functions):
-    """A number type of the kernels of boost and spinor, which run on floats
-    and on (N,) float64 arrays: the functions whose code differs between the
-    two, by name.  It is a module object because CPython 3.11 specializes a
-    call xp.f(x) of a module's function, and not of a function held by an
-    instance, which costs about 60 ns more per call."""
+    """A number type of the kernels, which run on floats and on (N,) float64
+    arrays: the functions whose code differs between the two, by name.  It
+    is a module object because CPython 3.11 specializes a call xp.f(x) of a
+    module's function, and not of a function held by an instance, which
+    costs about 60 ns more per call."""
     numbers = types.ModuleType(name)
     numbers.__dict__.update(functions)
     return numbers
@@ -245,10 +245,8 @@ class UnitVector3(_Value):
     def normalized(cls, v) -> "UnitVector3":
         """v / |v|, rescaled where v.v is out of range; ZeroVelocity for
         the zero vector."""
-        _, (x, y, z), n = _rescaled(_t3(v))
-        if n == 0.0:
-            raise ZeroVelocity("cannot normalize the zero vector")
-        return cls(x / n, y / n, z / n)
+        x, y, z = _normalized(_t3(v))
+        return cls(x, y, z)
 
     def to_json(self) -> list:
         return [self.x, self.y, self.z]
@@ -302,6 +300,73 @@ class AnisotropySpec(_Value):
 
     def to_json(self) -> dict:
         return {"nu": self.nu.to_json(), "r": self.r}
+
+
+# The closed forms have removable singularities only in expm1(x)/x and
+# log1p(t)/t.  Neither quotient cancels for x != 0 (expm1 and log1p are
+# accurate down to subnormal x), so only x = 0 needs the limit 1.
+
+def _exprel(x: float) -> float:
+    """expm1(x) / x, and its limit 1 at x = 0."""
+    return math.expm1(x) / x if x != 0.0 else 1.0
+
+
+def _sinhc(h: float) -> float:
+    """sinh(h) / h as (exprel(h) + exprel(-h)) / 2, with no cancellation and
+    even to the bit; OverflowError beyond |h| = 709.78.  Both exprel are
+    written out, which saves two Python calls each time: compose makes three."""
+    return 0.5 * (math.expm1(h) / h + math.expm1(-h) / -h) if h != 0.0 else 1.0
+
+
+def _log1p_over(t: float) -> float:
+    """log(1 + t) / t, and its limit 1 at t = 0."""
+    return math.log1p(t) / t if t != 0.0 else 1.0
+
+
+def _explain(ok, template: str, *values) -> str:
+    """Message of a failed guard on floats: the template filled in."""
+    return template.format(*values)
+
+
+def _least_axis(v: tuple) -> tuple:
+    """The unit vector e_k of the first axis k of least |v_k|."""
+    pivot, least = (1.0, 0.0, 0.0), abs(v[0])
+    if abs(v[1]) < least:
+        pivot, least = (0.0, 1.0, 0.0), abs(v[1])
+    if abs(v[2]) < least:
+        pivot = (0.0, 0.0, 1.0)
+    return pivot
+
+
+def _max_abs(ok, v: tuple) -> float:
+    """max |v_i|, the divisor of _rescaled (ok, False on floats, is not read)."""
+    return max(map(abs, v))
+
+
+def _refused(ok, value):
+    """The value of a failed guard on floats (see _FLOAT)."""
+    return value
+
+
+# The number type of the kernels, for floats.  A kernel takes its directions
+# as 3-tuples, its events as 4-tuples and its scalars as they come, so the
+# same code runs on (N,) float64 arrays, which checks does with its own
+# _numbers.  What differs between the two types goes through this one:
+# math's functions (which raise OverflowError on floats), pow, the value
+# constructors, the pivot axis and the divisor of a rescale, `all` of a
+# guard's truth values, `explain`, the message of a failed guard, and
+# `refused`, the value of its first failed entry.  The arrays' type adds
+# `where`, which selects rows where floats take a branch.  A guard reads
+# `if ok is not True and not xp.all(ok)`: on floats ok is a bool, and the
+# test ends at `is`, which costs less than a call.  The ok of "each of a, b,
+# ... is finite" is `(a - a) + (b - b) + ... == 0.0`: x - x is 0.0 for a
+# finite x and NaN for inf or NaN, on both types.
+_FLOAT = _numbers(
+    "floats", exprel=_exprel, sinhc=_sinhc, log1p_over=_log1p_over, exp=math.exp,
+    cosh=math.cosh, sinh=math.sinh, sqrt=math.sqrt, pow=pow, complex=complex, velocity=Velocity3,
+    event=FourVector, least_axis=_least_axis, max_abs=_max_abs, all=bool,
+    explain=_explain, refused=_refused,
+)
 
 
 # Kernels on 3-tuples of floats.  numpy would send these dots through BLAS,
@@ -360,18 +425,31 @@ def _dot(a: tuple, b: tuple) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _rescaled(v: tuple) -> tuple:
+def _rescaled(v: tuple, xp=_FLOAT) -> tuple:
     """(s, v / s, |v / s|), so that |v| = s |v / s|: s is 1, or max|v_i|
     where v.v overflows, or underflows to 0 or a subnormal.  The zero
-    vector gives (0.0, v, 0.0)."""
+    vector gives |v / s| = 0.0 (on floats (0.0, v, 0.0)).  On arrays a row
+    is rescaled by selection: xp.max_abs gives the other rows the divisor
+    1.0, which keeps their bits."""
     nsq = _dot(v, v)
-    if sys.float_info.min <= nsq < math.inf:
-        return 1.0, v, math.sqrt(nsq)
-    s = max(map(abs, v))
-    if s == 0.0:
+    ok = (sys.float_info.min <= nsq) & (nsq < math.inf)
+    if ok is True:
+        return 1.0, v, xp.sqrt(nsq)
+    s = xp.max_abs(ok, v)
+    zero = s == 0.0
+    if zero is True:
         return 0.0, v, 0.0
     v = (v[0] / s, v[1] / s, v[2] / s)
-    return s, v, math.sqrt(_dot(v, v))
+    return s, v, xp.sqrt(_dot(v, v))
+
+
+def _normalized(v: tuple, xp=_FLOAT) -> tuple:
+    """The components of UnitVector3.normalized(v); ZeroVelocity for the zero vector."""
+    _, (x, y, z), n = _rescaled(v, xp)
+    ok = n != 0.0
+    if ok is not True and not xp.all(ok):
+        raise ZeroVelocity(xp.explain(ok, "cannot normalize the zero vector"))
+    return x / n, y / n, z / n
 
 
 def _cross(a: tuple, b: tuple) -> tuple:
@@ -382,40 +460,46 @@ def _cross(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _frame_scalars(v: tuple, nu: tuple) -> tuple:
+def _frame_scalars(v: tuple, nu: tuple, xp=_FLOAT) -> tuple:
     """(1 - v.nu, sqrt(1 - v^2), 1 - sqrt(1 - v^2)) of a velocity 3-tuple, the
     scalars of the frame moving at v; the lag 1 - sqrt(1 - v^2) is written
     v^2/(1 + sqrt(1 - v^2)), which does not cancel near rest.  OutOfRange
     where 1 - v.nu rounds to 0 or below, at the ball's edge along nu."""
     gap = 1.0 - _dot(v, nu)
-    if not gap > 0.0:
-        raise OutOfRange(f"velocity {list(v)} meets the ball's edge along nu: 1 - v.nu = {gap}")
+    ok = gap > 0.0
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(
+            ok, "velocity {} meets the ball's edge along nu: 1 - v.nu = {}", list(v), gap))
     vsq = _dot(v, v)
-    root = math.sqrt(1.0 - vsq)
+    root = xp.sqrt(1.0 - vsq)
     return gap, root, vsq / (1.0 + root)
 
 
-def _horosphere(v: tuple, nu: tuple) -> float:
+def _horosphere(v: tuple, nu: tuple, xp=_FLOAT) -> float:
     """Horosphere level (1 - v.nu)/sqrt(1 - v^2) of a velocity 3-tuple."""
-    gap, root, _ = _frame_scalars(v, nu)
+    gap, root, _ = _frame_scalars(v, nu, xp)
     return gap / root
 
 
-def _r_power(r: float, base: float, exponent: float, scaled: float = 1.0, what=None) -> float:
+def _r_power(r: float, base: float, exponent: float, scaled: float = 1.0, what=None,
+             xp=_FLOAT) -> float:
     """Weight base ** exponent (the exponent grows with r) of the finite value scaled;
     underflow is 0.0.  Naming r: DegenerateRatio for 0 to a negative power, OutOfRange
     when the weight overflows or when weight * scaled does (what(), given with scaled,
     ends that message)."""
     try:
-        weight = pow(base, exponent)
+        weight = xp.pow(base, exponent)
     except (OverflowError, ZeroDivisionError):
         weight = math.inf
-    if not math.isfinite(weight):  # an infinite exponent gives inf with no error
-        if base == 0.0:
-            raise DegenerateRatio(f"anisotropy r = {r} diverges at a vanishing ratio")
-        raise OutOfRange(f"anisotropy r = {r} overflows its scale factor")
-    if not math.isfinite(weight * scaled):
-        raise OutOfRange(f"anisotropy r = {r} {what()}")
+    ok = abs(weight) < math.inf  # an infinite exponent gives inf with no error
+    if ok is not True and not xp.all(ok):
+        if xp.refused(ok, base) == 0.0:
+            raise DegenerateRatio(xp.explain(
+                ok, "anisotropy r = {} diverges at a vanishing ratio", r))
+        raise OutOfRange(xp.explain(ok, "anisotropy r = {} overflows its scale factor", r))
+    ok = abs(weight * scaled) < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "anisotropy r = {} {}", r, what()))
     return weight
 
 
@@ -441,10 +525,19 @@ def _finite_square(value: float, dx: FourVector) -> float:
     return value
 
 
+def _interval(t, a, b, c, xp=_FLOAT) -> float:
+    """minkowski_interval of the event (t, a, b, c)."""
+    value = t * t - (a * a + b * b + c * c)
+    ok = abs(value) < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "event {} overflows its squared size", [t, a, b, c]))
+    return value
+
+
 def minkowski_interval(dx: FourVector) -> float:
     """dt^2 - |dx|^2; negative for spacelike displacements.  OutOfRange
     when a square overflows."""
-    return _finite_square(dx.t * dx.t - (dx.x * dx.x + dx.y * dx.y + dx.z * dx.z), dx)
+    return _interval(dx.t, dx.x, dx.y, dx.z)
 
 
 def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
@@ -456,7 +549,7 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
     power at dx0 = nu.dx off the boundary, where the ratio vanishes).
     OutOfRange when dx0^2 + dx^2, (dx0 - nu.dx)^2 or the result overflows.
     """
-    base = minkowski_interval(dx)
+    base = _interval(dx.t, dx.x, dx.y, dx.z)
     sx = (dx.x, dx.y, dx.z)
     num = dx.t - _dot(_unit3(spec.nu), sx)
     scale = _finite_square(dx.t * dx.t + _dot(sx, sx), dx)

@@ -15,8 +15,9 @@ import cmath
 import math
 from functools import lru_cache
 
-from .boost import _FLOAT, BoostParams
+from .boost import BoostParams
 from .core import (
+    _FLOAT,
     AnisotropySpec,
     NullDensity,
     OutOfRange,
@@ -161,37 +162,36 @@ def spinor_boost(nu: UnitVector3, params: BoostParams) -> np.ndarray:
     return _matrix(_blocks(a, p, q))
 
 
-def _bispinor_blocks(spec: AnisotropySpec, v: Velocity3) -> tuple:
+def _bispinor_blocks(nuv: tuple, vv: tuple, r, xp=_FLOAT) -> tuple:
     """Blocks of the closed-form bispinor transformation D^{-3/2} S.  Their
     entries are the seven scalars a, p and q, so OutOfRange when one of them
     overflows."""
-    nuv = m0, m1, m2 = _unit3(spec.nu)
-    vv = v0, v1, v2 = _vel3(v)
-    gap, root, lag = _frame_scalars(vv, nuv)
-    weight = _r_power(spec.r, gap / root, -1.5 * spec.r)
-    pref = weight / (2.0 * math.sqrt(gap * root))
+    m0, m1, m2 = nuv
+    v0, v1, v2 = vv
+    gap, root, lag = _frame_scalars(vv, nuv, xp)
+    weight = _r_power(r, gap / root, -1.5 * r, xp=xp)
+    pref = weight / (2.0 * xp.sqrt(gap * root))
     a = pref * (gap + root)
     c0, c1, c2 = _cross(nuv, vv)
-    p = pref * c0, pref * c1, pref * c2
-    q = pref * (v0 - lag * m0), pref * (v1 - lag * m1), pref * (v2 - lag * m2)
-    if not all(map(math.isfinite, (a, *p, *q))):
-        raise OutOfRange(
-            f"anisotropy r = {spec.r} overflows the bispinor transform"
-            f" at velocity {v.to_json()}"
-        )
-    return _blocks(a, p, q)
+    p0, p1, p2 = pref * c0, pref * c1, pref * c2
+    q0, q1, q2 = pref * (v0 - lag * m0), pref * (v1 - lag * m1), pref * (v2 - lag * m2)
+    ok = (a - a) + (p0 - p0) + (p1 - p1) + (p2 - p2) + (q0 - q0) + (q1 - q1) + (q2 - q2) == 0.0
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(
+            ok, "anisotropy r = {} overflows the bispinor transform at velocity {}", r, list(vv)))
+    return _blocks(a, (p0, p1, p2), (q0, q1, q2), xp)
 
 
 def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
     """Closed-form bispinor transformation matrix D^{-3/2} S in terms of v."""
-    return _matrix(_bispinor_blocks(spec, v))
+    return _matrix(_bispinor_blocks(_unit3(spec.nu), _vel3(v), spec.r))
 
 
 def bispinor_transform(spec: AnisotropySpec, v: Velocity3, psi) -> np.ndarray:
     """Apply the generalized bispinor boost to psi; OutOfRange naming the
     inputs where the image overflows."""
     psi = _c4(psi)
-    image = _apply(_bispinor_blocks(spec, v), psi)
+    image = _apply(_bispinor_blocks(_unit3(spec.nu), _vel3(v), spec.r), psi)
     return _ndarray(_finite_result("bispinor_transform", (spec, v, psi), *image), complex)
 
 
@@ -220,20 +220,30 @@ def _norm_sq(psi: tuple) -> float:
     )
 
 
+def _current(psi: tuple, xp=_FLOAT) -> tuple:
+    """j^0..j^3 of bilinear_current for psi = (u0, u1, l0, l1), complex
+    numbers or complex arrays.  The products are written on the real and
+    imaginary parts, as Python multiplies complex numbers: numpy's complex
+    multiply rounds differently."""
+    u0, u1, l0, l1 = psi
+    a0, b0, a1, b1 = u0.real, -u0.imag, u1.real, -u1.imag  # conj(u0), conj(u1)
+    x0, y0, x1, y1 = l0.real, l0.imag, l1.real, l1.imag
+    j0 = _norm_sq(psi)
+    j1 = 2.0 * ((a0 * x1 - b0 * y1) + (a1 * x0 - b1 * y0))  # Re(conj(u0) l1 + conj(u1) l0)
+    j2 = 2.0 * ((a0 * y1 + b0 * x1) - (a1 * y0 + b1 * x0))  # Im(conj(u0) l1 - conj(u1) l0)
+    j3 = 2.0 * ((a0 * x0 - b0 * y0) - (a1 * x1 - b1 * y1))  # Re(conj(u0) l0 - conj(u1) l1)
+    ok = (j0 - j0) + (j1 - j1) + (j2 - j2) + (j3 - j3) == 0.0
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "bilinear_current({}) is not finite", psi))
+    return j0, j1, j2, j3
+
+
 def bilinear_current(psi) -> np.ndarray:
     """Vector current j^n = psibar gamma^n psi (4 real components).  For
     psi = (u, l): j^0 = |u|^2 + |l|^2 and
     j^k = u^dagger sigma_k l + l^dagger sigma_k u = 2 Re(u^dagger sigma_k l).
     OutOfRange naming psi where a component overflows."""
-    u0, u1, l0, l1 = psi = _c4(psi)
-    c0, c1 = u0.conjugate(), u1.conjugate()
-    return _ndarray(_finite_result(
-        "bilinear_current", (psi,),
-        _norm_sq(psi),
-        2.0 * (c0 * l1 + c1 * l0).real,
-        2.0 * (c0 * l1 - c1 * l0).imag,
-        2.0 * (c0 * l0 - c1 * l1).real,
-    ))
+    return _ndarray(_current(_c4(psi)))
 
 
 def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:

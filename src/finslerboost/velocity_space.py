@@ -11,7 +11,6 @@ import math
 
 from .boost import _act, _inverse_frame
 from .core import (
-    FourVector,
     OutOfRange,
     UnitVector3,
     Velocity3,
@@ -167,7 +166,7 @@ def sample_surface(
             sh, ch = math.sinh(alpha0), math.cosh(alpha0)
         except OverflowError:  # a level below about 2.8e-309
             raise OutOfRange(f"horosphere level = {level} overflows") from None
-        base = FourVector(ch, *[sh * c for c in nuv])
+        base = (ch, sh * nuv[0], sh * nuv[1], sh * nuv[2])
         for b1 in _linspace(-extent, extent, n1):
             for b2 in _linspace(-extent, extent, n2):
                 w = tuple(b1 * p + b2 * q for p, q in zip(e1, e2))

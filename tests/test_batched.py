@@ -1,5 +1,6 @@
 """The batched entry points of finslerboost.checks against the scalar
 functions, bit for bit, and their boundary against the scalar one."""
+import math
 import re
 import warnings
 
@@ -7,18 +8,28 @@ import numpy as np
 import pytest
 
 from finslerboost import (
+    AbelianParams,
     AnisotropySpec,
+    AxialParams,
     BoostParams,
+    FourVector,
+    NonOrthogonal,
+    NonTimelike,
+    OffHorosphere,
     OutOfRange,
     UnitVector3,
     Velocity3,
     boost,
     checks,
+    core,
     spinor,
+    subgroups,
+    velocity_space,
 )
 from support import E_X, NU_Z
 
-BATCHED_SUITES = ("oracle", "closure", "velocity-addition", "spinor", "branch")
+BATCHED_SUITES = ("oracle", "closure", "velocity-addition", "spinor", "branch", "roundtrip",
+                  "bispinor", "subgroups")
 
 
 def _bits(a) -> np.ndarray:
@@ -85,21 +96,147 @@ def _suite_draws(monkeypatch, suite, seed, samples) -> list:
     return blocks[0]
 
 
+def _band_reference(nu_rows, s, c) -> list:
+    """The near-band direction of each row as the per-sample draw built it."""
+    out = []
+    for row, x, y in zip(nu_rows.tolist(), s.tolist(), c.tolist()):
+        u = UnitVector3(*row)
+        p = subgroups.perpendicular_to(u)
+        out.append(UnitVector3.normalized((y * p.x + x * u.x, y * p.y + x * u.y,
+                                           y * p.z + x * u.z)).to_json())
+    return out
+
+
+def _agree_directions(nu_rows, s, c) -> np.ndarray:
+    """perpendicular_to, UnitVector3.normalized and the near-band direction of
+    each row; returns the band directions as an (N, 3) stack."""
+    nu = checks._directions(nu_rows)
+    units = [UnitVector3(*row) for row in nu_rows.tolist()]
+    _same(np.stack(checks._perpendiculars(nu), axis=1),
+          [subgroups.perpendicular_to(u).to_json() for u in units])
+    scale = np.resize([1.0, 1e-170, 1e200, 3e-320], len(nu_rows))  # v.v in range, under, over
+    scaled = (scale * nu[0], scale * (nu[1] - 0.5 * nu[2]), scale * nu[2])
+    _same(np.stack(checks._normalized_rows(scaled), axis=1),
+          [UnitVector3.normalized(row).to_json() for row in np.stack(scaled, axis=1).tolist()])
+    band = np.stack(checks._band_directions(nu, s, c), axis=1)
+    _same(band, _band_reference(nu_rows, s, c))
+    return band
+
+
+def _agree_frames(nu_rows, v_rows, r) -> None:
+    """params_from_velocity, dilation_factor and bispinor_matrix of each row."""
+    nu, v = checks._directions(nu_rows), checks._velocities(v_rows)
+    units = [UnitVector3(*row) for row in nu_rows.tolist()]
+    vels = [Velocity3(*row) for row in v_rows.tolist()]
+    specs = [AnisotropySpec(u, x) for u, x in zip(units, r.tolist())]
+    n, alpha = checks._params_from_velocities(nu, v)
+    back = [boost.params_from_velocity(u, w) for u, w in zip(units, vels)]
+    _same(np.stack(n, axis=1), [g.n.to_json() for g in back])
+    _same(alpha, [g.alpha for g in back])
+    _same(checks._dilation_factors(nu, r, v),
+          [boost.dilation_factor(sp, w) for sp, w in zip(specs, vels)])
+    _same(checks._bispinor_matrices(nu, r, v),
+          [spinor.bispinor_matrix(sp, w) for sp, w in zip(specs, vels)])
+
+
+def _agree_bispinors(psi) -> None:
+    """bilinear_current and the density dirac_adjoint(psi) @ psi of each row."""
+    _same(checks._currents(psi), [spinor.bilinear_current(row) for row in psi])
+    _same(checks._densities(psi),
+          [complex(spinor.dirac_adjoint(row) @ row).real for row in psi])
+
+
+def _agree_subgroups(nu_rows, n_rows, alpha, r, x_rows) -> None:
+    """The Abelian and axial transforms, the Abelian velocity, the axial
+    invariants, the interval and apply_matrix of each row, for directions n
+    orthogonal to nu."""
+    nu, n, x = checks._directions(nu_rows), checks._directions(n_rows), checks._events(x_rows)
+    units = [UnitVector3(*row) for row in nu_rows.tolist()]
+    specs = [AnisotropySpec(u, y) for u, y in zip(units, r.tolist())]
+    params = [AbelianParams(UnitVector3(*m), a) for m, a in zip(n_rows.tolist(), alpha.tolist())]
+    events = [FourVector(*row) for row in x_rows.tolist()]
+
+    def events_of(rows):
+        return [e.to_json() for e in rows]
+
+    v = checks._abelian_velocities(nu, n, alpha)
+    vels = [subgroups.abelian_velocity(u, p) for u, p in zip(units, params)]
+    _same(np.stack(v, axis=1), [w.to_json() for w in vels])
+    _same(np.stack(checks._abelian_transforms(nu, n, alpha, x), axis=1),
+          events_of(subgroups.abelian_transform(u, p, e) for u, p, e in zip(units, params, events)))
+    _same(np.stack(checks._abelian_transforms_v(nu, v, x), axis=1),
+          events_of(subgroups.abelian_transform_v(u, w, e) for u, w, e in zip(units, vels, events)))
+    _same(np.stack(checks._axial_transforms(nu, r, alpha, x), axis=1),
+          events_of(subgroups.axial_transform(sp, AxialParams(a), e)
+                    for sp, a, e in zip(specs, alpha.tolist(), events)))
+    invariants = [subgroups.axial_invariants(sp, e) for sp, e in zip(specs, events)]
+    _same(np.stack(checks._axial_invariants(nu, x), axis=1),
+          [list(inv.to_json().values()) for inv in invariants])
+    _same(checks._intervals(x), [core.minkowski_interval(e) for e in events])
+    g = checks._param_rows(n_rows, alpha)
+    mats = checks._generalized_matrices(nu, r, g)
+    _same(np.stack(checks._matrix_images(mats, x), axis=1),
+          events_of(boost.apply_matrix(m, e) for m, e in zip(mats, events)))
+
+
+def _suite_inputs(suite, cols) -> tuple:
+    """nu, the pairs (n, alpha) and the anisotropy r that a suite's block
+    gives the boost layer, checking on the way the entry points that build
+    them and those the suite calls."""
+    nu = cols[0]
+    r = np.linspace(-0.9, 0.9, len(nu))
+    if suite == "oracle":
+        return nu, [(cols[1], cols[2])], cols[3]
+    if suite == "closure":
+        return nu, [(cols[1], cols[2]), (cols[3], cols[4]), (cols[5], cols[6])], r
+    if suite == "velocity-addition":
+        return nu, [(cols[1], cols[2]), (cols[3], cols[4])], r
+    if suite == "spinor":
+        _agree(nu, cols[1], cols[3], r, cols[1], -cols[3])  # the second rapidity
+        return nu, [(cols[1], cols[2])], r
+    if suite == "branch":
+        _, alpha, s, c = cols
+        return nu, [(_agree_directions(nu, s, c), alpha)], r
+    if suite == "roundtrip":
+        _, n, alpha, s, c, band = cols
+        assert 0 < band.sum() < len(band)
+        n = np.where(band[:, None], _agree_directions(nu, s, c), n)
+        v = checks._velocities_from_params(checks._directions(nu), checks._param_rows(n, alpha))
+        _agree_frames(nu, np.stack(v, axis=1), r)
+        return nu, [(n, alpha)], r
+    if suite == "bispinor":
+        _, r, v, re, im = cols
+        _agree_frames(nu, v, r)
+        psi = re + 1j * im
+        direct = checks._bispinor_matrices(checks._directions(nu), r, checks._velocities(v))
+        _agree_bispinors(psi)
+        _agree_bispinors((direct @ psi[:, :, None])[:, :, 0])
+        n, alpha = checks._params_from_velocities(checks._directions(nu), checks._velocities(v))
+        return nu, [(np.stack(n, axis=1), alpha)], r
+    assert suite == "subgroups"
+    _, r, th1, th2, a1, a2, x = cols
+    e1 = checks._perpendiculars(checks._directions(nu))
+    e2 = checks._normalized_rows(core._cross(checks._directions(nu), e1))
+    basis = [velocity_space._plane_basis(UnitVector3(*row)) for row in nu.tolist()]
+    pairs = []
+    for th, a in ((th1, a1), (th2, a2)):
+        n = np.stack(checks._in_plane(th, e1, e2), axis=1)
+        _same(n, [UnitVector3.normalized([math.cos(t) * p + math.sin(t) * q for p, q in zip(*b)])
+                  .to_json() for t, b in zip(th.tolist(), basis)])
+        _agree_subgroups(nu, n, a, r, x)
+        pairs.append((n, a))
+    return nu, pairs, r
+
+
 @pytest.mark.parametrize("suite", BATCHED_SUITES)
 def test_batched_equals_scalar_on_the_suite_draws(suite, monkeypatch):
-    """Every direction, rapidity and anisotropy that a batched suite draws at
-    seed 2024 over 1,000 samples, through every batched entry point."""
+    """Every input that a batched suite draws at seed 2024 over 1,000
+    samples, through every batched entry point."""
     cols = _suite_draws(monkeypatch, suite, 2024, 1000)
-    units = [c for c in cols if c.ndim == 2 and c.shape[1] == 3]
-    scalars = [c for c in cols if c.ndim == 1]
-    nu, dirs = units[0], units[1:]
-    r = cols[3] if suite == "oracle" else np.linspace(-0.9, 0.9, len(nu))
-    rapidities = scalars[:len(dirs)] if suite != "spinor" else scalars[:1]
-    assert len(nu) == 1000 and dirs and rapidities
-    for n, alpha in zip(dirs, rapidities):
+    nu, pairs, r = _suite_inputs(suite, cols)
+    assert len(nu) == 1000 and pairs
+    for n, alpha in pairs:
         _agree(nu, n, alpha, r, np.roll(n, 1, axis=0), np.roll(alpha, 1))
-    if suite == "spinor":  # the second rapidity, on the same direction
-        _agree(nu, dirs[0], scalars[1], r, dirs[0], -scalars[1])
 
 
 def _rows(*vectors) -> np.ndarray:
@@ -129,16 +266,46 @@ def test_batched_equals_scalar_at_the_special_points():
 
 def test_batched_equals_scalar_in_the_near_zero_band():
     rng = np.random.default_rng(31)
-    nu, n, alpha = [], [], []
-    for _ in range(500):
-        u = checks._unit(rng)
-        g = checks._near_band_params(rng, u)
-        assert abs(checks._axis_part(u, g)) < 1e-4
-        nu.append(u.to_json())
-        n.append(g.n.to_json())
-        alpha.append(g.alpha)
-    nu, n, alpha = np.array(nu), np.array(n), np.array(alpha)
+    draws = [(checks._direction(rng),) + checks._near_band_params(rng) for _ in range(500)]
+    nu, alpha, s, c = (np.array(column) for column in zip(*draws))
+    n = _agree_directions(nu, s, c)
+    assert np.all(abs(np.sum(nu * n, axis=1) * alpha) < 1e-4)
     _agree(nu, n, alpha, np.linspace(-0.9, 0.9, len(nu)), n[::-1], -alpha[::-1])
+
+
+# directions whose least components tie: the pivot is the first of them
+TIES = [(1.0, 1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, 1.0, 2.0), (2.0, -1.0, 1.0), (3.0, 4.0, 0.0),
+        (0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (-0.0, 0.0, -1.0)]
+
+
+def test_batched_perpendicular_at_pivot_ties_and_axes():
+    nu = _rows(*[UnitVector3.normalized(v).to_json() for v in TIES])
+    _agree_directions(nu, np.linspace(-4e-5, 4e-5, len(nu)), np.ones(len(nu)))
+
+
+def test_batched_params_from_velocity_at_rest_and_subnormal_squares():
+    """v = 0, v.v subnormal (the identity) and v.v just above the smallest
+    normal float (a direction), among ordinary rows."""
+    nu = _rows(*[NU_Z.to_json()] * 6, TILT)
+    v = _rows((0.0, 0.0, 0.0), (1e-160, 0.0, 0.0), (0.0, -3e-162, 1e-170), (2e-154, 0.0, 0.0),
+              (0.3, -0.2, 0.5), (0.0, 0.0, -0.0), (-0.4, 0.1, 0.2))
+    r = np.array([0.3, 0.0, -0.9, 0.5, 0.0, 0.7, -0.2])
+    _agree_frames(nu, v, r)
+    n, alpha = checks._params_from_velocities(checks._directions(nu), checks._velocities(v))
+    assert alpha.tolist()[:3] == [0.0, 0.0, 0.0] and alpha[3] > 0.0
+
+
+def test_batched_subgroups_at_special_points():
+    """Directions across nu on and off the axes, alpha = 0 and r = 0."""
+    nu = _rows(Z, Z, PERP_NU, PERP_NU, TILT, TILT)
+    perp = [E_X.to_json(), (0.0, -1.0, 0.0), PERP_N, (0.0, 0.0, 1.0),
+            subgroups.perpendicular_to(UnitVector3(*TILT)).to_json(),
+            subgroups.perpendicular_to(UnitVector3(*TILT)).to_json()]
+    alpha = np.array([0.0, 1.3, -0.7, 0.0, 1.9, -0.0])
+    r = np.array([0.0, 0.4, 0.0, -0.6, 0.0, 0.9])
+    x = _rows((1.0, 0.0, 0.0, 0.0), (2.0, 0.3, -0.4, 1.1), (1.5, -0.5, 0.2, 0.1),
+              (3.0, 1.0, 1.0, -1.0), (0.9, 0.0, 0.0, 0.2), (1.2, 0.4, 0.0, 0.0))
+    _agree_subgroups(nu, _rows(*perp), alpha, r, x)
 
 
 def test_batched_compose_at_a_subnormal_square():
@@ -267,3 +434,115 @@ def test_batched_params_canonicalize_as_boost_params_do():
     want = [BoostParams(UnitVector3(*row), x) for row, x in zip(n.tolist(), alpha.tolist())]
     _same(np.stack(m, axis=1), [p.n.to_json() for p in want])
     _same(a, [p.alpha for p in want])
+
+
+# a unit vector, within UnitVector3's 1e-12, along which 1 - v.nu rounds below 0
+LONG_Z = (0.0, 0.0, 1.0000000000004)
+EDGE = (0.0, 0.0, 0.9999999999999999)
+
+
+def _frame_rows(bad_nu, bad_v):
+    """Two ordinary rows and a third, nu and v, with its own r."""
+    nu = checks._directions(_rows(Z, TILT, bad_nu))
+    v = checks._velocities(_rows((0.1, 0.2, -0.3), (0.0, 0.5, 0.1), bad_v))
+    return nu, v
+
+
+FRAMES = {
+    "params_from_velocity": (lambda nu, r, v: checks._params_from_velocities(nu, v),
+                             lambda s, w: boost.params_from_velocity(s.nu, w)),
+    "dilation_factor": (checks._dilation_factors, boost.dilation_factor),
+    "bispinor_matrix": (checks._bispinor_matrices, spinor.bispinor_matrix),
+}
+
+
+@pytest.mark.parametrize("name, r, v", [
+    ("params_from_velocity", 0.3, EDGE),
+    ("dilation_factor", 0.3, EDGE),
+    ("dilation_factor", -2000.0, (0.0, 0.0, 0.5)),
+    ("bispinor_matrix", 0.3, EDGE),
+    ("bispinor_matrix", 2000.0, (0.0, 0.0, 0.5)),
+    ("bispinor_matrix", 65.0, (0.0, 0.0, 0.999999)),
+])
+def test_batched_boundary_refuses_a_frame_at_the_edge_or_a_weight_that_overflows(name, r, v):
+    """1 - v.nu rounds below 0, the dilation or the bispinor weight
+    overflows, or the bispinor blocks do: OutOfRange."""
+    batched, scalar = FRAMES[name]
+    bad_nu = LONG_Z if v == EDGE else Z
+    spec, w = AnisotropySpec(UnitVector3(*bad_nu), r), Velocity3(*v)
+    with pytest.raises(OutOfRange):
+        scalar(spec, w)
+    nu, vel = _frame_rows(bad_nu, v)
+    _refused(lambda: batched(nu, np.array([0.1, -0.4, r]), vel), lambda: scalar(spec, w), 2)
+
+
+def test_batched_boundary_refuses_a_velocity_off_the_horosphere():
+    nu = checks._directions(_rows(Z, Z, Z))
+    v = checks._velocities(_rows((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    x = checks._events(_rows((1.0, 0.0, 0.0, 0.0), (2.0, 0.5, 0.0, 0.1), (1.0, 0.0, 0.0, 0.0)))
+    _refused(lambda: checks._abelian_transforms_v(nu, v, x),
+             lambda: subgroups.abelian_transform_v(NU_Z, Velocity3(0.5, 0.0, 0.0),
+                                                   FourVector(2.0, 0.5, 0.0, 0.1)), 1)
+    with pytest.raises(OffHorosphere):
+        subgroups.abelian_transform_v(NU_Z, Velocity3(0.5, 0.0, 0.0), FourVector(2.0, 0.5, 0.0, 0.1))
+    edge = checks._directions(_rows(Z, LONG_Z))
+    at_edge = checks._velocities(_rows((0.0, 0.0, 0.0), EDGE))
+    x = checks._events(_rows((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
+    _refused(lambda: checks._abelian_transforms_v(edge, at_edge, x),
+             lambda: subgroups.abelian_transform_v(UnitVector3(*LONG_Z), Velocity3(*EDGE),
+                                                   FourVector(1.0, 0.0, 0.0, 0.0)), 1)
+
+
+@pytest.mark.parametrize("name, batched, scalar", [
+    ("abelian_velocity", lambda nu, n, a, x: checks._abelian_velocities(nu, n, a),
+     lambda u, p, e: subgroups.abelian_velocity(u, p)),
+    ("abelian_transform", checks._abelian_transforms, subgroups.abelian_transform),
+])
+def test_batched_boundary_refuses_a_direction_not_orthogonal_to_nu(name, batched, scalar):
+    n = _rows(E_X.to_json(), (0.0, 1.0, 0.0), TILT)
+    nu, x = checks._directions(_rows(Z, Z, Z)), checks._events(_rows(*[(1.0, 0.2, 0.0, 0.1)] * 3))
+    want = lambda: scalar(NU_Z, AbelianParams(UnitVector3(*TILT), 1.5),  # noqa: E731
+                          FourVector(1.0, 0.2, 0.0, 0.1))
+    with pytest.raises(NonOrthogonal):
+        want()
+    _refused(lambda: batched(nu, checks._directions(n), np.array([0.5, 1.0, 1.5]), x), want, 2)
+
+
+def test_batched_boundary_refuses_a_spacelike_event_and_a_square_that_overflows():
+    nu = checks._directions(_rows(Z, Z, Z))
+    for bad in [(0.5, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 0.0)]:
+        x = checks._events(_rows((1.0, 0.0, 0.0, 0.0), (2.0, 0.5, 0.0, 0.1), bad))
+        want = lambda: subgroups.axial_invariants(AnisotropySpec(NU_Z, 0.3), FourVector(*bad))
+        _refused(lambda: checks._axial_invariants(nu, x), want, 2)
+    _refused(lambda: checks._intervals(x), lambda: core.minkowski_interval(FourVector(*bad)), 2)
+    with pytest.raises(NonTimelike):
+        subgroups.axial_invariants(AnisotropySpec(NU_Z, 0.3), FourVector(0.5, 1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("r, alpha", [(0.3, 800.0), (0.3, -800.0), (-1e3, 1.0), (-1.5, 300.0)])
+def test_batched_boundary_refuses_an_axial_rapidity_that_overflows(r, alpha):
+    """A coefficient e^{-r alpha}, cosh alpha or sinh alpha, or the image
+    (the last case), beyond float range."""
+    nu = checks._directions(_rows(Z, TILT))
+    x = checks._events(_rows((1.0, 0.2, 0.0, 0.1), (1.0, 0.2, 0.0, 0.1)))
+    _refused(lambda: checks._axial_transforms(nu, np.array([0.1, r]), np.array([1.0, alpha]), x),
+             lambda: subgroups.axial_transform(AnisotropySpec(UnitVector3(*TILT), r),
+                                               AxialParams(alpha), FourVector(1.0, 0.2, 0.0, 0.1)),
+             1)
+
+
+def test_batched_boundary_refuses_an_image_or_a_current_that_overflows():
+    nu, n = checks._directions(_rows(Z, Z)), checks._directions(_rows(E_X.to_json(), E_X.to_json()))
+    big = (1.5e308, 0.0, 0.0, -1.5e308)
+    x = checks._events(_rows((1.0, 0.0, 0.0, 0.0), big))
+    _refused(lambda: checks._abelian_transforms(nu, n, np.array([0.5, 2.0]), x),
+             lambda: subgroups.abelian_transform(NU_Z, AbelianParams(E_X, 2.0), FourVector(*big)), 1)
+    m = checks._boost_matrices(nu, checks._param_rows(_rows(Z, Z), np.array([0.5, 20.0])))
+    far = checks._events(_rows((1.0, 0.0, 0.0, 0.0), (1e300, 0.0, 0.0, 1e300)))
+    _refused(lambda: checks._matrix_images(m, far),
+             lambda: boost.apply_matrix(m[1], FourVector(1e300, 0.0, 0.0, 1e300)), 1)
+    psi = np.array([[1.0, 0.5j, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]], dtype=complex)
+    _refused(lambda: checks._currents(psi), lambda: spinor.bilinear_current(psi[1]), 1)
+    psi[1, 2] = np.inf
+    _refused(lambda: checks._currents(psi), lambda: spinor.bilinear_current(psi[1]), 1)
+    _refused(lambda: checks._densities(psi), lambda: spinor.dirac_adjoint(psi[1]), 1)

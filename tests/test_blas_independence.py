@@ -96,7 +96,11 @@ draws = np.random.default_rng(5)
 out += [checks._unit(draws) for _ in range(20000)]
 out += [checks._timelike(draws) for _ in range(20000)]
 out += [checks._speed_vec(draws) for _ in range(5000)]
-out += [checks._near_band_params(draws, checks._unit(draws)) for _ in range(5000)]
+# the near-band draws, their directions built per block as the suites build them
+band = [(checks._direction(draws),) + checks._near_band_params(draws) for _ in range(5000)]
+nu_rows, alpha, s, c = (np.array(column) for column in zip(*band))
+n = np.stack(checks._band_directions(checks._directions(nu_rows), s, c), axis=1)
+out += [boost.BoostParams(core.UnitVector3(*m), a) for m, a in zip(n.tolist(), alpha.tolist())]
 for item in out:
     print(repr(item))
 """

@@ -36,13 +36,8 @@ from finslerboost import (
     translate,
     velocity_from_params,
 )
-from finslerboost.boost import (
-    _boost_rows,
-    _coefficients,
-    _exprel,
-    _log1p_over,
-    _sinhc,
-)
+from finslerboost.boost import _boost_rows, _coefficients
+from finslerboost.core import _exprel, _log1p_over, _sinhc
 from finslerboost.checks import expm
 from support import (E_X, ETA, NU_Z, _mp_dot, _mp_frame_velocity, _mp_params,
                      _mp_product_params, _mp_rows, _mp_unit, rand_unit)

@@ -220,3 +220,12 @@ def test_reports_do_not_depend_on_the_block_size(suite, monkeypatch):
     stacked = checks.run_suite(suite, seed=8, samples=30)
     monkeypatch.setattr(checks, "BLOCK", 1)
     assert checks.run_suite(suite, seed=8, samples=30) == stacked
+
+
+def test_roundtrip_band_switch_inside_a_block(monkeypatch):
+    """The roundtrip suite draws its first 100 samples in the near-zero band.
+    In blocks of 64 over 300 samples that switch falls inside the second
+    block, whose band rows get their directions by selection."""
+    whole = checks.run_suite("roundtrip", seed=8, samples=300)
+    monkeypatch.setattr(checks, "BLOCK", 64)
+    assert checks.run_suite("roundtrip", seed=8, samples=300) == whole

@@ -535,6 +535,14 @@ def test_only_seq_tests_for_an_ndarray():
 # one per element.
 STRAIGHT_LINE_KERNELS = (
     "core._frame_scalars",
+    "core._horosphere",
+    "core._least_axis",
+    "core._rescaled",
+    "core._normalized",
+    "core._r_power",
+    "core._interval",
+    "core.minkowski_interval",
+    "subgroups._perpendicular",
     "subgroups.perpendicular_to",
     "boost._coefficients",
     "boost._rows",
@@ -547,20 +555,34 @@ STRAIGHT_LINE_KERNELS = (
     "boost._generalized_rows",
     "boost.compose",
     "boost.velocity_from_params",
+    "boost._velocity_params",
     "boost.params_from_velocity",
     "boost._inverse_frame",
     "boost._act",
+    "boost._image",
     "boost.apply_matrix",
     "velocity_space.lobachevsky_distance",
     "subgroups.AbelianParams.from_tangent",
+    "subgroups._check_orthogonal",
+    "subgroups._abelian",
+    "subgroups._transverse",
     "subgroups._tangent",
+    "subgroups._transverse_v",
+    "subgroups._abelian_frame",
+    "subgroups._axial",
+    "subgroups._axial_scalars",
+    "subgroups.abelian_transform",
+    "subgroups.abelian_transform_v",
     "subgroups.abelian_velocity",
     "subgroups.axial_transform",
+    "subgroups.axial_invariants",
     "spinor._blocks",
     "spinor._spin_parts",
     "spinor.spinor_boost",
     "spinor._bispinor_blocks",
+    "spinor.bispinor_matrix",
     "spinor._norm_sq",
+    "spinor._current",
     "spinor.bilinear_current",
     "spinor.finsler_bispinor_invariant",
 )
