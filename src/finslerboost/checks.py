@@ -13,19 +13,17 @@ go through `_uniform` and `rng.standard_normal`, which give the bits of
 A suite works in blocks of at most BLOCK samples: it keeps each sample's
 draws, evaluates the library on the block, reduces each property's
 deviations at once, on (N, 4, 4) stacks, and records their maximum (a NaN
-among them is kept).  The oracle, closure, roundtrip, velocity-addition,
-spinor, bispinor, subgroups and branch suites draw floats and evaluate the
-library once per block: the batched entry points below run the scalar
-kernels of core, boost, subgroups and spinor on (N,) float64 arrays,
+among them is kept).  Each suite draws floats and evaluates the library
+once per block: the batched entry points below run the scalar kernels of
+core, boost, subgroups, spinor and velocity_space on (N,) float64 arrays,
 through the number-type namespace _ARRAY, and give the scalar functions'
 bits.  +, -, *, / and sqrt are exact IEEE operations on both types; exp,
-expm1, log1p, cosh, sinh, cos, sin and pow are math's and Python's, mapped
-over the entries, since numpy's own round differently from libm and from
-one SIMD path to another.  A complex product is written on the real and
-imaginary parts (see spinor._current), as Python multiplies complex
-numbers; numpy's complex multiply rounds differently.  The metric,
-bispinor-invariant and velocity-space suites still call the library sample
-by sample.
+expm1, log1p, cosh, sinh, asinh, cos, sin and pow are math's and Python's,
+mapped over the entries, since numpy's own round differently from libm and
+from one SIMD path to another.  A complex product is written on the real
+and imaginary parts (see spinor._current), as Python multiplies complex
+numbers, a float x taken as complex(x, 0.0); numpy's complex multiply
+rounds differently.
 
 The oracle and spinor suites compare closed forms with `expm`, which uses
 nothing about the generators' spectrum; production transforms never route
@@ -46,18 +44,11 @@ from . import boost, core, spinor, subgroups, velocity_space
 from .core import (
     DEFAULT_TOL,
     UNIT_NORM_TOL,
-    AnisotropySpec,
-    FourVector,
     OutOfRange,
-    UnitVector3,
-    Velocity3,
     _cross,
     _dot,
     _numbers,
-    _unit3,
     bispinor_to_json,
-    finsler_interval_sq,
-    minkowski_interval,
 )
 
 __all__ = ["PropertyResult", "CheckReport", "SUITES", "run_suite", "run_all"]
@@ -145,8 +136,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _blockwise(samples: int, draw, reduce) -> None:
     """reduce(*columns) for each block of at most BLOCK consecutive samples i,
     where column j stacks the j-th value draw(i) returned for every sample of
-    the block: floats to shape (N,), 3-tuples to (N, 3), matrices to
-    (N, 4, 4).  A block's values are freed before the next block is drawn.
+    the block: floats to shape (N,), k-tuples and bispinors to (N, k).  A
+    block's values are freed before the next block is drawn.
     draw makes the random draws; reduce evaluates what is batched on the
     whole block and records the deviations."""
     for start in range(0, samples, BLOCK):
@@ -259,7 +250,8 @@ def _max_abs_rows(ok, v) -> np.ndarray:
 _ARRAY = _numbers(
     "arrays", exprel=_entrywise(core._exprel), sinhc=_entrywise(core._sinhc),
     log1p_over=_entrywise(core._log1p_over), exp=_entrywise(math.exp),
-    cosh=_entrywise(math.cosh), sinh=_entrywise(math.sinh), cos=_entrywise(math.cos),
+    cosh=_entrywise(math.cosh), sinh=_entrywise(math.sinh), asinh=_entrywise(math.asinh),
+    cos=_entrywise(math.cos),
     sin=_entrywise(math.sin), sqrt=np.sqrt, pow=_power, complex=_complex,
     velocity=_speed_below_one, event=_finite_event, least_axis=_least_axis_rows,
     max_abs=_max_abs_rows, where=np.where, all=lambda ok: ok.all(), explain=_row_explain,
@@ -334,13 +326,20 @@ def _bispinors(a) -> tuple:
     return tuple(a.T)
 
 
+@np.errstate(all="ignore")
 def _param_rows(n, alpha) -> tuple:
     """BoostParams of each row of an (N, 3) stack of directions and an (N,)
-    array of rapidities: a negative alpha goes into the direction."""
-    n = _directions(n)
-    _finite(alpha)
+    array of rapidities: a negative alpha goes into the direction.  The
+    first row refused, by its direction or else by its rapidity, raises
+    what BoostParams(UnitVector3(*n[i]), alpha[i]) raises."""
+    x, y, z = n.T
+    ok = (abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_TOL) & np.isfinite(alpha)
+    if not ok.all():  # every row before the refused one i passes both readers
+        i = int(np.argmin(ok)) + 1
+        _directions(n[:i])
+        _finite(alpha[:i])
     flip = alpha < 0
-    return tuple(np.where(flip, -c, c) for c in n), np.where(flip, -alpha, alpha)
+    return tuple(np.where(flip, -c, c) for c in (x, y, z)), np.where(flip, -alpha, alpha)
 
 
 def _stack(rows, dtype=float) -> np.ndarray:
@@ -472,10 +471,31 @@ def _densities(psi) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
+def _bispinor_transforms(nu, r, v, psi) -> np.ndarray:
+    """spinor.bispinor_transform of each row of an (N, 4) stack of
+    bispinors, with anisotropy r, as an (N, 4) stack."""
+    return _vectors(spinor._transform(nu, v, r, _bispinors(psi), _ARRAY))
+
+
+@np.errstate(all="ignore")
+def _bispinor_invariants(nu, r, psi) -> np.ndarray:
+    """spinor.finsler_bispinor_invariant of each row of an (N, 4) stack of
+    bispinors, with anisotropy r."""
+    return spinor._invariant(nu, r, _bispinors(psi), _ARRAY)
+
+
+@np.errstate(all="ignore")
 def _intervals(x) -> np.ndarray:
     """minkowski_interval of each row."""
     t, a, b, c = x
     return core._interval(t, a, b, c, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _finsler_intervals(nu, r, x) -> np.ndarray:
+    """core.finsler_interval_sq of each row, with anisotropy r."""
+    t, a, b, c = x
+    return core._finsler_interval(nu, r, t, a, b, c, _ARRAY)
 
 
 @np.errstate(all="ignore")
@@ -512,6 +532,40 @@ def _axial_transforms(nu, r, alpha, x) -> tuple:
 def _axial_invariants(nu, x) -> tuple:
     """The fields of subgroups.axial_invariants of each row."""
     return subgroups._axial_scalars(nu, x, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _boost_scales(nu, r, g) -> np.ndarray:
+    """The scale D of boost.generalized_boost_matrix of each row, with
+    anisotropy r."""
+    n, alpha = g
+    return boost._scaled_rows(nu, n, alpha, r, _ARRAY)[0]
+
+
+@np.errstate(all="ignore")
+def _distances(v1, v2) -> np.ndarray:
+    """velocity_space.lobachevsky_distance of each row."""
+    return velocity_space._distance(v1, v2, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _horosphere_levels(nu, v) -> np.ndarray:
+    """velocity_space.horosphere_level of each row."""
+    return core._horosphere(v, nu, _ARRAY)
+
+
+@np.errstate(all="ignore")
+def _cylinder_levels(nu, v) -> np.ndarray:
+    """velocity_space.cylinder_level of each row."""
+    return velocity_space._cylinder(v, nu)
+
+
+@np.errstate(all="ignore")
+def _induced_motions(nu, u, x) -> tuple:
+    """velocity_space.induced_motion of each row, in the frame moving at u:
+    the result is read as a Velocity3."""
+    w, g = boost._inverse_frame(nu, u, _ARRAY)
+    return _velocities(_vectors(boost._act(nu, u, w, x, g, _ARRAY)))
 
 
 def _band_directions(nu, s, c) -> tuple:
@@ -564,14 +618,9 @@ def _direction(rng) -> tuple:
             return x / norm, y / norm, z / norm
 
 
-def _unit(rng) -> UnitVector3:
-    x, y, z = _direction(rng)
-    return UnitVector3(x, y, z)
-
-
 def _velocity(rng) -> tuple:
     """A speed with uniform rapidity in [0, 3] along a direction uniform on
-    the sphere, as the floats of _speed_vec."""
+    the sphere."""
     speed = math.tanh(_uniform(rng, 0.0, 3.0))
     x, y, z = _direction(rng)
     return speed * x, speed * y, speed * z
@@ -583,15 +632,6 @@ def _alpha(rng) -> float:
 
 def _aniso(rng) -> float:
     return _uniform(rng, -0.9, 0.9)
-
-
-def _speed_vec(rng) -> Velocity3:
-    x, y, z = _velocity(rng)
-    return Velocity3(x, y, z)
-
-
-def _params(rng) -> boost.BoostParams:
-    return boost.BoostParams(_unit(rng), _alpha(rng))
 
 
 def _near_band_params(rng) -> tuple:
@@ -606,15 +646,10 @@ def _near_band_params(rng) -> tuple:
 
 
 def _event(rng) -> tuple:
-    """A timelike event, as the floats of _timelike."""
+    """A timelike event."""
     x = _uniform(rng, -1.0, 1.0, 3)
     t = math.sqrt(_dot(x, x)) + _uniform(rng, 0.1, 2.0)
     return t, x[0], x[1], x[2]
-
-
-def _timelike(rng) -> FourVector:
-    t, x, y, z = _event(rng)
-    return FourVector(t, x, y, z)
 
 
 def _axis_parts(nu: tuple, g: tuple) -> np.ndarray:
@@ -673,20 +708,17 @@ def suite_metric(rng, samples):
     p_det = PropertyResult("determinant-scaling", 1e-10)
 
     def draw(i):
-        nu, g = _unit(rng), _params(rng)
-        r = _aniso(rng)
-        spec = AnisotropySpec(nu, r)
-        x = _timelike(rng)
-        dl = boost.generalized_boost_matrix(spec, g)
-        xp = boost.apply_matrix(dl, x)
-        lam = boost.boost_matrix(nu, g)
-        return (finsler_interval_sq(xp, spec), finsler_interval_sq(x, spec),
-                minkowski_interval(boost.apply_matrix(lam, x)), minkowski_interval(x),
-                dl, math.exp(-4.0 * r * _dot(_unit3(nu), _unit3(g.n)) * g.alpha))
+        return _direction(rng), _direction(rng), _alpha(rng), _aniso(rng), _event(rng)
 
-    def reduce(fin1, fin0, mink1, mink0, dl, det):
+    def reduce(nu, n, alpha, r, x_rows):
+        nu, x = _directions(nu), _events(x_rows)
+        g = _param_rows(n, alpha)
+        dl = _generalized_matrices(nu, r, g)
+        fin1, fin0 = _finsler_intervals(nu, r, _matrix_images(dl, x)), _finsler_intervals(nu, r, x)
+        mink1 = _intervals(_matrix_images(_boost_matrices(nu, g), x))
+        det = _ARRAY.exp(-4.0 * r * _dot(nu, g[0]) * g[1])
         _record(p_fin, _reldiff(fin1, fin0))
-        _record(p_mink, _reldiff(mink1, mink0))
+        _record(p_mink, _reldiff(mink1, _intervals(x)))
         _record(p_det, _reldiff(np.linalg.det(dl), det))
 
     _blockwise(samples, draw, reduce)
@@ -815,19 +847,16 @@ def suite_bispinor_invariant(rng, samples):
     p_inv = PropertyResult("invariant-form", 1e-9)
 
     def draw(i):
-        nu = _unit(rng)
-        spec = AnisotropySpec(nu, _aniso(rng))
-        v = _speed_vec(rng)
+        nu, r, v = _direction(rng), _aniso(rng), _velocity(rng)
         while True:
             psi = _random_bispinor(rng)
-            rho = complex(spinor.dirac_adjoint(psi) @ psi).real
-            if abs(rho) > 0.1:
-                break
-        after = spinor.finsler_bispinor_invariant(spec, spinor.bispinor_transform(spec, v, psi))
-        return after, spinor.finsler_bispinor_invariant(spec, psi)
+            if abs(complex(spinor.dirac_adjoint(psi) @ psi).real) > 0.1:
+                return nu, r, v, psi
 
-    def reduce(after, before):
-        _record(p_inv, _reldiff(after, before))
+    def reduce(nu, r, v, psi):
+        nu, v = _directions(nu), _velocities(v)
+        after = _bispinor_invariants(nu, r, _bispinor_transforms(nu, r, v, psi))
+        _record(p_inv, _reldiff(after, _bispinor_invariants(nu, r, psi)))
 
     _blockwise(samples, draw, reduce)
     return [p_inv]
@@ -892,38 +921,26 @@ def suite_velocity_space(rng, samples):
     p_dil = PropertyResult("dilation-equals-level-power", 1e-12)
 
     def draw(i):
-        nu = _unit(rng)
-        r = _aniso(rng)
-        spec = AnisotropySpec(nu, r)
-        frame_v = _speed_vec(rng)
-        va, vb = _speed_vec(rng), _speed_vec(rng)
-        ia = velocity_space.induced_motion(nu, frame_v, va)
-        ib = velocity_space.induced_motion(nu, frame_v, vb)
+        return (_direction(rng), _aniso(rng), _velocity(rng), _velocity(rng), _velocity(rng),
+                _uniform(rng, -2.0, 2.0), math.tanh(_alpha(rng)))
 
-        pa = subgroups.AbelianParams(subgroups.perpendicular_to(nu), _uniform(rng, -2.0, 2.0))
-        horo_frame = subgroups.abelian_velocity(nu, pa)
-        im = velocity_space.induced_motion(nu, horo_frame, va)
-
-        speed = math.tanh(_alpha(rng))
-        axial_frame = Velocity3(speed * nu.x, speed * nu.y, speed * nu.z)
-        im2 = velocity_space.induced_motion(nu, axial_frame, va)
-
+    def reduce(nu, r, frame_v, va, vb, beta, speed):
+        nu = _directions(nu)
+        frame_v, va, vb = _velocities(frame_v), _velocities(va), _velocities(vb)
+        ia, ib = _induced_motions(nu, frame_v, va), _induced_motions(nu, frame_v, vb)
+        horo_frame = _abelian_velocities(nu, _perpendiculars(nu), beta)
+        axial_frame = _velocities(_vectors((speed * nu[0], speed * nu[1], speed * nu[2])))
+        d0, d1 = _distances(va, vb), _distances(ia, ib)
+        horo1 = _horosphere_levels(nu, _induced_motions(nu, horo_frame, va))
+        c0, c1 = _cylinder_levels(nu, va), _cylinder_levels(nu, _induced_motions(nu, axial_frame, va))
         # the velocity-side D = h(v)^r against the parameter side e^{-r (nu.n) alpha}
-        g = boost.params_from_velocity(nu, va)
-        return (
-            velocity_space.lobachevsky_distance(va, vb), velocity_space.lobachevsky_distance(ia, ib),
-            velocity_space.horosphere_level(nu, im), velocity_space.horosphere_level(nu, va),
-            velocity_space.cylinder_level(nu, va), velocity_space.cylinder_level(nu, im2),
-            boost.dilation_factor(spec, va), boost._generalized_rows(spec, g)[0],
-        )
-
-    def reduce(d0, d1, horo1, horo0, c0, c1, dil, dil_params):
+        dil_params = _boost_scales(nu, r, _params_from_velocities(nu, va))
         apart = d0 > 1e-6
         _record(p_iso, _reldiff(d0[apart], d1[apart]))
-        _record(p_horo, _reldiff(horo1, horo0))
+        _record(p_horo, _reldiff(horo1, _horosphere_levels(nu, va)))
         off_axis = c0 > 1e-6
         _record(p_cyl, _reldiff(c0[off_axis], c1[off_axis]))
-        _record(p_dil, np.abs(dil - dil_params))
+        _record(p_dil, np.abs(_dilation_factors(nu, r, va) - dil_params))
 
     _blockwise(samples, draw, reduce)
     return [p_iso, p_horo, p_cyl, p_dil]

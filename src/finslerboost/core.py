@@ -348,24 +348,29 @@ def _refused(ok, value):
     return value
 
 
+def _where(ok, a, b):
+    """a where ok, else b: numpy's where, on floats."""
+    return a if ok else b
+
+
 # The number type of the kernels, for floats.  A kernel takes its directions
 # as 3-tuples, its events as 4-tuples and its scalars as they come, so the
 # same code runs on (N,) float64 arrays, which checks does with its own
 # _numbers.  What differs between the two types goes through this one:
 # math's functions (which raise OverflowError on floats), pow, the value
 # constructors, the pivot axis and the divisor of a rescale, `all` of a
-# guard's truth values, `explain`, the message of a failed guard, and
-# `refused`, the value of its first failed entry.  The arrays' type adds
-# `where`, which selects rows where floats take a branch.  A guard reads
+# guard's truth values, `explain`, the message of a failed guard,
+# `refused`, the value of its first failed entry, and `where`, which picks
+# by a truth value: a float or each row of an array.  A guard reads
 # `if ok is not True and not xp.all(ok)`: on floats ok is a bool, and the
 # test ends at `is`, which costs less than a call.  The ok of "each of a, b,
 # ... is finite" is `(a - a) + (b - b) + ... == 0.0`: x - x is 0.0 for a
 # finite x and NaN for inf or NaN, on both types.
 _FLOAT = _numbers(
     "floats", exprel=_exprel, sinhc=_sinhc, log1p_over=_log1p_over, exp=math.exp,
-    cosh=math.cosh, sinh=math.sinh, sqrt=math.sqrt, pow=pow, complex=complex, velocity=Velocity3,
-    event=FourVector, least_axis=_least_axis, max_abs=_max_abs, all=bool,
-    explain=_explain, refused=_refused,
+    cosh=math.cosh, sinh=math.sinh, asinh=math.asinh, sqrt=math.sqrt, pow=pow, complex=complex,
+    velocity=Velocity3, event=FourVector, least_axis=_least_axis, max_abs=_max_abs, all=bool,
+    explain=_explain, refused=_refused, where=_where,
 )
 
 
@@ -486,7 +491,7 @@ def _r_power(r: float, base: float, exponent: float, scaled: float = 1.0, what=N
     """Weight base ** exponent (the exponent grows with r) of the finite value scaled;
     underflow is 0.0.  Naming r: DegenerateRatio for 0 to a negative power, OutOfRange
     when the weight overflows or when weight * scaled does (what(), given with scaled,
-    ends that message)."""
+    ends that message: it returns a template and the one value it is filled in with)."""
     try:
         weight = xp.pow(base, exponent)
     except (OverflowError, ZeroDivisionError):
@@ -499,7 +504,8 @@ def _r_power(r: float, base: float, exponent: float, scaled: float = 1.0, what=N
         raise OutOfRange(xp.explain(ok, "anisotropy r = {} overflows its scale factor", r))
     ok = abs(weight * scaled) < math.inf
     if ok is not True and not xp.all(ok):
-        raise OutOfRange(xp.explain(ok, "anisotropy r = {} {}", r, what()))
+        template, value = what()
+        raise OutOfRange(xp.explain(ok, "anisotropy r = {} " + template, r, value))
     return weight
 
 
@@ -518,13 +524,6 @@ def norm3(a) -> float:
     return _finite_result("norm3", (a,), math.sqrt(_dot(a, a)))[0]
 
 
-def _finite_square(value: float, dx: FourVector) -> float:
-    """value, built from squares of dx's components, if it is finite."""
-    if not math.isfinite(value):
-        raise OutOfRange(f"event {dx.to_json()} overflows its squared size")
-    return value
-
-
 def _interval(t, a, b, c, xp=_FLOAT) -> float:
     """minkowski_interval of the event (t, a, b, c)."""
     value = t * t - (a * a + b * b + c * c)
@@ -532,6 +531,41 @@ def _interval(t, a, b, c, xp=_FLOAT) -> float:
     if ok is not True and not xp.all(ok):
         raise OutOfRange(xp.explain(ok, "event {} overflows its squared size", [t, a, b, c]))
     return value
+
+
+def _finsler_interval(nuv: tuple, r, t, a, b, c, xp=_FLOAT) -> float:
+    """finsler_interval_sq of the event (t, a, b, c).  An event in the
+    light-cone band takes the placeholder base and numerator 1.0, whose
+    power is finite, and its interval is then replaced by 0.0."""
+    base = _interval(t, a, b, c, xp)
+    num = t - (nuv[0] * a + nuv[1] * b + nuv[2] * c)
+    scale = t * t + (a * a + b * b + c * c)
+    ok = scale < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "event {} overflows its squared size", [t, a, b, c]))
+    thr = Tolerance.abs_tol * scale
+    light = abs(base) <= thr
+    if light is not False:
+        ok = (abs(base) > thr) | (r >= 0) | (abs(num) <= xp.sqrt(thr))
+        if ok is not True and not xp.all(ok):
+            raise DegenerateRatio(xp.explain(
+                ok, "lightlike displacement off the preferred ray diverges for r < 0"))
+        base, num = xp.where(light, 1.0, base), xp.where(light, 1.0, num)
+    ok = base >= 0
+    if ok is not True:
+        ok = ok | (r % 1.0 == 0.0)  # r is a whole number: round() does not take arrays
+        if ok is not True and not xp.all(ok):
+            raise SpacelikeInput(xp.explain(
+                ok, "spacelike displacement: fractional power of a negative base"))
+    nsq = num * num
+    ok = nsq < math.inf
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "event {} overflows its squared size", [t, a, b, c]))
+    value = _r_power(r, nsq / base, r, base,
+                     lambda: ("overflows the interval of event {}", [t, a, b, c]), xp) * base
+    if light is False:
+        return value
+    return xp.where(light, 0.0, value)
 
 
 def minkowski_interval(dx: FourVector) -> float:
@@ -549,21 +583,7 @@ def finsler_interval_sq(dx: FourVector, spec: AnisotropySpec) -> float:
     power at dx0 = nu.dx off the boundary, where the ratio vanishes).
     OutOfRange when dx0^2 + dx^2, (dx0 - nu.dx)^2 or the result overflows.
     """
-    base = _interval(dx.t, dx.x, dx.y, dx.z)
-    sx = (dx.x, dx.y, dx.z)
-    num = dx.t - _dot(_unit3(spec.nu), sx)
-    scale = _finite_square(dx.t * dx.t + _dot(sx, sx), dx)
-    thr = Tolerance.abs_tol * scale
-    if abs(base) <= thr:
-        if spec.r < 0 and abs(num) > math.sqrt(thr):
-            raise DegenerateRatio(
-                "lightlike displacement off the preferred ray diverges for r < 0"
-            )
-        return 0.0
-    if base < 0 and spec.r != round(spec.r):
-        raise SpacelikeInput("spacelike displacement: fractional power of a negative base")
-    return _r_power(spec.r, _finite_square(num * num, dx) / base, spec.r, base,
-                    lambda: f"overflows the interval of event {dx.to_json()}") * base
+    return _finsler_interval(_unit3(spec.nu), spec.r, dx.t, dx.x, dx.y, dx.z)
 
 
 def _m4x4(m) -> tuple:
@@ -580,7 +600,14 @@ def matrix_to_json(m) -> list:
     return [float(v) for v in _m4x4(m)]
 
 
+def _pairs(psi: tuple) -> list:
+    """bispinor_to_json of psi = (u0, u1, l0, l1), complex numbers or
+    complex arrays."""
+    u0, u1, l0, l1 = psi
+    return [[u0.real, u0.imag], [u1.real, u1.imag], [l0.real, l0.imag], [l1.real, l1.imag]]
+
+
 def bispinor_to_json(psi) -> list:
     """Four [re, im] pairs of a length-4 ndarray or of four complex numbers."""
     u0, u1, l0, l1 = _seq(psi, 4)
-    return [[c.real, c.imag] for c in map(complex, (u0, u1, l0, l1))]
+    return _pairs((complex(u0), complex(u1), complex(l0), complex(l1)))

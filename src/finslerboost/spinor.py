@@ -25,15 +25,14 @@ from .core import (
     UnitVector3,
     Velocity3,
     _cross,
-    _finite_result,
     _frame_scalars,
     _ndarray,
+    _pairs,
     _r_power,
     _seq,
     _unit3,
     _Value,
     _vel3,
-    bispinor_to_json,
 )
 
 __all__ = [
@@ -105,15 +104,26 @@ def _matrix(blocks, build=_ndarray):
     return build([[*a0, *b0], [*a1, *b1], [*b0, *a0], [*b1, *a1]], complex)
 
 
-def _apply(blocks, psi: tuple) -> tuple:
+def _sum4(m0, x0, m1, x1, m2, x2, m3, x3, xp=_FLOAT):
+    """m0 x0 + m1 x1 + m2 x2 + m3 x3 of complex numbers or complex arrays,
+    summed left to right, each product written on the real and imaginary
+    parts as Python multiplies complex numbers."""
+    re = ((m0.real * x0.real - m0.imag * x0.imag) + (m1.real * x1.real - m1.imag * x1.imag)
+          + (m2.real * x2.real - m2.imag * x2.imag) + (m3.real * x3.real - m3.imag * x3.imag))
+    im = ((m0.real * x0.imag + m0.imag * x0.real) + (m1.real * x1.imag + m1.imag * x1.real)
+          + (m2.real * x2.imag + m2.imag * x2.real) + (m3.real * x3.imag + m3.imag * x3.real))
+    return xp.complex(re, im)
+
+
+def _apply(blocks, psi: tuple, xp=_FLOAT) -> tuple:
     """[[A, B], [B, A]] psi for psi = (u0, u1, l0, l1)."""
     (a0, a1), (b0, b1) = blocks
     u0, u1, l0, l1 = psi
     return (
-        a0[0] * u0 + a0[1] * u1 + b0[0] * l0 + b0[1] * l1,
-        a1[0] * u0 + a1[1] * u1 + b1[0] * l0 + b1[1] * l1,
-        b0[0] * u0 + b0[1] * u1 + a0[0] * l0 + a0[1] * l1,
-        b1[0] * u0 + b1[1] * u1 + a1[0] * l0 + a1[1] * l1,
+        _sum4(a0[0], u0, a0[1], u1, b0[0], l0, b0[1], l1, xp),
+        _sum4(a1[0], u0, a1[1], u1, b1[0], l0, b1[1], l1, xp),
+        _sum4(b0[0], u0, b0[1], u1, a0[0], l0, a0[1], l1, xp),
+        _sum4(b1[0], u0, b1[1], u1, a1[0], l0, a1[1], l1, xp),
     )
 
 
@@ -122,7 +132,7 @@ def _c4(psi) -> tuple:
     u0, u1, l0, l1 = _seq(psi, 4)
     psi = complex(u0), complex(u1), complex(l0), complex(l1)
     if not all(map(cmath.isfinite, psi)):
-        raise OutOfRange(f"bispinor {bispinor_to_json(psi)} is not finite")
+        raise OutOfRange(f"bispinor {_pairs(psi)} is not finite")
     return psi
 
 
@@ -187,12 +197,24 @@ def bispinor_matrix(spec: AnisotropySpec, v: Velocity3) -> np.ndarray:
     return _matrix(_bispinor_blocks(_unit3(spec.nu), _vel3(v), spec.r))
 
 
+def _transform(nuv: tuple, vv: tuple, r, psi: tuple, xp=_FLOAT) -> tuple:
+    """bispinor_transform of psi = (u0, u1, l0, l1); OutOfRange naming the
+    inputs where the image overflows."""
+    y0, y1, y2, y3 = _apply(_bispinor_blocks(nuv, vv, r, xp), psi, xp)
+    ok = (y0 - y0) + (y1 - y1) + (y2 - y2) + (y3 - y3) == 0.0
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(
+            ok, "bispinor_transform(AnisotropySpec(nu=UnitVector3(x={}, y={}, z={}), r={}),"
+            " Velocity3(vx={}, vy={}, vz={}), {}) is not finite",
+            nuv[0], nuv[1], nuv[2], r, vv[0], vv[1], vv[2], psi))
+    return y0, y1, y2, y3
+
+
 def bispinor_transform(spec: AnisotropySpec, v: Velocity3, psi) -> np.ndarray:
     """Apply the generalized bispinor boost to psi; OutOfRange naming the
     inputs where the image overflows."""
     psi = _c4(psi)
-    image = _apply(_bispinor_blocks(_unit3(spec.nu), _vel3(v), spec.r), psi)
-    return _ndarray(_finite_result("bispinor_transform", (spec, v, psi), *image), complex)
+    return _ndarray(_transform(_unit3(spec.nu), _vel3(v), spec.r, psi), complex)
 
 
 def dirac_adjoint(psi) -> np.ndarray:
@@ -246,6 +268,33 @@ def bilinear_current(psi) -> np.ndarray:
     return _ndarray(_current(_c4(psi)))
 
 
+def _invariant(nuv: tuple, r, psi: tuple, xp=_FLOAT) -> float:
+    """finsler_bispinor_invariant of psi = (u0, u1, l0, l1).  The numerator
+    is |d0|^2 + |d1|^2 with d0 = u0 - (nz l0 + (nx - i ny) l1) and
+    d1 = u1 - ((nx + i ny) l0 - nz l1), each product written on the real and
+    imaginary parts as Python multiplies complex numbers, the float nz taken
+    as complex(nz, 0.0)."""
+    u0, u1, l0, l1 = psi
+    nx, ny, nz = nuv
+    a, b, c, e = l0.real, l0.imag, l1.real, l1.imag
+    d0r = u0.real - ((nz * a - 0.0 * b) + (nx * c - -ny * e))
+    d0i = u0.imag - ((nz * b + 0.0 * a) + (nx * e + -ny * c))
+    d1r = u1.real - ((nx * a - ny * b) - (nz * c - 0.0 * e))
+    d1i = u1.imag - ((nx * b + ny * a) - (nz * e + 0.0 * c))
+    num = d0r * d0r + d0i * d0i + d1r * d1r + d1i * d1i
+    j0 = _norm_sq(psi)
+    ok = (j0 < math.inf) & (num < math.inf)
+    if ok is not True and not xp.all(ok):
+        raise OutOfRange(xp.explain(ok, "bispinor {} overflows its squared size", _pairs(psi)))
+    rho = _density(psi)
+    ok = abs(rho) > Tolerance.abs_tol * j0  # j0 >= |rho|; psi = 0 is null
+    if ok is not True and not xp.all(ok):
+        raise NullDensity(xp.explain(ok, "psibar psi vanishes; the invariant form is singular"))
+    q = num / rho
+    return _r_power(r, q * q, -1.5 * r, rho,
+                    lambda: ("overflows the invariant of bispinor {}", _pairs(psi)), xp) * rho
+
+
 def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     """Anisotropy-weighted scalar density, invariant under bispinor boosts.
 
@@ -256,17 +305,5 @@ def finsler_bispinor_invariant(spec: AnisotropySpec, psi) -> float:
     for r > 0, when the current is null along nu (DegenerateRatio).
     OutOfRange when |psi|^2 or the result overflows.
     """
-    u0, u1, l0, l1 = psi = _c4(psi)
-    nx, ny, nz = _unit3(spec.nu)
-    d0 = u0 - (nz * l0 + complex(nx, -ny) * l1)
-    d1 = u1 - (complex(nx, ny) * l0 - nz * l1)
-    num = d0.real * d0.real + d0.imag * d0.imag + d1.real * d1.real + d1.imag * d1.imag
-    j0 = _norm_sq(psi)
-    if not max(j0, num) < math.inf:
-        raise OutOfRange(f"bispinor {bispinor_to_json(psi)} overflows its squared size")
-    rho = _density(psi)
-    if abs(rho) <= Tolerance.abs_tol * j0:  # j0 >= |rho|; psi = 0 is null
-        raise NullDensity("psibar psi vanishes; the invariant form is singular")
-    q = num / rho
-    return _r_power(spec.r, q * q, -1.5 * spec.r, rho,
-                    lambda: f"overflows the invariant of bispinor {bispinor_to_json(psi)}") * rho
+    psi = _c4(psi)
+    return _invariant(_unit3(spec.nu), spec.r, psi)

@@ -11,6 +11,7 @@ import math
 
 from .boost import _act, _inverse_frame
 from .core import (
+    _FLOAT,
     OutOfRange,
     UnitVector3,
     Velocity3,
@@ -36,15 +37,19 @@ __all__ = [
 SURFACE_CHECK_TOL = 1e-8
 
 
+def _distance(a1: tuple, a2: tuple, xp=_FLOAT) -> float:
+    """lobachevsky_distance of two velocity 3-tuples."""
+    diff = (a1[0] - a2[0], a1[1] - a2[1], a1[2] - a2[2])
+    w1, w2 = 1.0 - _dot(a1, a1), 1.0 - _dot(a2, a2)
+    proj = _dot(a1, diff)
+    return xp.asinh(xp.sqrt(w1 * _dot(diff, diff) + proj * proj) / xp.sqrt(w1 * w2))
+
+
 def lobachevsky_distance(v1: Velocity3, v2: Velocity3) -> float:
     """Hyperbolic distance d with sinh d = g1 g2 sqrt((1 - v1.v2)^2 - w1 w2),
     wi = 1 - vi^2 = 1/gi^2.  With D = v1 - v2 the radicand is
     w1 |D|^2 + (v1.D)^2, two non-negative terms, so nothing cancels."""
-    a1, a2 = _vel3(v1), _vel3(v2)
-    diff = (a1[0] - a2[0], a1[1] - a2[1], a1[2] - a2[2])
-    w1, w2 = 1.0 - _dot(a1, a1), 1.0 - _dot(a2, a2)
-    proj = _dot(a1, diff)
-    return math.asinh(math.sqrt(w1 * _dot(diff, diff) + proj * proj) / math.sqrt(w1 * w2))
+    return _distance(_vel3(v1), _vel3(v2))
 
 
 def horosphere_level(nu: UnitVector3, v: Velocity3) -> float:
@@ -53,12 +58,16 @@ def horosphere_level(nu: UnitVector3, v: Velocity3) -> float:
     return _horosphere(_vel3(v), _unit3(nu))
 
 
+def _cylinder(v: tuple, nuv: tuple) -> float:
+    """cylinder_level of a velocity 3-tuple."""
+    c = _cross(v, nuv)
+    return _dot(c, c) / (1.0 - _dot(v, v))
+
+
 def cylinder_level(nu: UnitVector3, v: Velocity3) -> float:
     """|v x nu|^2/(1 - v^2); zero iff v is parallel to nu.  Unlike
     v^2 - (v.nu)^2, the cross product does not cancel near the axis."""
-    vv = _vel3(v)
-    c = _cross(vv, _unit3(nu))
-    return _dot(c, c) / (1.0 - _dot(vv, vv))
+    return _cylinder(_vel3(v), _unit3(nu))
 
 
 def induced_motion(nu: UnitVector3, frame_v: Velocity3, v: Velocity3) -> Velocity3:

@@ -12,11 +12,14 @@ from finslerboost import (
     AnisotropySpec,
     AxialParams,
     BoostParams,
+    DegenerateRatio,
     FourVector,
     NonOrthogonal,
     NonTimelike,
+    NullDensity,
     OffHorosphere,
     OutOfRange,
+    SpacelikeInput,
     UnitVector3,
     Velocity3,
     boost,
@@ -29,7 +32,7 @@ from finslerboost import (
 from support import E_X, NU_Z
 
 BATCHED_SUITES = ("oracle", "closure", "velocity-addition", "spinor", "branch", "roundtrip",
-                  "bispinor", "subgroups")
+                  "bispinor", "subgroups", "metric", "bispinor-invariant", "velocity-space")
 
 
 def _bits(a) -> np.ndarray:
@@ -179,6 +182,55 @@ def _agree_subgroups(nu_rows, n_rows, alpha, r, x_rows) -> None:
           events_of(boost.apply_matrix(m, e) for m, e in zip(mats, events)))
 
 
+def _agree_intervals(nu_rows, r, x_rows) -> None:
+    """finsler_interval_sq of each row."""
+    nu, x = checks._directions(nu_rows), checks._events(x_rows)
+    specs = [AnisotropySpec(UnitVector3(*row), y) for row, y in zip(nu_rows.tolist(), r.tolist())]
+    _same(checks._finsler_intervals(nu, r, x),
+          [core.finsler_interval_sq(FourVector(*e), sp) for e, sp in zip(x_rows.tolist(), specs)])
+
+
+def _agree_invariants(nu_rows, r, v_rows, psi) -> None:
+    """bispinor_transform and finsler_bispinor_invariant of each row, the
+    latter before and after the transform."""
+    nu, v = checks._directions(nu_rows), checks._velocities(v_rows)
+    specs = [AnisotropySpec(UnitVector3(*row), y) for row, y in zip(nu_rows.tolist(), r.tolist())]
+    vels = [Velocity3(*row) for row in v_rows.tolist()]
+    image = checks._bispinor_transforms(nu, r, v, psi)
+    _same(image, [spinor.bispinor_transform(sp, w, p) for sp, w, p in zip(specs, vels, psi)])
+    for bispinors in (psi, image):
+        _same(checks._bispinor_invariants(nu, r, bispinors),
+              [spinor.finsler_bispinor_invariant(sp, p) for sp, p in zip(specs, bispinors)])
+
+
+def _agree_velocity_space(nu_rows, u_rows, v_rows, w_rows) -> None:
+    """induced_motion of v and w in the frame u, and lobachevsky_distance,
+    horosphere_level and cylinder_level of each row."""
+    nu = checks._directions(nu_rows)
+    u, v, w = (checks._velocities(rows) for rows in (u_rows, v_rows, w_rows))
+    units = [UnitVector3(*row) for row in nu_rows.tolist()]
+    us, vs, ws = ([Velocity3(*row) for row in rows.tolist()] for rows in (u_rows, v_rows, w_rows))
+    iv, iw = checks._induced_motions(nu, u, v), checks._induced_motions(nu, u, w)
+    want_v = [velocity_space.induced_motion(m, a, b) for m, a, b in zip(units, us, vs)]
+    want_w = [velocity_space.induced_motion(m, a, b) for m, a, b in zip(units, us, ws)]
+    _same(np.stack(iv, axis=1), [x.to_json() for x in want_v])
+    _same(np.stack(iw, axis=1), [x.to_json() for x in want_w])
+    _same(checks._distances(v, w), [velocity_space.lobachevsky_distance(a, b) for a, b in zip(vs, ws)])
+    _same(checks._distances(iv, iw),
+          [velocity_space.lobachevsky_distance(a, b) for a, b in zip(want_v, want_w)])
+    _same(checks._horosphere_levels(nu, v),
+          [velocity_space.horosphere_level(m, b) for m, b in zip(units, vs)])
+    _same(checks._cylinder_levels(nu, v), [velocity_space.cylinder_level(m, b) for m, b in zip(units, vs)])
+
+
+def _agree_scales(nu_rows, r, n_rows, alpha) -> None:
+    """The scale D of generalized_boost_matrix of each row."""
+    nu, g = checks._directions(nu_rows), checks._param_rows(n_rows, alpha)
+    specs = [AnisotropySpec(UnitVector3(*row), y) for row, y in zip(nu_rows.tolist(), r.tolist())]
+    params = [BoostParams(UnitVector3(*m), a) for m, a in zip(n_rows.tolist(), alpha.tolist())]
+    _same(checks._boost_scales(nu, r, g), [boost._generalized_rows(sp, p)[0] for sp, p in zip(specs, params)])
+
+
 def _suite_inputs(suite, cols) -> tuple:
     """nu, the pairs (n, alpha) and the anisotropy r that a suite's block
     gives the boost layer, checking on the way the entry points that build
@@ -212,6 +264,32 @@ def _suite_inputs(suite, cols) -> tuple:
         _agree_bispinors(psi)
         _agree_bispinors((direct @ psi[:, :, None])[:, :, 0])
         n, alpha = checks._params_from_velocities(checks._directions(nu), checks._velocities(v))
+        return nu, [(np.stack(n, axis=1), alpha)], r
+    if suite == "metric":
+        _, n, alpha, r, x = cols
+        _agree_intervals(nu, r, x)
+        dl = checks._generalized_matrices(checks._directions(nu), r, checks._param_rows(n, alpha))
+        _agree_intervals(nu, r, np.stack(checks._matrix_images(dl, checks._events(x)), axis=1))
+        _agree_scales(nu, r, n, alpha)
+        return nu, [(n, alpha)], r
+    if suite == "bispinor-invariant":
+        _, r, v, psi = cols
+        _agree_frames(nu, v, r)
+        _agree_invariants(nu, r, v, psi)
+        _agree_bispinors(psi)
+        n, alpha = checks._params_from_velocities(checks._directions(nu), checks._velocities(v))
+        return nu, [(np.stack(n, axis=1), alpha)], r
+    if suite == "velocity-space":
+        _, r, u, v, w, beta, speed = cols
+        nu_cols = checks._directions(nu)
+        perp = np.stack(checks._perpendiculars(nu_cols), axis=1)
+        horo = np.stack(checks._abelian_velocities(nu_cols, tuple(perp.T), beta), axis=1)
+        _agree_subgroups(nu, perp, beta, r, np.tile([1.0, 0.2, -0.3, 0.1], (len(nu), 1)))
+        for frame in (u, horo, speed[:, None] * nu):
+            _agree_velocity_space(nu, frame, v, w)
+        _agree_frames(nu, v, r)
+        n, alpha = checks._params_from_velocities(nu_cols, checks._velocities(v))
+        _agree_scales(nu, r, np.stack(n, axis=1), alpha)
         return nu, [(np.stack(n, axis=1), alpha)], r
     assert suite == "subgroups"
     _, r, th1, th2, a1, a2, x = cols
@@ -546,3 +624,135 @@ def test_batched_boundary_refuses_an_image_or_a_current_that_overflows():
     psi[1, 2] = np.inf
     _refused(lambda: checks._currents(psi), lambda: spinor.bilinear_current(psi[1]), 1)
     _refused(lambda: checks._densities(psi), lambda: spinor.dirac_adjoint(psi[1]), 1)
+
+
+def test_batched_params_name_the_first_row_refused():
+    """The first row that BoostParams(UnitVector3(*n), alpha) refuses, by its
+    direction or else by its rapidity, whichever check refuses it."""
+    n = _rows(GOOD, (0.0, 0.6, 0.81))
+    _refused(lambda: checks._param_rows(n, np.array([np.inf, 1.0])),
+             lambda: BoostParams(UnitVector3(*GOOD), np.inf), 0)
+    _refused(lambda: checks._param_rows(n[::-1], np.array([1.0, np.inf])),
+             lambda: BoostParams(UnitVector3(0.0, 0.6, 0.81), 1.0), 0)
+    _refused(lambda: checks._param_rows(_rows(GOOD, GOOD, (0.0, np.nan, 1.0)),
+                                        np.array([1.0, np.nan, 2.0])),
+             lambda: BoostParams(UnitVector3(*GOOD), np.nan), 1)
+
+
+def test_batched_intervals_in_the_light_cone_band():
+    """Lightlike events off the ray along nu at r >= 0 and on it at r < 0
+    (0.0), a spacelike event at a whole r, and ordinary rows."""
+    nu = _rows(Z, Z, Z, TILT, Z, Z, TILT)
+    x = _rows((1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), (3.0, 0.0, 0.0, 3.0), (2.0, 0.3, -0.4, 1.1),
+              (1.0, 2.0, 0.0, 0.0), (1.0, 0.0, 0.6, 0.8 + 1e-12), (1e-150, 0.0, 0.0, 1e-150))
+    r = np.array([0.3, -0.5, -0.9, 0.7, 2.0, 0.0, 2.5])
+    _agree_intervals(nu, r, x)
+    got = checks._finsler_intervals(checks._directions(nu), r, checks._events(x)).tolist()
+    assert got[:3] == [0.0, 0.0, 0.0] and got[3] > 0.0 and got[4] < 0.0 and got[6] == 0.0
+
+
+def test_batched_invariants_at_special_points():
+    """nu along an axis and tilted, r = 0 and both signs, a bispinor whose
+    density is small against |psi|^2, and tiny and large bispinors."""
+    nu = _rows(Z, TILT, TILT, Z, Z, PERP_NU)
+    r = np.array([0.0, 0.3, -0.9, 0.9, -0.2, 0.5])
+    psi = np.array([[1.0, 0.5j, 0.2, 0.1 - 0.3j], [0.3 + 0.1j, -0.7j, 0.2, 0.1],
+                    [1.0, 0.0, 0.999999, 0.0], [1e-150, 0.0, 3e-151j, 0.0],
+                    [1e150, 0.0, 0.0, -2e149], [-0.0, 1.0, 0.0, 0.5j]], dtype=complex)
+    v = _rows((0.1, 0.2, -0.3), (0.0, 0.0, 0.0), (0.0, 0.5, 0.1), (0.0, 0.0, 0.9), (0.3, 0.0, 0.0),
+              (0.48, 0.64, 0.0))
+    _agree_invariants(nu, r, v, psi)
+
+
+def test_batched_velocity_space_at_special_points():
+    """A frame at rest (the identity), velocities along nu (cylinder level
+    0), at rest and near the edge."""
+    nu = _rows(Z, Z, TILT, PERP_NU, Z)
+    rest = _rows(*[(0.0, 0.0, 0.0)] * 5)
+    v = _rows((0.0, 0.0, 0.5), (0.0, 0.0, -0.0), tuple(0.9 * c for c in TILT), (0.3, 0.4, 0.0),
+              (0.0, 0.6, -0.79999999))
+    w = _rows((0.1, 0.2, -0.3), (0.0, 0.0, 0.9999999), (0.0, 0.5, 0.1), (0.0, 0.0, 0.0),
+              (0.6, 0.0, 0.7))
+    for frame in (rest, v, w):
+        _agree_velocity_space(nu, frame, v, w)
+    moved = checks._induced_motions(checks._directions(nu), checks._velocities(rest),
+                                    checks._velocities(v))
+    assert np.array_equal(np.stack(moved, axis=1), v)  # -0.0 comes back as 0.0
+    assert checks._cylinder_levels(checks._directions(nu), checks._velocities(v)).tolist()[:3] == [
+        0.0, 0.0, 0.0]
+
+
+def _spec_rows(bad_nu, bad_r):
+    nu = checks._directions(_rows(Z, TILT, bad_nu))
+    return nu, np.array([0.1, -0.4, bad_r])
+
+
+@pytest.mark.parametrize("event, r, error", [
+    ((1.0, 1.0, 0.0, 0.0), -0.5, DegenerateRatio),
+    ((1.0, 5.0, 0.0, 1.0), -1.0, DegenerateRatio),
+    ((0.5, 1.0, 0.0, 0.0), 0.3, SpacelikeInput),
+    ((1e200, 0.0, 0.0, 0.0), 0.3, OutOfRange),
+    ((1.2e154, 1.2e154, 0.0, 0.0), 0.3, OutOfRange),
+    ((1e150, 0.0, 0.0, 5e149), -20.0, OutOfRange),
+    ((2.0, 0.0, 0.0, 1.0), -1000.0, OutOfRange),
+])
+def test_batched_boundary_refuses_an_interval(event, r, error):
+    """Off the ray along nu on the light cone at r < 0, a vanishing ratio at
+    r < 0, a spacelike event at a fractional r, a square, the weight or the
+    interval that overflows."""
+    spec, x = AnisotropySpec(NU_Z, r), FourVector(*event)
+    with pytest.raises(error):
+        core.finsler_interval_sq(x, spec)
+    nu, rs = _spec_rows(Z, r)
+    rows = checks._events(_rows((1.0, 0.0, 0.0, 0.0), (2.0, 0.5, 0.0, 0.1), event))
+    _refused(lambda: checks._finsler_intervals(nu, rs, rows),
+             lambda: core.finsler_interval_sq(x, spec), 2)
+
+
+# a = 1e-153 and b = a (1 - 1e-9): |u - sigma_z l|^2 = (a - b)^2 underflows to
+# 0, while psibar psi = a^2 - b^2 is above the null band
+TINY = 1e-153
+
+
+@pytest.mark.parametrize("psi, r, error", [
+    ((1.0, 0.0, 1.0, 0.0), 0.3, NullDensity),
+    ((0.0, 0.0, 0.0, 0.0), -0.3, NullDensity),
+    ((TINY, 0.0, TINY * (1.0 - 1e-9), 0.0), 0.3, DegenerateRatio),
+    ((1e200, 0.0, 0.0, 0.0), 0.3, OutOfRange),
+    ((0.0, 1e200j, 0.0, 0.0), 0.3, OutOfRange),
+    ((9e153, 0.0, -9e153, 0.0), 0.3, OutOfRange),  # |psi|^2 is finite, the numerator is not
+    ((2e150, 0.0, 1e150, 0.0), 6.0, OutOfRange),
+    ((2.0, 0.0, 1.0, 0.0), 1e3, OutOfRange),
+])
+def test_batched_boundary_refuses_an_invariant(psi, r, error):
+    """A null density, a current null along nu at r > 0, |psi|^2, the weight
+    or the invariant that overflows."""
+    spec = AnisotropySpec(NU_Z, r)
+    with pytest.raises(error):
+        spinor.finsler_bispinor_invariant(spec, psi)
+    nu, rs = _spec_rows(Z, r)
+    rows = np.array([[1.0, 0.5j, 0.2, 0.1], [0.3, -0.7j, 0.2, 0.1], psi], dtype=complex)
+    _refused(lambda: checks._bispinor_invariants(nu, rs, rows),
+             lambda: spinor.finsler_bispinor_invariant(spec, psi), 2)
+
+
+def test_batched_boundary_refuses_a_transform_that_overflows():
+    psi = (1.5e308, 0.0, 0.0, 0.0)
+    spec, w = AnisotropySpec(NU_Z, 0.3), Velocity3(0.0, 0.0, 0.5)
+    nu, rs = _spec_rows(Z, 0.3)
+    v = checks._velocities(_rows((0.1, 0.2, -0.3), (0.0, 0.5, 0.1), (0.0, 0.0, 0.5)))
+    rows = np.array([[1.0, 0.5j, 0.2, 0.1], [0.3, -0.7j, 0.2, 0.1], psi], dtype=complex)
+    _refused(lambda: checks._bispinor_transforms(nu, rs, v, rows),
+             lambda: spinor.bispinor_transform(spec, w, psi), 2)
+
+
+def test_batched_boundary_refuses_an_induced_motion_at_the_edge():
+    """Frame and velocity near the edge on opposite sides: the image's speed
+    rounds to 1."""
+    u = (0.047528301845967263, -0.34993039438246537, -0.9355692275887277)
+    x = (0.006153812173805526, -0.2082990557561948, 0.978045824062008)
+    nu = checks._directions(_rows(Z, TILT, Z))
+    frames = checks._velocities(_rows((0.1, 0.2, -0.3), (0.0, 0.0, 0.0), u))
+    v = checks._velocities(_rows((0.0, 0.5, 0.1), (0.3, 0.0, 0.2), x))
+    _refused(lambda: checks._induced_motions(nu, frames, v),
+             lambda: velocity_space.induced_motion(NU_Z, Velocity3(*u), Velocity3(*x)), 2)

@@ -93,9 +93,9 @@ for _ in range(5):
     ]
 # the conformance suites' seeded draws
 draws = np.random.default_rng(5)
-out += [checks._unit(draws) for _ in range(20000)]
-out += [checks._timelike(draws) for _ in range(20000)]
-out += [checks._speed_vec(draws) for _ in range(5000)]
+out += [core.UnitVector3(*checks._direction(draws)) for _ in range(20000)]
+out += [core.FourVector(*checks._event(draws)) for _ in range(20000)]
+out += [core.Velocity3(*checks._velocity(draws)) for _ in range(5000)]
 # the near-band draws, their directions built per block as the suites build them
 band = [(checks._direction(draws),) + checks._near_band_params(draws) for _ in range(5000)]
 nu_rows, alpha, s, c = (np.array(column) for column in zip(*band))

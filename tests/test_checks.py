@@ -1,4 +1,5 @@
 import math
+import platform
 import re
 import tracemalloc
 
@@ -6,8 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from finslerboost import AnisotropySpec, BoostParams, boost, checks, spinor
+from finslerboost import AnisotropySpec, BoostParams, UnitVector3, boost, checks, spinor
 from finslerboost.subgroups import perpendicular_to
+from support import spawn
 
 
 def test_nan_deviation_fails_property():
@@ -60,7 +62,8 @@ def _oracle_generators(rng, count, nilpotent):
     n perpendicular to nu, where all three generators are nilpotent."""
     real, cplx = [], []
     for i in range(count):
-        nu, g = checks._unit(rng), checks._params(rng)
+        nu = UnitVector3(*checks._direction(rng))
+        g = BoostParams(UnitVector3(*checks._direction(rng)), checks._alpha(rng))
         spec = AnisotropySpec(nu, checks._aniso(rng))
         if i >= count - nilpotent:
             g = BoostParams(perpendicular_to(nu), g.alpha)
@@ -109,12 +112,11 @@ def test_exponential_paired_with_its_own_sample(suite, names, monkeypatch):
     assert all(props[name].passed for name in names)
 
 
-def _poisoned(monkeypatch, module, name, samples, sample, batched):
-    """Patch module.name so that every call it gets during `sample` returns
-    NaN in the shape of the true result.  The calls per sample are counted
-    on a one-sample run of the suite that `samples` is called with.  A
-    batched entry point gets that many calls per block instead: each call
-    during the sample's block returns NaN in the sample's row."""
+def _poisoned(monkeypatch, module, name, samples, sample):
+    """Patch module.name, a batched entry point, so that each call it gets
+    during the block of `sample` returns NaN in the sample's row.  The calls
+    per block are counted on a one-sample run of the suite that `samples` is
+    called with."""
     exact = getattr(module, name)
     calls = [0]
 
@@ -124,15 +126,13 @@ def _poisoned(monkeypatch, module, name, samples, sample, batched):
 
     monkeypatch.setattr(module, name, counted)
     samples(1)
-    per_unit, calls[0] = calls[0], 0
-    unit, row = divmod(sample, checks.BLOCK) if batched else (sample, None)
+    per_block, calls[0] = calls[0], 0
+    block, row = divmod(sample, checks.BLOCK)
 
     def poisoned(*args):
         calls[0] += 1
         out = exact(*args)
-        if calls[0] - 1 in range(unit * per_unit, (unit + 1) * per_unit):
-            if row is None:
-                return out * math.nan
+        if calls[0] - 1 in range(block * per_block, (block + 1) * per_block):
             out = out.copy()
             out[row] = math.nan
         return out
@@ -141,16 +141,15 @@ def _poisoned(monkeypatch, module, name, samples, sample, batched):
 
 
 @pytest.mark.parametrize(
-    "suite, module, name, prop, batched",
+    "suite, module, name, prop",
     [
-        # a matrix-stack property of a batched entry point and a float-list property
-        ("closure", checks, "_boost_matrices", "composition-matches-matrix-product", True),
-        ("metric", checks, "finsler_interval_sq", "anisotropic-interval-invariance", False),
+        # a matrix-stack property and a float-array property
+        ("closure", checks, "_boost_matrices", "composition-matches-matrix-product"),
+        ("metric", checks, "_finsler_intervals", "anisotropic-interval-invariance"),
     ],
 )
 @pytest.mark.parametrize("sample", [0, 2, 4, 8], ids=["first", "middle", "after-block", "last"])
-def test_nan_at_one_sample_fails_its_property(suite, module, name, prop, batched, sample,
-                                              monkeypatch):
+def test_nan_at_one_sample_fails_its_property(suite, module, name, prop, sample, monkeypatch):
     """Blocks of 4 over 9 samples: [0, 3], [4, 7], [8].  A NaN at any one
     sample, in the first block or a later one, is the property's maximum."""
     monkeypatch.setattr(checks, "BLOCK", 4)
@@ -159,7 +158,7 @@ def test_nan_at_one_sample_fails_its_property(suite, module, name, prop, batched
         return {p.name: p for p in checks.run_suite(suite, seed=3, samples=samples).properties}
 
     assert props(9)[prop].passed
-    _poisoned(monkeypatch, module, name, props, sample, batched)
+    _poisoned(monkeypatch, module, name, props, sample)
     poisoned = props(9)[prop]
     assert math.isnan(poisoned.max_deviation)
     assert not poisoned.passed
@@ -229,3 +228,32 @@ def test_roundtrip_band_switch_inside_a_block(monkeypatch):
     whole = checks.run_suite("roundtrip", seed=8, samples=300)
     monkeypatch.setattr(checks, "BLOCK", 64)
     assert checks.run_suite("roundtrip", seed=8, samples=300) == whole
+
+
+# The bispinor suite's report, 50 samples, at the two check seeds of the
+# conformance benchmark (seeds 401 and 408) where the density weight read
+# 1.53e-10 and 5.04e-10 against its 1e-10 on one host.  The weight goes
+# through BLAS products, whose kernel OpenBLAS picks per CPU, so the bits are
+# pinned on its baseline x86-64 kernel.  There the weight reads 7.72e-11 and
+# 2.16e-10: the second seed still fails.  A change that moves the suite's
+# rounding moves these bits, and must say so here.
+BISPINOR_TAIL = {
+    401002532: ["0x1.4e131f443b669p-49", "0x1.53a64a08317c3p-34", "0x1.56c5d1820a342p-48"],
+    408002434: ["0x1.d07e30022b36ep-51", "0x1.db4b31b0fee48p-33", "0x1.7224c19c227fap-50"],
+}
+TAIL_SCRIPT = """
+from finslerboost import checks
+for seed in (401002532, 408002434):
+    print(seed, *[p.max_deviation.hex() for p in checks.run_suite("bispinor", seed, 50).properties])
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_bispinor_density_tail_is_pinned():
+    proc = spawn("-c", TAIL_SCRIPT, OPENBLAS_CORETYPE="Prescott")
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = {int(seed): devs for seed, *devs in map(str.split, proc.stdout.decode().splitlines())}
+    assert got == BISPINOR_TAIL

@@ -542,6 +542,9 @@ STRAIGHT_LINE_KERNELS = (
     "core._r_power",
     "core._interval",
     "core.minkowski_interval",
+    "core._finsler_interval",
+    "core.finsler_interval_sq",
+    "core._pairs",
     "subgroups._perpendicular",
     "subgroups.perpendicular_to",
     "boost._coefficients",
@@ -561,7 +564,10 @@ STRAIGHT_LINE_KERNELS = (
     "boost._act",
     "boost._image",
     "boost.apply_matrix",
+    "velocity_space._distance",
     "velocity_space.lobachevsky_distance",
+    "velocity_space._cylinder",
+    "velocity_space.cylinder_level",
     "subgroups.AbelianParams.from_tangent",
     "subgroups._check_orthogonal",
     "subgroups._abelian",
@@ -581,9 +587,14 @@ STRAIGHT_LINE_KERNELS = (
     "spinor.spinor_boost",
     "spinor._bispinor_blocks",
     "spinor.bispinor_matrix",
+    "spinor._sum4",
+    "spinor._apply",
+    "spinor._transform",
+    "spinor.bispinor_transform",
     "spinor._norm_sq",
     "spinor._current",
     "spinor.bilinear_current",
+    "spinor._invariant",
     "spinor.finsler_bispinor_invariant",
 )
 
