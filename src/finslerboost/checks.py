@@ -4,11 +4,14 @@ Each suite draws from an isolated PCG64 generator derived from the master
 seed.  Draws are normalized with plain float arithmetic, not a BLAS dot,
 so the same seed gives the same inputs whichever OpenBLAS kernel the CPU
 selects; deviations measured through the 4x4 and spinor matrix algebra may
-still differ in their last digits.  Sampling: directions
-uniform on the sphere, rapidity uniform in [-3, 3], anisotropy parameter
-uniform in [-0.9, 0.9], speeds with uniform rapidity in [0, 3].  The draws
-go through `_uniform` and `rng.standard_normal`, which give the bits of
-`rng.uniform` and `rng.normal` at a fraction of their cost.
+still differ in their last digits.  A property that holds for every bispinor
+is measured on the matrix: the density weight psibar' psi' = D^-3 psibar psi
+as gamma^0 B^dagger gamma^0 B = D^-3 I, relative to D^-3, so no sampled
+psibar psi, which can cancel far below |psi|^2, divides it.  Sampling:
+directions uniform on the sphere, rapidity uniform in [-3, 3], anisotropy
+parameter uniform in [-0.9, 0.9], speeds with uniform rapidity in [0, 3].
+The draws go through `_uniform` and `rng.standard_normal`, which give the
+bits of `rng.uniform` and `rng.normal` at a fraction of their cost.
 
 A suite works in blocks of at most BLOCK samples: it keeps each sample's
 draws, evaluates the library on the block, reduces each property's
@@ -460,16 +463,6 @@ def _currents(psi) -> np.ndarray:
     return _vectors(spinor._current(_bispinors(psi), _ARRAY))
 
 
-def _densities(psi) -> np.ndarray:
-    """psibar psi of each row of an (N, 4) stack of bispinors, as
-    dirac_adjoint(psi) @ psi: an (N, 1, 4) @ (N, 4, 1) product, which gives
-    the bits of the product of each row."""
-    _bispinors(psi)
-    adjoint = np.conj(psi)
-    adjoint[:, 2:] = -adjoint[:, 2:]
-    return (adjoint[:, None, :] @ psi[:, :, None])[:, 0, 0].real
-
-
 @np.errstate(all="ignore")
 def _bispinor_transforms(nu, r, v, psi) -> np.ndarray:
     """spinor.bispinor_transform of each row of an (N, 4) stack of
@@ -811,14 +804,14 @@ def suite_spinor(rng, samples):
     return [p_pow, p_int, p_exp, p_rep, p_det]
 
 
-def _random_bispinor(rng) -> np.ndarray:
-    return rng.standard_normal(4) + 1j * rng.standard_normal(4)
-
-
 def suite_bispinor(rng, samples):
     p_two = PropertyResult("closed-form-vs-parameter-path", 1e-9)
     p_rho = PropertyResult("density-weight", 1e-10)
     p_cur = PropertyResult("current-weight", 1e-10)
+    eye = np.eye(4)
+    # gamma^0 X^dagger gamma^0 is X^dagger with its off-diagonal 2x2 blocks negated
+    g0 = spinor.gamma_basis().gamma[0].diagonal().real
+    signs = np.outer(g0, g0)
 
     def draw(i):
         return (_direction(rng), _aniso(rng), _velocity(rng), rng.standard_normal(4),
@@ -826,7 +819,7 @@ def suite_bispinor(rng, samples):
 
     def reduce(nu, r, v, re, im):
         nu, v = _directions(nu), _velocities(v)
-        psi = re + 1j * im  # _random_bispinor's bits
+        psi = re + 1j * im
         direct = _bispinor_matrices(nu, r, v)
         g = _params_from_velocities(nu, v)
         d = _dilation_factors(nu, r, v)
@@ -835,7 +828,10 @@ def suite_bispinor(rng, samples):
         psi_p = (direct @ psi[:, :, None])[:, :, 0]
         d3 = _ARRAY.pow(d, -3.0)
         _record(p_two, _sample_max(direct - via) / np.maximum(_sample_max(direct), 1e-300))
-        _record(p_rho, _reldiff(_densities(psi_p), d3 * _densities(psi)))
+        # psibar' psi' = D^-3 psibar psi for every psi exactly when
+        # gamma^0 B^dagger gamma^0 B = D^-3 I, with psi' = B psi
+        adjoint = np.conj(direct.transpose(0, 2, 1)) * signs
+        _record(p_rho, _sample_max(adjoint @ direct - d3[:, None, None] * eye) / d3)
         expect = d3[:, None] * (_boost_matrices(nu, g) @ _currents(psi)[:, :, None])[:, :, 0]
         _record(p_cur, _sample_max(_currents(psi_p) - expect) / np.maximum(_sample_max(expect), 1.0))
 
@@ -849,8 +845,8 @@ def suite_bispinor_invariant(rng, samples):
     def draw(i):
         nu, r, v = _direction(rng), _aniso(rng), _velocity(rng)
         while True:
-            psi = _random_bispinor(rng)
-            if abs(complex(spinor.dirac_adjoint(psi) @ psi).real) > 0.1:
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            if abs(spinor._density(psi.tolist())) > 0.1:
                 return nu, r, v, psi
 
     def reduce(nu, r, v, psi):

@@ -143,10 +143,8 @@ def _agree_frames(nu_rows, v_rows, r) -> None:
 
 
 def _agree_bispinors(psi) -> None:
-    """bilinear_current and the density dirac_adjoint(psi) @ psi of each row."""
+    """bilinear_current of each row."""
     _same(checks._currents(psi), [spinor.bilinear_current(row) for row in psi])
-    _same(checks._densities(psi),
-          [complex(spinor.dirac_adjoint(row) @ row).real for row in psi])
 
 
 def _agree_subgroups(nu_rows, n_rows, alpha, r, x_rows) -> None:
@@ -623,7 +621,6 @@ def test_batched_boundary_refuses_an_image_or_a_current_that_overflows():
     _refused(lambda: checks._currents(psi), lambda: spinor.bilinear_current(psi[1]), 1)
     psi[1, 2] = np.inf
     _refused(lambda: checks._currents(psi), lambda: spinor.bilinear_current(psi[1]), 1)
-    _refused(lambda: checks._densities(psi), lambda: spinor.dirac_adjoint(psi[1]), 1)
 
 
 def test_batched_params_name_the_first_row_refused():
