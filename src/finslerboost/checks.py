@@ -1,32 +1,66 @@
 """Seeded randomized conformance suites.
 
-Each suite draws from an isolated PCG64 generator derived from the master
-seed.  Draws are normalized with plain float arithmetic, not a BLAS dot,
-so the same seed gives the same inputs whichever OpenBLAS kernel the CPU
-selects; deviations measured through the 4x4 and spinor matrix algebra may
-still differ in their last digits.  A property that holds for every bispinor
-is measured on the matrix: the density weight psibar' psi' = D^-3 psibar psi
-as gamma^0 B^dagger gamma^0 B = D^-3 I, relative to D^-3, so no sampled
-psibar psi, which can cancel far below |psi|^2, divides it.  Sampling:
-directions uniform on the sphere, rapidity uniform in [-3, 3], anisotropy
-parameter uniform in [-0.9, 0.9], speeds with uniform rapidity in [0, 3].
-The draws go through `_uniform` and `rng.standard_normal`, which give the
-bits of `rng.uniform` and `rng.normal` at a fraction of their cost.
+Each suite draws from an isolated PCG64 generator,
+numpy.random.default_rng([seed, suite index]).  It works in blocks of at
+most BLOCK samples: it draws the block's inputs column by column, evaluates
+the library once on the block, reduces each property's deviations at once,
+on (N, 4, 4) stacks, and records their maximum (a NaN among them is kept).
 
-A suite works in blocks of at most BLOCK samples: it keeps each sample's
-draws, evaluates the library on the block, reduces each property's
-deviations at once, on (N, 4, 4) stacks, and records their maximum (a NaN
-among them is kept).  Each suite draws floats and evaluates the library
-once per block: the batched entry points below run the scalar kernels of
-core, boost, subgroups, spinor and velocity_space on (N,) float64 arrays,
-through the number-type namespace _ARRAY, and give the scalar functions'
-bits.  +, -, *, / and sqrt are exact IEEE operations on both types; exp,
-expm1, log1p, cosh, sinh, asinh, cos, sin and pow are math's and Python's,
-mapped over the entries, since numpy's own round differently from libm and
-from one SIMD path to another.  A complex product is written on the real
-and imaginary parts (see spinor._current), as Python multiplies complex
-numbers, a float x taken as complex(x, 0.0); numpy's complex multiply
-rounds differently.
+The stream.  A block of N samples draws its columns in the order in which
+its suite's reduce takes them, one generator call per column:
+- a direction (nu, n): rng.standard_normal((N, 3)), each row divided by its
+  norm np.sqrt(x*x + y*y + z*z); while some rows have norm <= 1e-8, those
+  k rows are drawn again, in row order, by rng.standard_normal((k, 3));
+- a uniform in [lo, hi): lo + (hi - lo) * rng.random(N), the bits of
+  rng.uniform(lo, hi, N); a rapidity alpha is uniform in RAPIDITY
+  = [-3, 3], the anisotropy exponent r in ANISOTROPY = [-0.9, 0.9];
+- a velocity: the speeds, math.tanh of each of N uniforms in [0, 3], then a
+  direction column, multiplied row by row;
+- an event: the positions x, uniforms in [-1, 1] of shape (N, 3), then
+  t = |x| + a uniform in [0.1, 2];
+- near-band parameters (alpha, s, c): alpha uniform in [0.5, 3], then
+  s = u / alpha for u uniform in [-limit_switch, limit_switch], and
+  c = np.sqrt(1 - s*s);
+- a bispinor: the real parts rng.standard_normal((N, 4)), then the
+  imaginary parts.  In bispinor-invariant, while some rows have
+  |psibar psi| <= 0.1, those k rows are drawn again, real parts
+  rng.standard_normal((k, 4)) then imaginary parts.
+The suites' columns, in order:
+  oracle              nu, n, alpha, r
+  closure             nu, n1, alpha1, n2, alpha2, n3, alpha3
+  metric              nu, n, alpha, r, event
+  roundtrip           nu; near-band parameters for the rows among the run's
+                      first 100 samples; n, then alpha uniform in [1e-3, 3],
+                      for the other rows
+  velocity-addition   nu, n1, alpha1, n2, alpha2
+  spinor              nu, n, alpha1, alpha2
+  bispinor            nu, r, v, bispinor
+  bispinor-invariant  nu, r, v, bispinor (rows of small density drawn again)
+  subgroups           nu, r, theta1, theta2 uniform in [0, 2 pi),
+                      alpha1, alpha2 uniform in [-2, 2], event
+  velocity-space      nu, r, frame velocity, va, vb, beta uniform in [-2, 2],
+                      axial speed math.tanh of a rapidity
+  branch              nu, near-band parameters
+A seed's inputs thus depend on BLOCK as well; a report does not depend on
+how a block's draws are split for the reduction.  The draws are normalized
+with plain float arithmetic, not a BLAS dot, so the same seed gives the
+same inputs whichever OpenBLAS kernel the CPU selects; deviations measured
+through the 4x4 and spinor matrix algebra may still differ in their last
+digits.  A property that holds for every bispinor is measured on the
+matrix: the density weight psibar' psi' = D^-3 psibar psi as
+gamma^0 B^dagger gamma^0 B = D^-3 I, relative to D^-3, so no sampled
+psibar psi, which can cancel far below |psi|^2, divides it.
+
+The library is evaluated once per block: the batched entry points below run
+the scalar kernels of core, boost, subgroups, spinor and velocity_space on
+(N,) float64 arrays, through the number-type namespace _ARRAY, and give the
+scalar functions' bits.  +, -, *, / and sqrt are exact IEEE operations on
+both types; exp, expm1, log1p, cosh, sinh, tanh, asinh, cos, sin and pow
+are math's and Python's, mapped over the entries, since numpy's own round
+differently from libm and from one SIMD path to another.  A complex product is written on
+the real and imaginary parts (see spinor._current), as Python multiplies
+complex numbers, a float x taken as complex(x, 0.0); numpy's complex
+multiply rounds differently.
 
 The oracle and spinor suites compare closed forms with `expm`, which uses
 nothing about the generators' spectrum; production transforms never route
@@ -136,16 +170,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blockwise(samples: int, draw, reduce) -> None:
-    """reduce(*columns) for each block of at most BLOCK consecutive samples i,
-    where column j stacks the j-th value draw(i) returned for every sample of
-    the block: floats to shape (N,), k-tuples and bispinors to (N, k).  A
-    block's values are freed before the next block is drawn.
-    draw makes the random draws; reduce evaluates what is batched on the
-    whole block and records the deviations."""
+def _blockwise(rng, samples: int, draw, reduce) -> None:
+    """reduce(*draw(rng, N)) for each block of N <= BLOCK consecutive
+    samples: draw returns the block's columns, floats as (N,) arrays,
+    k-vectors and bispinors as (N, k) stacks, and reduce evaluates what is
+    batched on the whole block and records the deviations.  A block's
+    values are freed before the next block is drawn."""
     for start in range(0, samples, BLOCK):
-        rows = (draw(i) for i in range(start, min(start + BLOCK, samples)))
-        reduce(*[np.array(column) for column in zip(*rows)])
+        reduce(*draw(rng, min(BLOCK, samples - start)))
 
 
 # The number type of the batched kernels: (N,) float64 arrays.  A kernel
@@ -254,7 +286,7 @@ _ARRAY = _numbers(
     "arrays", exprel=_entrywise(core._exprel), sinhc=_entrywise(core._sinhc),
     log1p_over=_entrywise(core._log1p_over), exp=_entrywise(math.exp),
     cosh=_entrywise(math.cosh), sinh=_entrywise(math.sinh), asinh=_entrywise(math.asinh),
-    cos=_entrywise(math.cos),
+    tanh=_entrywise(math.tanh), cos=_entrywise(math.cos),
     sin=_entrywise(math.sin), sqrt=np.sqrt, pow=_power, complex=_complex,
     velocity=_speed_below_one, event=_finite_event, least_axis=_least_axis_rows,
     max_abs=_max_abs_rows, where=np.where, all=lambda ok: ok.all(), explain=_row_explain,
@@ -563,7 +595,7 @@ def _induced_motions(nu, u, x) -> tuple:
 
 def _band_directions(nu, s, c) -> tuple:
     """The direction c p + s nu of each row, with p = perpendicular_to(nu),
-    normalized: n of a near-band draw (see _near_band_params)."""
+    normalized: n of a near-band draw (see _draw_band)."""
     p = _perpendiculars(nu)
     return _normalized_rows(tuple(c * pk + s * mk for pk, mk in zip(p, nu)))
 
@@ -593,56 +625,71 @@ def _sample_max(a):
     return np.abs(a).max(axis=tuple(range(1, a.ndim)))
 
 
-def _uniform(rng, lo: float, hi: float, n=None):
-    """rng.uniform(lo, hi) as a float, or n of them as a list, bit for bit:
-    numpy computes lo + (hi - lo) * rng.random() too."""
-    if n is None:
-        return lo + (hi - lo) * rng.random()
-    return [lo + (hi - lo) * u for u in rng.random(n).tolist()]
+# The ranges of the uniform draws shared by several suites: a rapidity, and
+# the anisotropy exponent r.
+RAPIDITY = (-3.0, 3.0)
+ANISOTROPY = (-0.9, 0.9)
 
 
-def _direction(rng) -> tuple:
-    """A direction uniform on the sphere, as the floats of
-    UnitVector3.normalized: a norm above 1e-8 needs none of its rescaling."""
+def _uniform(rng, lo: float, hi: float, shape) -> np.ndarray:
+    """rng.uniform(lo, hi, shape), bit for bit: numpy computes
+    lo + (hi - lo) * rng.random() too."""
+    return lo + (hi - lo) * rng.random(shape)
+
+
+def _draw_directions(rng, count: int) -> np.ndarray:
+    """(count, 3) directions uniform on the sphere, each row as the floats of
+    UnitVector3.normalized: a norm above 1e-8 needs none of its rescaling.
+    A row of smaller norm is drawn again, until none is left."""
+    a = rng.standard_normal((count, 3))
     while True:
-        x, y, z = rng.standard_normal(3).tolist()
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm > 1e-8:
-            return x / norm, y / norm, z / norm
+        x, y, z = a.T
+        norm = np.sqrt(x * x + y * y + z * z)
+        short = norm <= 1e-8
+        if not short.any():
+            return a / norm[:, None]
+        a[short] = rng.standard_normal((int(short.sum()), 3))
 
 
-def _velocity(rng) -> tuple:
-    """A speed with uniform rapidity in [0, 3] along a direction uniform on
-    the sphere."""
-    speed = math.tanh(_uniform(rng, 0.0, 3.0))
-    x, y, z = _direction(rng)
-    return speed * x, speed * y, speed * z
+def _draw_velocities(rng, count: int) -> np.ndarray:
+    """(count, 3) velocities: the speeds, tanh of a rapidity uniform in
+    [0, 3], then the directions."""
+    speed = _ARRAY.tanh(_uniform(rng, 0.0, 3.0, count))
+    return speed[:, None] * _draw_directions(rng, count)
 
 
-def _alpha(rng) -> float:
-    return _uniform(rng, -3.0, 3.0)
+def _draw_events(rng, count: int) -> np.ndarray:
+    """(count, 4) timelike events: the positions x uniform in [-1, 1]^3, then
+    t - |x| uniform in [0.1, 2]."""
+    x = _uniform(rng, -1.0, 1.0, (count, 3))
+    a, b, c = x.T
+    t = np.sqrt(a * a + b * b + c * c) + _uniform(rng, 0.1, 2.0, count)
+    return np.column_stack((t, x))
 
 
-def _aniso(rng) -> float:
-    return _uniform(rng, -0.9, 0.9)
-
-
-def _near_band_params(rng) -> tuple:
-    """(alpha, s, c) of parameters with alpha in [0.5, 3] and the axis part
-    (nu.n) alpha drawn uniformly from the near-zero band
-    |(nu.n) alpha| < limit_switch: s = nu.n, c = sqrt(1 - s^2), and the
-    direction n = c p + s nu is built per block by _band_directions."""
+def _draw_band(rng, count: int) -> tuple:
+    """(alpha, s, c) columns of parameters with alpha in [0.5, 3] and the
+    axis part (nu.n) alpha uniform in the near-zero band
+    |(nu.n) alpha| < limit_switch, drawn in that order: s = nu.n,
+    c = sqrt(1 - s^2), and the direction n = c p + s nu is built per block
+    by _band_directions."""
     band = DEFAULT_TOL.limit_switch
-    alpha = _uniform(rng, 0.5, 3.0)
-    s = _uniform(rng, -band, band) / alpha
-    return alpha, s, math.sqrt(1.0 - s * s)
+    alpha = _uniform(rng, 0.5, 3.0, count)
+    s = _uniform(rng, -band, band, count) / alpha
+    return alpha, s, np.sqrt(1.0 - s * s)
 
 
-def _event(rng) -> tuple:
-    """A timelike event."""
-    x = _uniform(rng, -1.0, 1.0, 3)
-    t = math.sqrt(_dot(x, x)) + _uniform(rng, 0.1, 2.0)
-    return t, x[0], x[1], x[2]
+def _draw_dense_bispinors(rng, count: int) -> np.ndarray:
+    """(count, 4) complex bispinors re + 1j im, the real parts then the
+    imaginary parts standard normal, with |psibar psi| > 0.1: a row with a
+    smaller density is drawn again, until none is left."""
+    psi = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    while True:
+        thin = abs(spinor._density(tuple(psi.T))) <= 0.1
+        if not thin.any():
+            return psi
+        k = int(thin.sum())
+        psi[thin] = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
 
 
 def _axis_parts(nu: tuple, g: tuple) -> np.ndarray:
@@ -655,8 +702,9 @@ def suite_oracle(rng, samples):
     p_lam = PropertyResult("boost-vs-exponential", 1e-10)
     p_gen = PropertyResult("generalized-boost-vs-exponential", 1e-10)
 
-    def draw(i):
-        return _direction(rng), _direction(rng), _alpha(rng), _aniso(rng)
+    def draw(rng, count):
+        return (_draw_directions(rng, count), _draw_directions(rng, count),
+                _uniform(rng, *RAPIDITY, count), _uniform(rng, *ANISOTROPY, count))
 
     def reduce(nu, n, alpha, r):
         nu = _directions(nu)
@@ -667,7 +715,7 @@ def suite_oracle(rng, samples):
             (_boost_matrices(nu, g), _generalized_matrices(nu, r, g)),
             (a * _generators(nu, n), a * _generalized_generators(nu, r, n)))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_lam, p_gen]
 
 
@@ -676,9 +724,11 @@ def suite_closure(rng, samples):
     p_add = PropertyResult("axis-rapidity-additivity", 1e-12)
     p_assoc = PropertyResult("associativity", 1e-10)
 
-    def draw(i):
-        return (_direction(rng), _direction(rng), _alpha(rng), _direction(rng), _alpha(rng),
-                _direction(rng), _alpha(rng))
+    def draw(rng, count):
+        return (_draw_directions(rng, count),
+                _draw_directions(rng, count), _uniform(rng, *RAPIDITY, count),
+                _draw_directions(rng, count), _uniform(rng, *RAPIDITY, count),
+                _draw_directions(rng, count), _uniform(rng, *RAPIDITY, count))
 
     def reduce(nu, n1, a1, n2, a2, n3, a3):
         nu = _directions(nu)
@@ -691,7 +741,7 @@ def suite_closure(rng, samples):
         _record(p_add, np.abs(_axis_parts(nu, g12) - (_axis_parts(nu, g1) + _axis_parts(nu, g2))))
         _record(p_assoc, np.abs(_boost_matrices(nu, left) - _boost_matrices(nu, right)))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_close, p_add, p_assoc]
 
 
@@ -700,8 +750,10 @@ def suite_metric(rng, samples):
     p_mink = PropertyResult("minkowski-invariance-at-r0", 1e-10)
     p_det = PropertyResult("determinant-scaling", 1e-10)
 
-    def draw(i):
-        return _direction(rng), _direction(rng), _alpha(rng), _aniso(rng), _event(rng)
+    def draw(rng, count):
+        return (_draw_directions(rng, count), _draw_directions(rng, count),
+                _uniform(rng, *RAPIDITY, count), _uniform(rng, *ANISOTROPY, count),
+                _draw_events(rng, count))
 
     def reduce(nu, n, alpha, r, x_rows):
         nu, x = _directions(nu), _events(x_rows)
@@ -714,7 +766,7 @@ def suite_metric(rng, samples):
         _record(p_mink, _reldiff(mink1, _intervals(x)))
         _record(p_det, _reldiff(np.linalg.det(dl), det))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_fin, p_mink, p_det]
 
 
@@ -723,12 +775,18 @@ def suite_roundtrip(rng, samples):
     p_a = PropertyResult("rapidity-roundtrip", 1e-9)
     degenerate = min(100, samples)
 
-    def draw(i):
-        nu = _direction(rng)
-        if i < degenerate:  # n is built per block, from the band's s and c
-            alpha, s, c = _near_band_params(rng)
-            return nu, (0.0, 0.0, 0.0), alpha, s, c, True
-        return nu, _direction(rng), _uniform(rng, 1e-3, 3.0), 0.0, 1.0, False
+    def draw(rng, count):
+        # the first `degenerate` samples are near-band rows, whose n is built
+        # per block from s and c; the others draw n and alpha
+        nonlocal degenerate
+        k = min(degenerate, count)
+        degenerate -= k
+        nu = _draw_directions(rng, count)
+        band_alpha, s, c = _draw_band(rng, k)
+        n, alpha = _draw_directions(rng, count - k), _uniform(rng, 1e-3, 3.0, count - k)
+        return (nu, np.concatenate((np.zeros((k, 3)), n)), np.concatenate((band_alpha, alpha)),
+                np.concatenate((s, np.zeros(count - k))), np.concatenate((c, np.ones(count - k))),
+                np.arange(count) < k)
 
     def reduce(nu, n, alpha, s, c, band):
         nu = _directions(nu)
@@ -738,7 +796,7 @@ def suite_roundtrip(rng, samples):
         _record(p_n, np.abs(_vectors(back_n) - _vectors(g[0])))
         _record(p_a, np.abs(back_alpha - g[1]))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_n, p_a]
 
 
@@ -746,8 +804,10 @@ def suite_velocity_addition(rng, samples):
     p_match = PropertyResult("addition-matches-composition", 1e-10)
     p_nu = PropertyResult("preferred-direction-fixed-point", 1e-12)
 
-    def draw(i):
-        return _direction(rng), _direction(rng), _alpha(rng), _direction(rng), _alpha(rng)
+    def draw(rng, count):
+        return (_draw_directions(rng, count),
+                _draw_directions(rng, count), _uniform(rng, *RAPIDITY, count),
+                _draw_directions(rng, count), _uniform(rng, *RAPIDITY, count))
 
     def reduce(nu_rows, n1, a1, n2, a2):
         nu = _directions(nu_rows)
@@ -761,7 +821,7 @@ def suite_velocity_addition(rng, samples):
             fixed = boost._add_velocities(nu, v1, nu, _ARRAY)
         _record(p_nu, np.abs(_vectors(fixed) - nu_rows))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_match, p_nu]
 
 
@@ -774,8 +834,9 @@ def suite_spinor(rng, samples):
     eye = np.eye(4, dtype=complex)
     gammas = np.array(spinor.gamma_basis().gamma)
 
-    def draw(i):
-        return _direction(rng), _direction(rng), _alpha(rng), _alpha(rng)
+    def draw(rng, count):
+        return (_draw_directions(rng, count), _draw_directions(rng, count),
+                _uniform(rng, *RAPIDITY, count), _uniform(rng, *RAPIDITY, count))
 
     def reduce(nu, n_rows, alpha, a2):
         nu = _directions(nu)
@@ -800,61 +861,68 @@ def suite_spinor(rng, samples):
         det = np.linalg.det(smat)
         _record(p_det, np.hypot(det.real - 1.0, det.imag))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_pow, p_int, p_exp, p_rep, p_det]
 
 
-def suite_bispinor(rng, samples):
-    p_two = PropertyResult("closed-form-vs-parameter-path", 1e-9)
-    p_rho = PropertyResult("density-weight", 1e-10)
-    p_cur = PropertyResult("current-weight", 1e-10)
-    eye = np.eye(4)
-    # gamma^0 X^dagger gamma^0 is X^dagger with its off-diagonal 2x2 blocks negated
+def _bispinor_deviations(nu, r, v, psi) -> tuple:
+    """Each row's deviations of the bispinor suite's closed form from the
+    parameter path, of its density weight and of its current weight, for
+    (N, 3) stacks nu and v, an (N,) array r and an (N, 4) stack psi.  A row
+    whose bispinor matrix is not finite has a NaN current weight."""
+    nu, v = _directions(nu), _velocities(v)
+    direct = _bispinor_matrices(nu, r, v)
+    g = _params_from_velocities(nu, v)
+    d = _dilation_factors(nu, r, v)
+    # D^{-3/2} S through the parametrization maps
+    via = _ARRAY.pow(d, -1.5)[:, None, None] * _spinor_boosts(nu, g)
+    d3 = _ARRAY.pow(d, -3.0)
+    two = _sample_max(direct - via) / np.maximum(_sample_max(direct), 1e-300)
+    # psibar' psi' = D^-3 psibar psi for every psi exactly when
+    # gamma^0 B^dagger gamma^0 B = D^-3 I, with psi' = B psi; gamma^0 X^dagger
+    # gamma^0 is X^dagger with its off-diagonal 2x2 blocks negated
     g0 = spinor.gamma_basis().gamma[0].diagonal().real
-    signs = np.outer(g0, g0)
+    adjoint = np.conj(direct.transpose(0, 2, 1)) * np.outer(g0, g0)
+    rho = _sample_max(adjoint @ direct - d3[:, None, None] * np.eye(4)) / d3
+    psi_p = (direct @ psi[:, :, None])[:, :, 0]
+    finite = np.isfinite(psi_p).all(axis=1)
+    current = np.full((len(psi), 4), math.nan)
+    current[finite] = _currents(psi_p[finite])
+    expect = d3[:, None] * (_boost_matrices(nu, g) @ _currents(psi)[:, :, None])[:, :, 0]
+    cur = _sample_max(current - expect) / np.maximum(_sample_max(expect), 1.0)
+    return two, rho, cur
 
-    def draw(i):
-        return (_direction(rng), _aniso(rng), _velocity(rng), rng.standard_normal(4),
-                rng.standard_normal(4))
+
+def suite_bispinor(rng, samples):
+    props = [PropertyResult("closed-form-vs-parameter-path", 1e-9),
+             PropertyResult("density-weight", 1e-10), PropertyResult("current-weight", 1e-10)]
+
+    def draw(rng, count):
+        return (_draw_directions(rng, count), _uniform(rng, *ANISOTROPY, count),
+                _draw_velocities(rng, count), rng.standard_normal((count, 4)),
+                rng.standard_normal((count, 4)))
 
     def reduce(nu, r, v, re, im):
-        nu, v = _directions(nu), _velocities(v)
-        psi = re + 1j * im
-        direct = _bispinor_matrices(nu, r, v)
-        g = _params_from_velocities(nu, v)
-        d = _dilation_factors(nu, r, v)
-        # D^{-3/2} S through the parametrization maps
-        via = _ARRAY.pow(d, -1.5)[:, None, None] * _spinor_boosts(nu, g)
-        psi_p = (direct @ psi[:, :, None])[:, :, 0]
-        d3 = _ARRAY.pow(d, -3.0)
-        _record(p_two, _sample_max(direct - via) / np.maximum(_sample_max(direct), 1e-300))
-        # psibar' psi' = D^-3 psibar psi for every psi exactly when
-        # gamma^0 B^dagger gamma^0 B = D^-3 I, with psi' = B psi
-        adjoint = np.conj(direct.transpose(0, 2, 1)) * signs
-        _record(p_rho, _sample_max(adjoint @ direct - d3[:, None, None] * eye) / d3)
-        expect = d3[:, None] * (_boost_matrices(nu, g) @ _currents(psi)[:, :, None])[:, :, 0]
-        _record(p_cur, _sample_max(_currents(psi_p) - expect) / np.maximum(_sample_max(expect), 1.0))
+        for prop, devs in zip(props, _bispinor_deviations(nu, r, v, re + 1j * im)):
+            _record(prop, devs)
 
-    _blockwise(samples, draw, reduce)
-    return [p_two, p_rho, p_cur]
+    _blockwise(rng, samples, draw, reduce)
+    return props
 
 
 def suite_bispinor_invariant(rng, samples):
     p_inv = PropertyResult("invariant-form", 1e-9)
 
-    def draw(i):
-        nu, r, v = _direction(rng), _aniso(rng), _velocity(rng)
-        while True:
-            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            if abs(spinor._density(psi.tolist())) > 0.1:
-                return nu, r, v, psi
+    def draw(rng, count):
+        return (_draw_directions(rng, count), _uniform(rng, *ANISOTROPY, count),
+                _draw_velocities(rng, count), _draw_dense_bispinors(rng, count))
 
     def reduce(nu, r, v, psi):
         nu, v = _directions(nu), _velocities(v)
         after = _bispinor_invariants(nu, r, _bispinor_transforms(nu, r, v, psi))
         _record(p_inv, _reldiff(after, _bispinor_invariants(nu, r, psi)))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_inv]
 
 
@@ -872,11 +940,11 @@ def suite_subgroups(rng, samples):
     p_ratio = PropertyResult("axial-ratio-invariant", 1e-9)
     p_flow = PropertyResult("axial-flow-additivity", 1e-10)
 
-    def draw(i):
-        nu, r = _direction(rng), _aniso(rng)
-        th1, th2 = _uniform(rng, 0.0, 2.0 * math.pi, 2)
-        a1, a2 = _uniform(rng, -2.0, 2.0, 2)
-        return nu, r, th1, th2, a1, a2, _event(rng)
+    def draw(rng, count):
+        return (_draw_directions(rng, count), _uniform(rng, *ANISOTROPY, count),
+                _uniform(rng, 0.0, 2.0 * math.pi, count), _uniform(rng, 0.0, 2.0 * math.pi, count),
+                _uniform(rng, -2.0, 2.0, count), _uniform(rng, -2.0, 2.0, count),
+                _draw_events(rng, count))
 
     def reduce(nu, r, th1, th2, a1, a2, x_rows):
         nu, x = _directions(nu), _events(x_rows)
@@ -906,7 +974,7 @@ def suite_subgroups(rng, samples):
         _record(p_ratio, _reldiff(ratio1[kept], ratio0[kept]))
         _record(p_flow, np.abs(_vectors(chained) - _vectors(joint)))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_ab_inv, p_comm, p_match, p_scale, p_ratio, p_flow]
 
 
@@ -916,9 +984,11 @@ def suite_velocity_space(rng, samples):
     p_cyl = PropertyResult("cylinder-invariance", 1e-9)
     p_dil = PropertyResult("dilation-equals-level-power", 1e-12)
 
-    def draw(i):
-        return (_direction(rng), _aniso(rng), _velocity(rng), _velocity(rng), _velocity(rng),
-                _uniform(rng, -2.0, 2.0), math.tanh(_alpha(rng)))
+    def draw(rng, count):
+        return (_draw_directions(rng, count), _uniform(rng, *ANISOTROPY, count),
+                _draw_velocities(rng, count), _draw_velocities(rng, count),
+                _draw_velocities(rng, count), _uniform(rng, -2.0, 2.0, count),
+                _ARRAY.tanh(_uniform(rng, *RAPIDITY, count)))
 
     def reduce(nu, r, frame_v, va, vb, beta, speed):
         nu = _directions(nu)
@@ -938,7 +1008,7 @@ def suite_velocity_space(rng, samples):
         _record(p_cyl, _reldiff(c0[off_axis], c1[off_axis]))
         _record(p_dil, np.abs(_dilation_factors(nu, r, va) - dil_params))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_iso, p_horo, p_cyl, p_dil]
 
 
@@ -965,8 +1035,8 @@ def suite_branch(rng, samples):
     p_spin = PropertyResult("spinor-branch-continuity", 1e-9)
     eye = np.eye(4)
 
-    def draw(i):
-        return (_direction(rng),) + _near_band_params(rng)
+    def draw(rng, count):
+        return (_draw_directions(rng, count), *_draw_band(rng, count))
 
     def reduce(nu, alpha, s, c):
         nu = _directions(nu)
@@ -979,7 +1049,7 @@ def suite_branch(rng, samples):
         _record(p_vel, np.abs(vel - -taylor[:, 0, 1:] / taylor[:, 0, :1]))
         _record(p_spin, np.abs(_spinor_boosts(nu, g) - (c3 * eye + c4 * _spinor_generators(nu, n))))
 
-    _blockwise(samples, draw, reduce)
+    _blockwise(rng, samples, draw, reduce)
     return [p_lam, p_vel, p_spin]
 
 

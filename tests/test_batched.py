@@ -89,9 +89,8 @@ def _suite_draws(monkeypatch, suite, seed, samples) -> list:
     """The columns of each block that a suite's draws give its reduce."""
     blocks = []
 
-    def capture(count, draw, reduce):
-        rows = [draw(i) for i in range(count)]
-        blocks.append([np.array(column) for column in zip(*rows)])
+    def capture(rng, count, draw, reduce):
+        blocks.append(list(draw(rng, count)))
 
     monkeypatch.setattr(checks, "_blockwise", capture)
     checks.run_suite(suite, seed=seed, samples=samples)
@@ -342,8 +341,8 @@ def test_batched_equals_scalar_at_the_special_points():
 
 def test_batched_equals_scalar_in_the_near_zero_band():
     rng = np.random.default_rng(31)
-    draws = [(checks._direction(rng),) + checks._near_band_params(rng) for _ in range(500)]
-    nu, alpha, s, c = (np.array(column) for column in zip(*draws))
+    nu = checks._draw_directions(rng, 500)
+    alpha, s, c = checks._draw_band(rng, 500)
     n = _agree_directions(nu, s, c)
     assert np.all(abs(np.sum(nu * n, axis=1) * alpha) < 1e-4)
     _agree(nu, n, alpha, np.linspace(-0.9, 0.9, len(nu)), n[::-1], -alpha[::-1])

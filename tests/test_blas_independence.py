@@ -93,12 +93,13 @@ for _ in range(5):
     ]
 # the conformance suites' seeded draws
 draws = np.random.default_rng(5)
-out += [core.UnitVector3(*checks._direction(draws)) for _ in range(20000)]
-out += [core.FourVector(*checks._event(draws)) for _ in range(20000)]
-out += [core.Velocity3(*checks._velocity(draws)) for _ in range(5000)]
+out += [core.UnitVector3(*row) for row in checks._draw_directions(draws, 20000).tolist()]
+out += [core.FourVector(*row) for row in checks._draw_events(draws, 20000).tolist()]
+out += [core.Velocity3(*row) for row in checks._draw_velocities(draws, 5000).tolist()]
+out += checks._draw_dense_bispinors(draws, 5000).tolist()
 # the near-band draws, their directions built per block as the suites build them
-band = [(checks._direction(draws),) + checks._near_band_params(draws) for _ in range(5000)]
-nu_rows, alpha, s, c = (np.array(column) for column in zip(*band))
+nu_rows = checks._draw_directions(draws, 5000)
+alpha, s, c = checks._draw_band(draws, 5000)
 n = np.stack(checks._band_directions(checks._directions(nu_rows), s, c), axis=1)
 out += [boost.BoostParams(core.UnitVector3(*m), a) for m, a in zip(n.tolist(), alpha.tolist())]
 for item in out:
@@ -119,5 +120,5 @@ def _run(coretype):
 def test_scalar_results_independent_of_blas_kernel():
     default = _run(None)
     prescott = _run("Prescott")
-    assert default.count("\n") == 200 * 21 + 5 * 3 + 2 * 20000 + 2 * 5000
+    assert default.count("\n") == 200 * 21 + 5 * 3 + 2 * 20000 + 3 * 5000
     assert prescott == default
